@@ -551,6 +551,8 @@ def brute_force_segmented(
 
     def leaf(partial: float):
         stats["leaves"] += 1
+        if partial < best["welfare"] - 1e-9:
+            return  # welfare = partial minus nonnegative losses: cannot win
         downloads: dict[int, list[SegmentRecord]] = {n: [] for n in ids}
         per_owner: dict[int, list[tuple[float, int, float, float, int]]] = {m: [] for m in owners}
         for n in ids:

@@ -7,11 +7,18 @@ Buffers drain continuously at unit rate, segments arriving into a full
 buffer are dropped (energy still charged), and transfers that lose their
 encounter mid-flight are aborted with pro-rata energy under the default
 abort policy.
+
+Scheduler state is kept incrementally rather than rescanned per decision:
+each owner's next missing segment is found from a lower-bound pointer, each
+user's neighbour set is reused between consecutive encounter breakpoints,
+and one snapshot serves both the decision and its welfare estimate.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -91,16 +98,6 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def compute_download_end(
-    capacity: CapacityTrace, n: int, t_start: float, volume_mbit: float
-) -> float | None:
-    """Earliest time by which ``volume_mbit`` can be fetched; None if the
-    trace runs out of capacity before its horizon."""
-    if volume_mbit < 0:
-        raise ValueError("volume must be nonnegative")
-    return capacity.invert(n, t_start, volume_mbit)
-
-
 def run_simulation(config: SimConfig) -> ExperimentReport:
     profiles = model.profile_map(config.profiles)
     ids = sorted(profiles)
@@ -120,6 +117,8 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     last_rates: dict[int, float | None] = {n: None for n in ids}
     delivered_segs: dict[int, set[int]] = {n: set() for n in ids}
     reserved: set[tuple[int, int]] = set()
+    # every segment index below seg_lo[n] is delivered or reserved
+    seg_lo = {n: 0 for n in ids}
     busy = {n: False for n in ids}
     samples: dict[int, list[float]] = {n: [] for n in ids}
     downloads: dict[int, list[SegmentRecord]] = {n: [] for n in ids}
@@ -147,35 +146,31 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         last_t = now
 
     inflight = {n: 0 for n in ids}  # reserved transfers currently heading to n
+    betas = {n: profiles[n].beta for n in ids}
+    max_levels = {n: profiles[n].buffer_cap + TOL for n in ids}
+    video_ids = [n for n in ids if profiles[n].is_video_user]
+    no_segs: dict[int, int | None] = dict.fromkeys(ids)
 
     def committed(n: int) -> float:
         """Buffer content including parked out-of-order segments (checked
         against the cap at arrival and at every event)."""
-        return buffers[n] + profiles[n].beta * len(parked[n])
-
-    def sched_level(n: int) -> float:
-        """Buffer level broadcast to schedulers: committed content plus
-        in-flight reservations, so concurrent downloaders do not over-fill
-        one owner's buffer."""
-        return committed(n) + profiles[n].beta * inflight[n]
+        return buffers[n] + betas[n] * len(parked[n])
 
     def check_invariants(now: float) -> None:
         for n in ids:
-            if buffers[n] < -TOL or committed(n) > profiles[n].buffer_cap + TOL:
-                violations.append(
-                    f"t={now}: buffer of user {n} out of range: {committed(n)}"
-                )
+            level = buffers[n] + betas[n] * len(parked[n])
+            if buffers[n] < -TOL or level > max_levels[n]:
+                violations.append(f"t={now}: buffer of user {n} out of range: {level}")
 
     def next_seg_of(n: int) -> int | None:
-        """Smallest segment index neither delivered nor reserved by an
-        in-flight transfer, so several downloaders can serve one owner."""
-        prof = profiles[n]
-        if not prof.is_video_user:
-            return None
-        for k in range(prof.video_segments):
-            if k not in delivered_segs[n] and (n, k) not in reserved:
-                return k
-        return None
+        """Smallest segment index of video user n neither delivered nor
+        reserved by an in-flight transfer, so several downloaders can serve
+        one owner. The scan starts at ``seg_lo[n]`` and moves it forward."""
+        k, segs, done = seg_lo[n], profiles[n].video_segments, delivered_segs[n]
+        while k < segs and (k in done or (n, k) in reserved):
+            k += 1
+        seg_lo[n] = k
+        return k if k < segs else None
 
     def usable_neighbor(n: int, m: int, now: float) -> bool:
         """Encounter intervals are closed, so right at a break the pair is
@@ -188,21 +183,58 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         brk = config.encounters.next_break(n, m, now)
         return brk is None or brk > now + TOL
 
+    # Between two consecutive encounter breakpoints of user n, every
+    # usable_neighbor(n, m, .) answer is constant, so a neighbour tuple
+    # computed strictly inside such a gap, and more than TOL before its end,
+    # is reused until ``now`` leaves it. The trace horizon is a breakpoint so
+    # that a query past it still reaches the trace and raises.
+    breaks: dict[int, set[float]] = {n: {config.encounters.horizon} for n in ids}
+    for pair, ivs in config.encounters.intervals.items():
+        for n in pair:
+            if n in breaks:
+                breaks[n].update(t for iv in ivs for t in iv)
+    breakpoints = {n: [-math.inf, *sorted(pts), math.inf] for n, pts in breaks.items()}
+    neighbor_cache: dict[int, tuple[float, float, tuple[int, ...]]] = {}
+
+    def neighbors_of(n: int, now: float) -> tuple[int, ...]:
+        hit = neighbor_cache.get(n)
+        if hit is not None and hit[0] < now < hit[1]:
+            return hit[2]
+        found = tuple(m for m in ids if usable_neighbor(n, m, now))
+        pts = breakpoints[n]
+        i = bisect.bisect_right(pts, now)
+        lo, hi = pts[i - 1], pts[i] - TOL
+        if lo < now < hi:
+            neighbor_cache[n] = (lo, hi, found)
+        return found
+
     def snapshot(n: int, now: float) -> online.SchedulerState:
-        neighbors = tuple(m for m in ids if usable_neighbor(n, m, now))
+        neighbors = neighbors_of(n, now)
+        next_seg = dict(no_segs)
+        for m in video_ids:
+            next_seg[m] = next_seg_of(m)
         return online.SchedulerState(
             user=n,
             now=now,
             capacity=config.capacity.rate_at(n, now),
             neighbors=neighbors,
-            buffers={m: sched_level(m) for m in ids},
+            # broadcast level: committed content plus in-flight reservations,
+            # so concurrent downloaders do not over-fill one owner's buffer
+            buffers={
+                m: buffers[m] + betas[m] * len(parked[m]) + betas[m] * inflight[m]
+                for m in ids
+            },
             last_rates=dict(last_rates),
-            next_seg={m: next_seg_of(m) for m in ids},
+            next_seg=next_seg,
             reserved=frozenset(reserved),
             throughput_samples=tuple(samples[n]),
         )
 
-    def start_download(n: int, now: float, decision: online.Download) -> None:
+    def start_download(
+        n: int, now: float, decision: online.Download, state: online.SchedulerState
+    ) -> None:
+        """Start the chosen transfer; ``state`` is the snapshot the decision
+        was made on, reused for the welfare estimate."""
         nonlocal sw_estimated
         u, z, k = decision.owner, decision.level, decision.seg_index
         prof_u = profiles[u]
@@ -212,7 +244,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             return
         rate = prof_u.ladder[z]
         vol = rate * prof_u.beta
-        end = compute_download_end(config.capacity, n, now, vol)
+        end = config.capacity.invert(n, now, vol)
         full_vol = vol
         completed = True
         if end is None or end > horizon:
@@ -230,7 +262,6 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             t_start=now, t_end=end, delivered=False, completed=completed,
             mbit=mbit,
         )
-        state = snapshot(n, now)
         try:
             sw_estimated += online.decision_payoff(state, profiles, u, z)
         except ValueError:
@@ -243,6 +274,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     def finish_download(n: int, now: float, record: SegmentRecord) -> None:
         u, k = record.owner, record.seg_index
         reserved.discard((u, k))
+        seg_lo[u] = min(seg_lo[u], k)  # k is free again unless delivered below
         inflight[u] -= 1
         busy[n] = False
         final = record
@@ -283,9 +315,10 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             n = payload
             if busy[n] or time >= horizon:
                 continue
-            decision = scheduler(snapshot(n, time), profiles)
+            state = snapshot(n, time)
+            decision = scheduler(state, profiles)
             if isinstance(decision, online.Download):
-                start_download(n, time, decision)
+                start_download(n, time, decision, state)
             else:
                 wake = time + max(decision.duration, 1e-6)
                 if wake < horizon:

@@ -2,7 +2,7 @@ import pytest
 
 from crowdstream import model, offline, online, sim
 from crowdstream.model import UserProfile
-from crowdstream.sim import SimConfig, compute_download_end, gap_vs_upper_bound, run_simulation
+from crowdstream.sim import SimConfig, gap_vs_upper_bound, run_simulation
 from crowdstream.traces import CapacityTrace, EncounterTrace, PiecewiseConstant
 
 LADDER = (0.2, 0.4, 0.7, 1.3, 2.3)
@@ -30,24 +30,26 @@ def single_user_config(rate=10.0, horizon=500.0, segments=250, **kw):
 
 
 class TestComputeDownloadEnd:
+    """Transfer end times come straight from ``CapacityTrace.invert``."""
+
     def test_rectangle(self):
         cap = CapacityTrace.constant([0], 2.0, 10.0)
-        assert compute_download_end(cap, 0, 1.0, 4.0) == pytest.approx(3.0)
+        assert cap.invert(0, 1.0, 4.0) == pytest.approx(3.0)
 
     def test_two_piece(self):
         cap = CapacityTrace(users={
             0: PiecewiseConstant((0.0, 5.0), (1.0, 3.0), 10.0)
         }, horizon=10.0)
-        assert compute_download_end(cap, 0, 4.0, 4.0) == pytest.approx(6.0)
+        assert cap.invert(0, 4.0, 4.0) == pytest.approx(6.0)
 
     def test_exhausted_trace_is_none(self):
         cap = CapacityTrace.constant([0], 1.0, 10.0)
-        assert compute_download_end(cap, 0, 8.0, 5.0) is None
+        assert cap.invert(0, 8.0, 5.0) is None
 
     def test_negative_volume_rejected(self):
         cap = CapacityTrace.constant([0], 1.0, 10.0)
-        with pytest.raises(ValueError):
-            compute_download_end(cap, 0, 0.0, -1.0)
+        with pytest.raises(ValueError):  # TraceError is a ValueError
+            cap.invert(0, 0.0, -1.0)
 
 
 class TestSimConfig:
@@ -171,6 +173,37 @@ class TestCooperation:
         assert report.deliveries >= 1
         first = [r for r in report.downloads[1] if r.delivered][0]
         assert first.t_end == pytest.approx(4.0)  # 0.4 Mbit at 0.1 Mbps
+
+
+class TestNeighbors:
+    def record_neighbors(self, encounters, horizon=4.0):
+        seen = []
+
+        def idle(state, profiles):
+            seen.append((state.user, state.now, state.neighbors))
+            return online.Wait(1.0)
+
+        profiles = (make_profile(0, video_segments=5), make_profile(1, video_segments=0))
+        run_simulation(SimConfig(
+            horizon=horizon, profiles=profiles,
+            capacity=CapacityTrace.constant([0, 1], 0.0, horizon),
+            encounters=encounters, scheduler=idle,
+        ))
+        return [(t, nbrs) for n, t, nbrs in seen if n == 0]
+
+    def test_neighbor_set_follows_encounter_windows(self):
+        enc = EncounterTrace(intervals={(0, 1): ((0.5, 1.5), (2.5, 4.0))}, horizon=4.0)
+        assert self.record_neighbors(enc) == [
+            (0.0, (0,)), (1.0, (0, 1)), (2.0, (0,)), (3.0, (0, 1)),
+        ]
+
+    def test_neighbor_dropped_just_before_break(self):
+        # at t=2 the window closes in under TOL, so no transfer can progress
+        # even though t=1 (same gap between breakpoints) saw the pair usable
+        enc = EncounterTrace(intervals={(0, 1): ((0.5, 2.0 + 5e-10),)}, horizon=4.0)
+        assert self.record_neighbors(enc) == [
+            (0.0, (0,)), (1.0, (0, 1)), (2.0, (0,)), (3.0, (0,)),
+        ]
 
 
 class TestDrops:
