@@ -7,8 +7,9 @@ Verbs:
   gen-traces synthesize seeded capacity/encounter traces to trace.json
   ingest     convert session/viewing CSV logs to trace.json
 
-Exit codes: 0 success, 2 usage/config error, 3 partial result
-(bound solver ran out of budget; the relaxed bound is still written).
+Exit codes: 0 success, 2 usage/config error, 3 partial result (a bound
+solver ran out of budget: the partial certificate names it and still holds
+the relaxed bound; or the relaxation LP failed: nothing is written).
 """
 from __future__ import annotations
 
@@ -139,7 +140,7 @@ def _run_cell(spec: ExperimentSpec, scheduler: str, lam: float | None,
     encounters = traces.synth_encounters(ids, spec.horizon, seed, mode=cooperation)
     params: dict[str, float] = {"delta_th": spec.delta_th, "gap_th": spec.gap_th}
     if scheduler == "lyapunov":
-        params = {"lam": lam if lam is not None else 100.0}
+        params = {"lam": lam}
     config = sim.SimConfig(
         horizon=spec.horizon, profiles=profiles, capacity=capacity,
         encounters=encounters, scheduler=scheduler, scheduler_params=params,
@@ -271,28 +272,35 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             n_slots=n_slots, include_middle=include_middle,
             exact_budget=exact_budget, brute_budget=brute_budget,
         )
+        payload = {**cert.to_dict(), "partial": False}
     except offline.SolverBudgetError as exc:
         instance = offline.SlottedInstance.from_traces(
             profiles, capacity, encounters, slot_len, n_slots
         )
-        upper = offline.solve_slotted_relaxed(instance)
+        try:
+            upper = offline.solve_slotted_relaxed(instance)
+        except RuntimeError:
+            upper = None
+        # a brute-force incumbent is a segmented schedule: the middle
+        # reference, not a slotted lower bound
+        incumbent = "middle" if exc.solver == "brute" else "lower"
         payload = {
-            "lower": exc.welfare,
+            "lower": None,
             "middle": None,
+            incumbent: exc.welfare,
             "upper": upper,
             "chain_ok": False,
             "prop1_ok": False,
             "partial": True,
-            "solver_stats": {"error": str(exc)},
+            "solver_stats": {"error": str(exc), "failed_solver": exc.solver},
         }
-        _atomic_write(out_path, json.dumps(payload, sort_keys=True, indent=2))
-        print(f"solver budget exhausted; partial certificate in {out_path}",
+        print(f"{exc.solver} solver budget exhausted; partial certificate in {out_path}",
               file=sys.stderr)
+    except RuntimeError as exc:
+        print(f"no certificate written: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
-    payload = cert.to_dict()
-    payload["partial"] = False
     _atomic_write(out_path, json.dumps(payload, sort_keys=True, indent=2))
-    return EXIT_OK
+    return EXIT_PARTIAL if payload["partial"] else EXIT_OK
 
 
 def cmd_gen_traces(args: argparse.Namespace) -> int:

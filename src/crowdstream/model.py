@@ -74,15 +74,7 @@ class UserProfile:
         return self.ladder[-1]
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id, "beta": self.beta, "buffer_cap": self.buffer_cap,
-            "ladder": list(self.ladder), "theta": self.theta,
-            "phi_qdeg": self.phi_qdeg, "phi_rebuf": self.phi_rebuf,
-            "c_time": self.c_time, "c_data": self.c_data,
-            "w_time": self.w_time, "w_data": self.w_data,
-            "eps_time": self.eps_time, "eps_rate": self.eps_rate,
-            "video_segments": self.video_segments,
-        }
+        return {**vars(self), "ladder": list(self.ladder)}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "UserProfile":
@@ -139,12 +131,7 @@ class WelfareBreakdown:
                 - self.cell_energy - self.wifi_energy - self.play_energy)
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value, "qdeg_loss": self.qdeg_loss,
-            "rebuf_loss": self.rebuf_loss, "cell_energy": self.cell_energy,
-            "wifi_energy": self.wifi_energy, "play_energy": self.play_energy,
-            "rebuffer_s": self.rebuffer_s, "payoff": self.payoff,
-        }
+        return {**vars(self), "payoff": self.payoff}
 
 
 @dataclass(frozen=True)
@@ -175,6 +162,28 @@ def quality_value(profile: UserProfile, rate: float) -> float:
     if rate < 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
     return math.log1p(profile.theta * rate)
+
+
+def segment_gain(
+    owner: UserProfile, downloader: UserProfile, rate: float, seconds: float,
+    cross: bool,
+) -> float:
+    """Value minus cellular, WiFi and playback energy of one whole segment.
+
+    ``owner``'s segment at ``rate`` takes ``seconds`` of ``downloader``'s
+    link; ``cross`` means the two differ, so the segment also crosses WiFi.
+    Quality-degradation and rebuffering losses depend on the whole receiving
+    sequence and are not included. The offline solvers' bound values depend
+    bit for bit on the order in which the terms are subtracted.
+    """
+    vol = rate * owner.beta
+    return (
+        quality_value(owner, rate) * owner.beta
+        - downloader.c_time * seconds
+        - downloader.c_data * vol
+        - (downloader.w_data * vol if cross else 0.0)
+        - (owner.eps_time * owner.beta + owner.eps_rate * rate * owner.beta)
+    )
 
 
 def eval_value(profile: UserProfile, received: Sequence[SegmentRecord]) -> float:

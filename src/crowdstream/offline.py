@@ -24,10 +24,13 @@ TOL = 1e-9
 
 
 class SolverBudgetError(RuntimeError):
-    """Search exhausted its node budget; carries the best incumbent found."""
+    """Search exhausted its node budget; carries the solver's name and the
+    best incumbent found."""
 
-    def __init__(self, message: str, incumbent=None, welfare: float | None = None):
+    def __init__(self, message: str, solver: str, incumbent=None,
+                 welfare: float | None = None):
         super().__init__(message)
+        self.solver = solver  # "exact" or "brute"
         self.incumbent = incumbent
         self.welfare = welfare
 
@@ -110,19 +113,38 @@ class SlottedSchedule:
     def count(self, t: int, n: int, m: int, z: int) -> int:
         return self.kappa.get((t, n, m, z), 0)
 
-    def downloaded_mbit(self, instance: SlottedInstance, n: int, t: int) -> float:
-        total = 0.0
-        for (tt, nn, m, z), c in self.kappa.items():
-            if tt == t and nn == n:
-                owner = instance.profiles[m]
-                total += c * owner.beta * owner.ladder[z]
-        return total
 
-    def received_seconds(self, instance: SlottedInstance, m: int, t: int) -> float:
-        beta = instance.profiles[m].beta
-        return beta * sum(
-            c for (tt, n, mm, z), c in self.kappa.items() if tt == t and mm == m
-        )
+def _slot_vars(instance: SlottedInstance) -> list[list[tuple[int, int, int]]]:
+    """Per slot, the (downloader, owner, level) triples that may carry data:
+    the downloader has capacity, the owner is a video user, and the two
+    meet for the whole slot. Both slotted solvers use this order."""
+    N, profiles = instance.n_users, instance.profiles
+    return [
+        [
+            (n, m, z)
+            for n in range(N) if instance.capacity[n][t] > TOL
+            for m in range(N)
+            if profiles[m].is_video_user and instance.encountered(n, m, t)
+            for z in range(len(profiles[m].ladder))
+        ]
+        for t in range(instance.n_slots)
+    ]
+
+
+def _slot_totals(
+    instance: SlottedInstance, schedule: SlottedSchedule
+) -> tuple[list[list[float]], list[list[float]]]:
+    """Mbit downloaded per [downloader][slot] and playback seconds received
+    per [owner][slot], in one pass over the schedule."""
+    N, T = instance.n_users, instance.n_slots
+    mbit = [[0.0] * T for _ in range(N)]
+    segs = [[0] * T for _ in range(N)]
+    for (t, n, m, z), c in schedule.kappa.items():
+        owner = instance.profiles[m]
+        mbit[n][t] += c * owner.ladder[z] * owner.beta
+        segs[m][t] += c
+    secs = [[p.beta * c for c in row] for p, row in zip(instance.profiles, segs)]
+    return mbit, secs
 
 
 def check_slotted_feasibility(
@@ -144,9 +166,10 @@ def check_slotted_feasibility(
                 "duplicate", m,
                 f"user {m} receives {received[m]} segments but video has {prof.video_segments}",
             ))
+    mbit, secs = _slot_totals(instance, schedule)
     for n in range(instance.n_users):
         for t in range(instance.n_slots):
-            x = schedule.downloaded_mbit(instance, n, t)
+            x = mbit[n][t]
             if x > instance.capacity[n][t] + tol:
                 violations.append(Violation(
                     "capacity", n,
@@ -155,7 +178,7 @@ def check_slotted_feasibility(
     for m, prof in enumerate(instance.profiles):
         q = 0.0
         for t in range(instance.n_slots):
-            q = max(0.0, q - instance.slot_len) + schedule.received_seconds(instance, m, t)
+            q = max(0.0, q - instance.slot_len) + secs[m][t]
             if q > prof.buffer_cap + tol:
                 violations.append(Violation(
                     "buffer", m, f"slot {t}: buffer {q} exceeds cap {prof.buffer_cap}"
@@ -184,7 +207,7 @@ def eval_slotted_welfare(
     cell = [0.0] * N
     wifi = [0.0] * N
     play = [0.0] * N
-    x_total = [[0.0] * T for _ in range(N)]
+    mbit, secs = _slot_totals(instance, schedule)
     for (t, n, m, z), c in schedule.kappa.items():
         if c <= 0:
             continue
@@ -192,7 +215,6 @@ def eval_slotted_welfare(
         rate = owner.ladder[z]
         vol = c * rate * owner.beta
         value[m] += c * model.quality_value(owner, rate) * owner.beta
-        x_total[n][t] += vol
         cell[n] += instance.profiles[n].c_data * vol
         if m != n:
             wifi[n] += instance.profiles[n].w_data * vol
@@ -201,8 +223,8 @@ def eval_slotted_welfare(
     for n in range(N):
         c_time = instance.profiles[n].c_time
         for t in range(T):
-            if x_total[n][t] > 0:
-                cell[n] += c_time * (x_total[n][t] / instance.capacity[n][t]) * L
+            if mbit[n][t] > 0:
+                cell[n] += c_time * (mbit[n][t] / instance.capacity[n][t]) * L
     breakdowns: dict[int, WelfareBreakdown] = {}
     welfare = 0.0
     for m, prof in enumerate(instance.profiles):
@@ -221,7 +243,7 @@ def eval_slotted_welfare(
             for t in range(T):
                 if t >= 1:
                     stall += max(0.0, L - q)
-                q = max(0.0, q - L) + schedule.received_seconds(instance, m, t)
+                q = max(0.0, q - L) + secs[m][t]
             rebuf = prof.phi_rebuf * stall
         bd = WelfareBreakdown(
             value=value[m], qdeg_loss=qdeg, rebuf_loss=rebuf,
@@ -256,18 +278,7 @@ def solve_slotted_exact(
     """
     N, T, L = instance.n_users, instance.n_slots, instance.slot_len
     profiles = instance.profiles
-    slot_vars: list[list[tuple[int, int, int]]] = []
-    for t in range(T):
-        svars = []
-        for n in range(N):
-            if instance.capacity[n][t] <= TOL:
-                continue
-            for m in range(N):
-                if not profiles[m].is_video_user or not instance.encountered(n, m, t):
-                    continue
-                for z in range(len(profiles[m].ladder)):
-                    svars.append((n, m, z))
-        slot_vars.append(svars)
+    slot_vars = _slot_vars(instance)
 
     # Optimistic value per Mbit achievable in each slot (losses and energy
     # treated as zero keeps the bound admissible).
@@ -333,7 +344,7 @@ def solve_slotted_exact(
         stats["nodes"] += 1
         if stats["nodes"] > node_budget:
             raise SolverBudgetError(
-                f"node budget {node_budget} exhausted",
+                f"node budget {node_budget} exhausted", "exact",
                 incumbent=SlottedSchedule(dict(best["kappa"])),
                 welfare=best["welfare"] if best["welfare"] > -math.inf else None,
             )
@@ -356,13 +367,8 @@ def solve_slotted_exact(
             int((rem_cap[n] + TOL) // unit_vol),
             owner.video_segments - received[m],
         )
-        dl = profiles[n]
-        unit_gain = (
-            model.quality_value(owner, rate) * owner.beta
-            - dl.c_time * (unit_vol / instance.capacity[n][t]) * L
-            - dl.c_data * unit_vol
-            - (dl.w_data * unit_vol if m != n else 0.0)
-            - (owner.eps_time * owner.beta + owner.eps_rate * rate * owner.beta)
+        unit_gain = model.segment_gain(
+            owner, profiles[n], rate, unit_vol / instance.capacity[n][t] * L, m != n
         )
         for c in range(cmax + 1):
             if c > 0:
@@ -411,19 +417,15 @@ def solve_slotted_relaxed(instance: SlottedInstance) -> float:
     keeps the bound valid for any feasible schedule, slotted or segmented).
     Capacity, whole-slot encounters, buffer capacity, and video-length
     budgets are kept. The bound does not depend on the segment length.
+
+    The objective is ``model.segment_gain`` per Mbit, written out per Mbit
+    so its float order, and with it the bound's bits, stay as they are;
+    a test ties the two together.
     """
     N, T, L = instance.n_users, instance.n_slots, instance.slot_len
     profiles = instance.profiles
-    xs: list[tuple[int, int, int, int]] = []  # (t, n, m, z)
-    for t in range(T):
-        for n in range(N):
-            if instance.capacity[n][t] <= TOL:
-                continue
-            for m in range(N):
-                if not profiles[m].is_video_user or not instance.encountered(n, m, t):
-                    continue
-                for z in range(len(profiles[m].ladder)):
-                    xs.append((t, n, m, z))
+    xs = [(t, n, m, z) for t, svars in enumerate(_slot_vars(instance))
+          for n, m, z in svars]
     if not xs:
         return 0.0
     video = [m for m in range(N) if profiles[m].is_video_user]
@@ -587,7 +589,7 @@ def brute_force_segmented(
         stats["nodes"] += 1
         if stats["nodes"] > node_budget:
             raise SolverBudgetError(
-                f"node budget {node_budget} exhausted",
+                f"node budget {node_budget} exhausted", "brute",
                 incumbent=best["downloads"], welfare=best["welfare"],
             )
         if not active:
@@ -599,7 +601,6 @@ def brute_force_segmented(
             return
         d = min(active, key=lambda n: (next_free[n], n))
         starts = [next_free[d]] + [g for g in grid if g > next_free[d] + TOL]
-        prof_d = pmap[d]
         for start in starts:
             if start >= horizon - TOL:
                 break
@@ -614,12 +615,7 @@ def brute_force_segmented(
                         continue
                     if m != d and not encounters.holds(d, m, start, end):
                         continue
-                    gain = (
-                        model.quality_value(prof_m, rate) * prof_m.beta
-                        - prof_d.c_time * (end - start) - prof_d.c_data * vol
-                        - (prof_d.w_data * vol if m != d else 0.0)
-                        - (prof_m.eps_time * prof_m.beta + prof_m.eps_rate * rate * prof_m.beta)
-                    )
+                    gain = model.segment_gain(prof_m, pmap[d], rate, end - start, m != d)
                     scheduled[d].append((start, end, m, z))
                     old_free = next_free[d]
                     next_free[d] = end

@@ -7,12 +7,16 @@ with a threshold owner-selection rule for multi-user cooperation.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .model import UserProfile, quality_value
 
 DEFAULT_EPOCH = 1.0  # re-poll interval when no download is possible (s)
+RESERVOIR_FRAC = 0.25  # buffer-based: share of the cap mapped to the lowest level
+PREDICTION_WINDOW = 5  # prediction-based: throughput samples in the harmonic mean
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,10 @@ def decision_payoff(
     Receiver utility (value minus projected degradation and stall losses)
     plus projected stall losses of the other playing video users, minus the
     decider's download energy and the receiver's playback energy.
+
+    Without the loss terms this is ``model.segment_gain`` over the estimated
+    transfer time. It is written out here so its float order, and with it
+    every simulator report, stays as it is; a test ties the two together.
     """
     gamma = estimate_download_time(state, profiles, u, z)
     if gamma is None:
@@ -145,34 +153,37 @@ def _split_candidates(
     return ready, blocked
 
 
-def _wait_for_headroom(
-    state: SchedulerState, profiles: Mapping[int, UserProfile], blocked: list[int]
-) -> Wait:
-    t_w = min(
-        state.buffers[u] + profiles[u].beta - profiles[u].buffer_cap for u in blocked
-    )
-    return Wait(max(t_w, 1e-6))
+def _ready_or_wait(
+    state: SchedulerState, profiles: Mapping[int, UserProfile]
+) -> list[int] | Wait:
+    """Owners the decider can serve now, or the Wait when there are none.
+
+    Waits for buffer headroom when every reachable owner is over-full,
+    otherwise (or with no capacity) re-polls after ``DEFAULT_EPOCH``.
+    """
+    if state.capacity <= 0:
+        return Wait(DEFAULT_EPOCH)
+    ready, blocked = _split_candidates(state, profiles)
+    if ready:
+        return ready
+    if blocked:
+        t_w = min(
+            state.buffers[u] + profiles[u].beta - profiles[u].buffer_cap for u in blocked
+        )
+        return Wait(max(t_w, 1e-6))
+    return Wait(DEFAULT_EPOCH)
 
 
 def lyapunov_decide(
-    state: SchedulerState,
-    profiles: Mapping[int, UserProfile],
-    lam: float,
-    default_epoch: float = DEFAULT_EPOCH,
+    state: SchedulerState, profiles: Mapping[int, UserProfile], lam: float = 100.0
 ) -> Decision:
     """Pick the (owner, level) minimizing drift minus lam * payoff.
 
-    Waits for buffer headroom when every reachable owner is over-full,
-    otherwise re-polls after a fixed epoch when no download is possible.
     Ties break toward the lowest owner id, then the lowest level.
     """
-    if state.capacity <= 0:
-        return Wait(default_epoch)
-    ready, blocked = _split_candidates(state, profiles)
-    if not ready:
-        if blocked:
-            return _wait_for_headroom(state, profiles, blocked)
-        return Wait(default_epoch)
+    ready = _ready_or_wait(state, profiles)
+    if isinstance(ready, Wait):
+        return ready
     best: tuple[float, int, int] | None = None
     for u in ready:
         for z in range(len(profiles[u].ladder)):
@@ -187,7 +198,8 @@ def lyapunov_decide(
 
 
 def predict_capacity(
-    samples: tuple[float, ...] | list[float], fallback: float, window: int = 5
+    samples: tuple[float, ...] | list[float], fallback: float,
+    window: int = PREDICTION_WINDOW,
 ) -> float:
     """Harmonic mean of the last ``window`` throughput samples (Mbps)."""
     if not samples:
@@ -236,15 +248,10 @@ def _baseline_decide(
     pick_level: Callable[[int], int],
     delta_th: float,
     gap_th: float,
-    default_epoch: float,
 ) -> Decision:
-    if state.capacity <= 0:
-        return Wait(default_epoch)
-    ready, blocked = _split_candidates(state, profiles)
-    if not ready:
-        if blocked:
-            return _wait_for_headroom(state, profiles, blocked)
-        return Wait(default_epoch)
+    ready = _ready_or_wait(state, profiles)
+    if isinstance(ready, Wait):
+        return ready
     u = select_owner(state, profiles, delta_th, gap_th)
     if u not in ready:
         u = ready[0]
@@ -254,16 +261,14 @@ def _baseline_decide(
 def buffer_based_decide(
     state: SchedulerState,
     profiles: Mapping[int, UserProfile],
-    reservoir_frac: float = 0.25,
     delta_th: float = 0.5,
     gap_th: float = 10.0,
-    default_epoch: float = DEFAULT_EPOCH,
 ) -> Decision:
     """Linear buffer-to-bitrate mapping on the owner's buffer level."""
 
     def pick_level(u: int) -> int:
         prof = profiles[u]
-        reservoir = reservoir_frac * prof.buffer_cap
+        reservoir = RESERVOIR_FRAC * prof.buffer_cap
         span = prof.buffer_cap - reservoir
         top = len(prof.ladder) - 1
         if top == 0 or span <= 0:
@@ -272,19 +277,17 @@ def buffer_based_decide(
         frac = min(1.0, max(0.0, frac))
         return min(top, int(frac * top))
 
-    return _baseline_decide(state, profiles, pick_level, delta_th, gap_th, default_epoch)
+    return _baseline_decide(state, profiles, pick_level, delta_th, gap_th)
 
 
 def prediction_based_decide(
     state: SchedulerState,
     profiles: Mapping[int, UserProfile],
-    window: int = 5,
     delta_th: float = 0.5,
     gap_th: float = 10.0,
-    default_epoch: float = DEFAULT_EPOCH,
 ) -> Decision:
     """Highest bitrate supported by the predicted channel capacity."""
-    predicted = predict_capacity(state.throughput_samples, state.capacity, window)
+    predicted = predict_capacity(state.throughput_samples, state.capacity)
 
     def pick_level(u: int) -> int:
         ladder = profiles[u].ladder
@@ -294,35 +297,28 @@ def prediction_based_decide(
                 level = z
         return level
 
-    return _baseline_decide(state, profiles, pick_level, delta_th, gap_th, default_epoch)
+    return _baseline_decide(state, profiles, pick_level, delta_th, gap_th)
+
+
+SCHEDULERS = {
+    "lyapunov": lyapunov_decide,
+    "buffer": buffer_based_decide,
+    "prediction": prediction_based_decide,
+}
 
 
 def make_scheduler(name: str, **params) -> Callable[[SchedulerState, Mapping[int, UserProfile]], Decision]:
-    """Scheduler factory: "lyapunov" | "buffer" | "prediction"."""
-    if name == "lyapunov":
-        lam = params.pop("lam", 100.0)
-        epoch = params.pop("default_epoch", DEFAULT_EPOCH)
-        if params:
-            raise ValueError(f"unknown lyapunov params: {sorted(params)}")
-        return lambda state, profiles: lyapunov_decide(state, profiles, lam, epoch)
-    if name == "buffer":
-        kwargs = {
-            "reservoir_frac": params.pop("reservoir_frac", 0.25),
-            "delta_th": params.pop("delta_th", 0.5),
-            "gap_th": params.pop("gap_th", 10.0),
-            "default_epoch": params.pop("default_epoch", DEFAULT_EPOCH),
-        }
-        if params:
-            raise ValueError(f"unknown buffer params: {sorted(params)}")
-        return lambda state, profiles: buffer_based_decide(state, profiles, **kwargs)
-    if name == "prediction":
-        kwargs = {
-            "window": params.pop("window", 5),
-            "delta_th": params.pop("delta_th", 0.5),
-            "gap_th": params.pop("gap_th", 10.0),
-            "default_epoch": params.pop("default_epoch", DEFAULT_EPOCH),
-        }
-        if params:
-            raise ValueError(f"unknown prediction params: {sorted(params)}")
-        return lambda state, profiles: prediction_based_decide(state, profiles, **kwargs)
-    raise ValueError(f"unknown scheduler {name!r}")
+    """Scheduler factory: a decide function with ``params`` bound.
+
+    Accepted parameters, with the defaults their decide function declares:
+    "lyapunov" takes ``lam`` (100.0); "buffer" and "prediction" take
+    ``delta_th`` (0.5) and ``gap_th`` (10.0). Raises ValueError for an
+    unknown name or parameter.
+    """
+    decide = SCHEDULERS.get(name)
+    if decide is None:
+        raise ValueError(f"unknown scheduler {name!r}")
+    unknown = set(params) - set(list(inspect.signature(decide).parameters)[2:])
+    if unknown:
+        raise ValueError(f"unknown {name} params: {sorted(unknown)}")
+    return functools.partial(decide, **params)

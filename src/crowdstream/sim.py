@@ -68,30 +68,12 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return {
-            "config": self.config,
-            "welfare": self.welfare,
-            "sw_estimated": self.sw_estimated,
-            "avg_bitrate_mbps": self.avg_bitrate_mbps,
-            "rebuffer_s": self.rebuffer_s,
-            "deliveries": self.deliveries,
-            "drops": self.drops,
-            "aborts": self.aborts,
+            **vars(self),
             "per_user": {str(k): v for k, v in sorted(self.per_user.items())},
             "downloads": {
-                str(n): [
-                    {
-                        "downloader": r.downloader, "owner": r.owner, "level": r.level,
-                        "rate": r.rate, "seg_index": r.seg_index,
-                        "t_start": r.t_start, "t_end": r.t_end,
-                        "delivered": r.delivered, "completed": r.completed,
-                        "mbit": r.mbit,
-                    }
-                    for r in recs
-                ]
+                str(n): [dict(vars(r)) for r in recs]
                 for n, recs in sorted(self.downloads.items())
             },
-            "violations": self.violations,
-            "gap": self.gap,
         }
 
     def to_json(self) -> str:

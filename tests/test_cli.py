@@ -1,9 +1,10 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from crowdstream import cli, traces
+from crowdstream import cli, offline, traces
 from crowdstream.cli import ExperimentSpec, SpecError, build_profiles
 from crowdstream.model import UserProfile
 
@@ -149,6 +150,32 @@ class TestBoundsCommand:
         payload = json.loads(open(out).read())
         assert payload["partial"] is True
         assert payload["upper"] is not None
+        assert payload["solver_stats"]["failed_solver"] == "exact"
+        assert payload["middle"] is None
+
+    def test_brute_budget_exhaustion_reports_middle(self, tmp_path, capsys):
+        inst = make_bounds_instance(tmp_path, brute_budget=1)
+        out = str(tmp_path / "bounds.json")
+        assert cli.main(["bounds", "--spec", inst, "--out", out]) == 3
+        payload = json.loads(open(out).read())
+        assert payload["partial"] is True
+        assert payload["solver_stats"]["failed_solver"] == "brute"
+        # the brute-force incumbent is a middle reference, never a lower bound
+        assert payload["lower"] is None
+        assert payload["middle"] == 0.0
+        assert payload["upper"] is not None
+        assert "brute" in capsys.readouterr().err
+
+    def test_lp_failure_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(offline, "linprog", lambda *a, **kw: SimpleNamespace(
+            status=2, message="The problem is infeasible.", fun=None))
+        inst = make_bounds_instance(tmp_path)
+        out = tmp_path / "bounds.json"
+        assert cli.main(["bounds", "--spec", inst, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "relaxation LP failed" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_malformed_instance_exits_2(self, tmp_path):
         path = tmp_path / "instance.json"

@@ -168,6 +168,7 @@ class TestSolveSlottedExact:
         with pytest.raises(SolverBudgetError) as err:
             solve_slotted_exact(inst, node_budget=10)
         assert isinstance(err.value.incumbent, SlottedSchedule)
+        assert err.value.solver == "exact"
 
 
 class TestSolveSlottedRelaxed:
@@ -208,6 +209,15 @@ class TestBruteForceSegmented:
             options.append(model.quality_value(prof, rate) * 2.0
                            - 0.05 * dur - 0.02 * rate * 2.0)
         assert res.welfare == pytest.approx(max(0.0, *options))
+
+    def test_node_budget_error_names_solver(self):
+        prof = make_profile(segs=2)
+        cap = traces.CapacityTrace.constant([0], 1.0, 8.0)
+        enc = traces.EncounterTrace.none(8.0)
+        with pytest.raises(SolverBudgetError) as err:
+            brute_force_segmented((prof,), cap, enc, horizon=8.0, node_budget=1)
+        assert err.value.solver == "brute"
+        assert err.value.welfare == 0.0
 
     def test_empty_horizon(self):
         prof = make_profile(segs=1)

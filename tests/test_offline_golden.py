@@ -1,0 +1,103 @@
+"""Golden values for the bound solvers, pinned bit for bit.
+
+For each fixed tiny instance the test pins ``repr`` of the five welfare
+figures of a bound certificate (exact slotted optimum at beta and beta/2,
+brute-force segmented optimum at beta and beta/2, fluid upper bound) and
+the node and leaf counts of the exact and brute-force searches. A change
+here means a solver's arithmetic or search order changed, not just its
+speed.
+"""
+import pytest
+
+from crowdstream.model import UserProfile
+from crowdstream.offline import (
+    SlottedInstance, brute_force_segmented, solve_slotted_exact,
+    solve_slotted_relaxed,
+)
+from crowdstream.traces import CapacityTrace, EncounterTrace, PiecewiseConstant
+
+SLOT = 4.0
+ENERGY = dict(c_time=0.05, c_data=0.02, w_data=0.01)
+
+
+def build(caps, segs, ladder=(0.2, 0.7), enc_slots=(), **kw):
+    """Users 0..N-1 with per-slot capacities ``caps[n]`` (Mbps) and
+    ``segs[n]`` segments of 2 s; users 0 and 1 meet in ``enc_slots``."""
+    n_slots = len(caps[0])
+    horizon = n_slots * SLOT
+    profiles = tuple(
+        UserProfile(id=n, beta=2.0, buffer_cap=max(2.0, 2.0 * segs[n]),
+                    ladder=ladder, video_segments=segs[n], **{**ENERGY, **kw})
+        for n in range(len(caps))
+    )
+    capacity = CapacityTrace(users={
+        n: PiecewiseConstant(tuple(t * SLOT for t in range(n_slots)),
+                             tuple(row), horizon)
+        for n, row in enumerate(caps)
+    }, horizon=horizon)
+    intervals = tuple((t * SLOT, (t + 1) * SLOT) for t in enc_slots)
+    enc = EncounterTrace(intervals={(0, 1): intervals} if intervals else {},
+                         horizon=horizon)
+    return profiles, capacity, enc, horizon
+
+
+INSTANCES = {
+    "solo-2slot": lambda: build([[1.0, 2.0]], [2], phi_qdeg=0.5),
+    "solo-3slot-play-energy": lambda: build(
+        [[0.5, 1.0, 2.0]], [2], phi_qdeg=0.5, eps_time=0.03, eps_rate=0.02),
+    "solo-3slot-rebuf": lambda: build(
+        [[2.0, 0.0, 1.0]], [3], ladder=(0.4, 1.3), phi_rebuf=0.1),
+    "helper-cross": lambda: build(
+        [[0.0, 0.5], [2.0, 1.0]], [2, 0], enc_slots=(0, 1)),
+    "pair-partial-encounter": lambda: build(
+        [[1.0, 0.0, 2.0], [0.5, 2.0, 0.0]], [1, 1], enc_slots=(1,),
+        phi_qdeg=0.5),
+    "pair-2slot": lambda: build(
+        [[0.5, 1.0], [2.0, 0.5]], [2, 1], ladder=(0.2, 0.4), enc_slots=(0,)),
+}
+
+GOLDEN = {
+    'helper-cross': (
+        '(1.9685130042486816, 1.9685130042486816, 1.9685130042486816, 1.9685130042486816, 1.9685130042486814)',
+        (37, 8, 97, 27, 50, 31, 254, 175),
+    ),
+    'pair-2slot': (
+        '(1.8948334197272776, 1.8948334197272776, 1.8948334197272776, 1.8948334197272776, 1.8948334197272776)',
+        (135, 23, 806, 181, 168, 119, 2467, 1853),
+    ),
+    'pair-partial-encounter': (
+        '(1.9965130042486816, 1.9965130042486816, 1.9965130042486816, 1.9965130042486816, 1.9965130042486814)',
+        (50, 7, 181, 39, 51, 29, 373, 253),
+    ),
+    'solo-2slot': (
+        '(1.9965130042486816, 1.9965130042486816, 1.9965130042486816, 1.9965130042486816, 1.9965130042486814)',
+        (19, 5, 38, 12, 25, 15, 109, 71),
+    ),
+    'solo-3slot-play-energy': (
+        '(1.8205130042486817, 1.8205130042486817, 1.8205130042486817, 1.8205130042486817, 1.8205130042486815)',
+        (35, 7, 91, 24, 40, 25, 216, 147),
+    ),
+    'solo-3slot-rebuf': (
+        '(4.446454737610623, 4.446454737610623, 4.646454737610624, 4.6464547376106236, 4.6464547376106236)',
+        (40, 13, 120, 57, 60, 46, 403, 317),
+    ),
+}
+
+
+def solve_all(profiles, capacity, enc, horizon):
+    inst = SlottedInstance.from_traces(profiles, capacity, enc, SLOT)
+    half = inst.with_split(2)
+    exact = solve_slotted_exact(inst)
+    exact_half = solve_slotted_exact(half)
+    brute = brute_force_segmented(profiles, capacity, enc, horizon)
+    brute_half = brute_force_segmented(half.profiles, capacity, enc, horizon)
+    welfare = repr((exact.welfare, exact_half.welfare, brute.welfare,
+                    brute_half.welfare, solve_slotted_relaxed(inst)))
+    counts = (exact.nodes, exact.leaves, exact_half.nodes, exact_half.leaves,
+              brute.nodes, brute.leaves, brute_half.nodes, brute_half.leaves)
+    return welfare, counts
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_bound_solvers_golden(name):
+    assert solve_all(*INSTANCES[name]()) == GOLDEN[name]

@@ -293,3 +293,14 @@ class TestMakeScheduler:
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             make_scheduler("buffer", lam=3.0)
+
+    def test_settable_params(self):
+        profs = {0: make_profile()}
+        state = make_state()
+        make_scheduler("lyapunov", lam=1.0)(state, profs)
+        for name in ("buffer", "prediction"):
+            make_scheduler(name, delta_th=0.4, gap_th=5.0)(state, profs)
+        for name, param in (("lyapunov", "default_epoch"), ("buffer", "reservoir_frac"),
+                            ("prediction", "window")):
+            with pytest.raises(ValueError, match=f"unknown {name} params"):
+                make_scheduler(name, **{param: 1})
