@@ -7,9 +7,11 @@ Verbs:
   gen-traces synthesize seeded capacity/encounter traces to trace.json
   ingest     convert session/viewing CSV logs to trace.json
 
-Exit codes: 0 success, 2 usage/config error, 3 partial result (a bound
-solver ran out of budget: the partial certificate names it and still holds
-the relaxed bound; or the relaxation LP failed: nothing is written).
+Exit codes: 0 success, 2 usage/config error (including a bounds instance
+that cannot be built), 3 partial result (a bound solver ran out of budget:
+the partial certificate names it in solver_stats.failed_solver and keeps
+the LP bound and every value that finished) or no result (the relaxation
+LP failed, which happens before any search: nothing is written).
 """
 from __future__ import annotations
 
@@ -255,52 +257,31 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     try:
         with open(args.spec) as fh:
             raw = json.load(fh)
-        profiles = tuple(UserProfile.from_dict(p) for p in raw["profiles"])
         capacity, encounters = traces.traces_from_dict(raw)
-        slot_len = float(raw["slot_len"])
-        n_slots = raw.get("n_slots")
+        instance = offline.SlottedInstance.from_traces(
+            [UserProfile.from_dict(p) for p in raw["profiles"]], capacity, encounters,
+            float(raw["slot_len"]), raw.get("n_slots"),
+        )
         exact_budget = int(raw.get("exact_budget", 10_000_000))
         brute_budget = int(raw.get("brute_budget", 2_000_000))
         include_middle = bool(raw.get("include_middle", True))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"bad bounds instance: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_path = args.out or "bounds.json"
     try:
         cert = offline.bound_certificate(
-            profiles, capacity, encounters, slot_len,
-            n_slots=n_slots, include_middle=include_middle,
+            instance, capacity, encounters, include_middle=include_middle,
             exact_budget=exact_budget, brute_budget=brute_budget,
         )
-        payload = {**cert.to_dict(), "partial": False}
-    except offline.SolverBudgetError as exc:
-        instance = offline.SlottedInstance.from_traces(
-            profiles, capacity, encounters, slot_len, n_slots
-        )
-        try:
-            upper = offline.solve_slotted_relaxed(instance)
-        except RuntimeError:
-            upper = None
-        # a brute-force incumbent is a segmented schedule: the middle
-        # reference, not a slotted lower bound
-        incumbent = "middle" if exc.solver == "brute" else "lower"
-        payload = {
-            "lower": None,
-            "middle": None,
-            incumbent: exc.welfare,
-            "upper": upper,
-            "chain_ok": False,
-            "prop1_ok": False,
-            "partial": True,
-            "solver_stats": {"error": str(exc), "failed_solver": exc.solver},
-        }
-        print(f"{exc.solver} solver budget exhausted; partial certificate in {out_path}",
-              file=sys.stderr)
     except RuntimeError as exc:
         print(f"no certificate written: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
-    _atomic_write(out_path, json.dumps(payload, sort_keys=True, indent=2))
-    return EXIT_PARTIAL if payload["partial"] else EXIT_OK
+    if cert.partial:
+        print(f"{cert.solver_stats['failed_solver']} solver budget exhausted; "
+              f"partial certificate in {out_path}", file=sys.stderr)
+    _atomic_write(out_path, json.dumps(cert.to_dict(), sort_keys=True, indent=2))
+    return EXIT_PARTIAL if cert.partial else EXIT_OK
 
 
 def cmd_gen_traces(args: argparse.Namespace) -> int:

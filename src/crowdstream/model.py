@@ -69,10 +69,6 @@ class UserProfile:
     def is_video_user(self) -> bool:
         return self.video_segments > 0
 
-    @property
-    def top_rate(self) -> float:
-        return self.ladder[-1]
-
     def to_dict(self) -> dict:
         return {**vars(self), "ladder": list(self.ladder)}
 

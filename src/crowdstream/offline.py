@@ -53,6 +53,8 @@ class SlottedInstance:
     def __post_init__(self) -> None:
         if self.slot_len <= 0:
             raise ValueError("slot length must be positive")
+        if self.n_slots < 0:
+            raise ValueError("slot count must be nonnegative")
         if list(p.id for p in self.profiles) != list(range(len(self.profiles))):
             raise ValueError("slotted instances require contiguous user ids 0..N-1")
         if any(h < 0 for row in self.capacity for h in row):
@@ -77,6 +79,8 @@ class SlottedInstance:
         n_slots: int | None = None,
     ) -> "SlottedInstance":
         profiles = tuple(profiles)
+        if slot_len <= 0:
+            raise ValueError("slot length must be positive")
         if n_slots is None:
             n_slots = int(capacity.horizon // slot_len)
         cap = tuple(
@@ -109,9 +113,6 @@ class SlottedSchedule:
     """Sparse segment counts keyed by (slot, downloader, owner, level)."""
 
     kappa: Mapping[tuple[int, int, int, int], int]
-
-    def count(self, t: int, n: int, m: int, z: int) -> int:
-        return self.kappa.get((t, n, m, z), 0)
 
 
 def _slot_vars(instance: SlottedInstance) -> list[list[tuple[int, int, int]]]:
@@ -314,7 +315,7 @@ def solve_slotted_exact(
         new_high = list(last_high)
         total = acc
         for m, prof in enumerate(profiles):
-            rates = slot_rate_buf[m]
+            rates = slot_rate_buf[t][m]
             if rates:
                 lo, hi = min(rates), max(rates)
                 if new_high[m] is not None:
@@ -323,7 +324,7 @@ def solve_slotted_exact(
             if prof.is_video_user:
                 if t >= 1:
                     total -= prof.phi_rebuf * max(0.0, L - new_q[m])
-                new_q[m] = max(0.0, new_q[m] - L) + slot_secs_buf[m]
+                new_q[m] = max(0.0, new_q[m] - L) + slot_secs_buf[t][m]
                 if new_q[m] > prof.buffer_cap + TOL:
                     return
         if t + 1 == T:
@@ -336,8 +337,9 @@ def solve_slotted_exact(
             return
         dfs_slot(t + 1, total, new_q, new_high)
 
-    slot_rate_buf: list[list[float]] = [[] for _ in range(N)]
-    slot_secs_buf: list[float] = [0.0] * N
+    # rates and playback seconds received per [slot][owner]
+    slot_rate_buf: list[list[list[float]]] = [[[] for _ in range(N)] for _ in range(T)]
+    slot_secs_buf: list[list[float]] = [[0.0] * N for _ in range(T)]
 
     def dfs_vars(t: int, i: int, acc: float, rem_cap: list[float],
                  q: list[float], last_high: list[float | None]):
@@ -375,27 +377,22 @@ def solve_slotted_exact(
                 counts[(t, n, m, z)] = c
                 rem_cap[n] -= unit_vol
                 received[m] += 1
-                slot_secs_buf[m] += owner.beta
-                slot_rate_buf[m].append(rate)
+                slot_secs_buf[t][m] += owner.beta
+                slot_rate_buf[t][m].append(rate)
             dfs_vars(t, i + 1, acc + c * unit_gain, rem_cap, q, last_high)
         if cmax > 0:
             counts.pop((t, n, m, z), None)
             rem_cap[n] += cmax * unit_vol
             received[m] -= cmax
-            slot_secs_buf[m] -= cmax * owner.beta
-            del slot_rate_buf[m][-cmax:]
+            slot_secs_buf[t][m] -= cmax * owner.beta
+            del slot_rate_buf[t][m][-cmax:]
 
     def dfs_slot(t: int, acc: float, q: list[float], last_high: list[float | None]):
-        saved_rates = [list(r) for r in slot_rate_buf]
-        saved_secs = list(slot_secs_buf)
-        for m in range(N):
-            slot_rate_buf[m].clear()
-            slot_secs_buf[m] = 0.0
+        # rate lists come back empty from every branch; the seconds may
+        # carry float residue from ``-= cmax * beta``, so start them at 0
+        slot_secs_buf[t] = [0.0] * N
         rem_cap = [instance.capacity[n][t] for n in range(N)]
         dfs_vars(t, 0, acc, rem_cap, q, last_high)
-        for m in range(N):
-            slot_rate_buf[m][:] = saved_rates[m]
-            slot_secs_buf[m] = saved_secs[m]
 
     if T == 0:
         return ExactResult(SlottedSchedule({}), 0.0, 0, 1)
@@ -636,12 +633,23 @@ def brute_force_segmented(
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    lower: float
+    """The lower/middle/upper sandwich and the checks on it.
+
+    A partial certificate (``solver_stats["failed_solver"]`` is set) keeps
+    every value that finished; ``lower`` may hold an exact-search incumbent
+    and ``middle`` a brute-force incumbent. Its checks are false.
+    """
+
+    lower: float | None
     upper: float
     middle: float | None
     chain_ok: bool
     split_monotone_ok: bool
     solver_stats: dict
+
+    @property
+    def partial(self) -> bool:
+        return "failed_solver" in self.solver_stats
 
     def to_dict(self) -> dict:
         return {
@@ -650,47 +658,60 @@ class BoundCertificate:
             "upper": self.upper,
             "chain_ok": self.chain_ok,
             "prop1_ok": self.split_monotone_ok,
+            "partial": self.partial,
             "solver_stats": self.solver_stats,
         }
 
 
 def bound_certificate(
-    profiles: Sequence[UserProfile],
+    instance: SlottedInstance,
     capacity,
     encounters,
-    slot_len: float,
-    n_slots: int | None = None,
+    *,
     include_middle: bool = True,
     exact_budget: int = 10_000_000,
     brute_budget: int = 2_000_000,
-    tol: float = TOL,
 ) -> BoundCertificate:
-    """Run the three bound solvers and certify the sandwich ordering."""
-    instance = SlottedInstance.from_traces(profiles, capacity, encounters, slot_len, n_slots)
-    exact = solve_slotted_exact(instance, node_budget=exact_budget)
+    """Run the three bound solvers and certify the sandwich ordering.
+
+    The relaxation LP runs first, so its ``RuntimeError`` propagates before
+    any search. Then the exact solve at beta, the exact solve at beta/2 and
+    the brute force at beta run in that order, and the first one to exhaust
+    its budget stops the run: its incumbent goes under ``lower`` (exact) or
+    ``middle`` (brute), and the beta/2 incumbent, which bounds nothing at
+    beta, is dropped.
+    """
     upper = solve_slotted_relaxed(instance)
-    exact_half = solve_slotted_exact(instance.with_split(2), node_budget=exact_budget)
-    middle = None
-    stats = {
-        "exact_nodes": exact.nodes,
-        "exact_half_nodes": exact_half.nodes,
-    }
-    horizon = instance.n_slots * slot_len
+    solves = [
+        ("exact", lambda: solve_slotted_exact(instance, node_budget=exact_budget)),
+        ("exact_half", lambda: solve_slotted_exact(
+            instance.with_split(2), node_budget=exact_budget)),
+    ]
     if include_middle:
-        brute = brute_force_segmented(
-            profiles, capacity, encounters, horizon, node_budget=brute_budget
-        )
-        middle = brute.welfare
-        stats["brute_nodes"] = brute.nodes
-    if middle is None:
-        chain_ok = exact.welfare <= upper + tol
-    else:
-        chain_ok = exact.welfare <= middle + tol and middle <= upper + tol
+        solves.append(("brute", lambda: brute_force_segmented(
+            instance.profiles, capacity, encounters,
+            instance.n_slots * instance.slot_len, node_budget=brute_budget,
+        )))
+    done: dict[str, float | None] = {}
+    stats: dict = {}
+    for name, solve in solves:
+        try:
+            res = solve()
+        except SolverBudgetError as exc:
+            if name != "exact_half":
+                done[name] = exc.welfare
+            stats.update(error=str(exc), failed_solver=name)
+            break
+        done[name] = res.welfare
+        stats[f"{name}_nodes"] = res.nodes
+    lower, middle = done.get("exact"), done.get("brute")
+    finished = "failed_solver" not in stats
+    chain = [v for v in (lower, middle, upper) if v is not None]
     return BoundCertificate(
-        lower=exact.welfare,
+        lower=lower,
         upper=upper,
         middle=middle,
-        chain_ok=chain_ok,
-        split_monotone_ok=exact.welfare <= exact_half.welfare + tol,
+        chain_ok=finished and all(a <= b + TOL for a, b in zip(chain, chain[1:])),
+        split_monotone_ok=finished and lower <= done["exact_half"] + TOL,
         solver_stats=stats,
     )

@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 from types import SimpleNamespace
@@ -42,6 +43,18 @@ def make_bounds_instance(tmp_path, *, segs=2, ladder=(0.2, 0.7), horizon=8.0,
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+# each turns the default bounds instance into one that cannot be built
+MALFORMED_BOUNDS = {
+    "missing-keys": lambda d: {"profiles": []},
+    "unknown-profile-key": lambda d: {**d, "profiles": [{**d["profiles"][0], "bogus": 1}]},
+    "n-slots-past-horizon": lambda d: {**d, "n_slots": 5},
+    "float-n-slots": lambda d: {**d, "n_slots": 2.0},
+    "negative-n-slots": lambda d: {**d, "n_slots": -1},
+    "profile-missing-from-trace": lambda d: {**d, "profiles": [{**d["profiles"][0], "id": 3}]},
+    "zero-slot-length": lambda d: {**d, "slot_len": 0},
+}
 
 
 class TestExperimentSpec:
@@ -160,11 +173,58 @@ class TestBoundsCommand:
         payload = json.loads(open(out).read())
         assert payload["partial"] is True
         assert payload["solver_stats"]["failed_solver"] == "brute"
-        # the brute-force incumbent is a middle reference, never a lower bound
-        assert payload["lower"] is None
+        # the finished exact optimum is kept; the brute-force incumbent is a
+        # middle reference, never a lower bound
+        assert payload["lower"] == 1.9265130042486815
         assert payload["middle"] == 0.0
-        assert payload["upper"] is not None
+        assert payload["upper"] == 1.9265130042486813
         assert "brute" in capsys.readouterr().err
+
+    def test_beta_half_budget_keeps_beta_optimum(self, tmp_path, capsys):
+        inst = make_bounds_instance(tmp_path, exact_budget=23)
+        out = str(tmp_path / "bounds.json")
+        assert cli.main(["bounds", "--spec", inst, "--out", out]) == 3
+        payload = json.loads(open(out).read())
+        assert payload["partial"] is True
+        # the beta/2 incumbent bounds nothing at beta: lower is the finished
+        # beta optimum
+        assert payload["lower"] == 1.9265130042486815
+        assert payload["middle"] is None
+        assert payload["solver_stats"]["exact_nodes"] == 22
+        assert "exact_half_nodes" not in payload["solver_stats"]
+        assert payload["solver_stats"]["failed_solver"] == "exact_half"
+        assert payload["chain_ok"] is payload["prop1_ok"] is False
+        assert capsys.readouterr().err.startswith("exact_half solver budget exhausted")
+
+    def test_without_middle(self, tmp_path):
+        inst = make_bounds_instance(tmp_path, include_middle=False)
+        out = str(tmp_path / "bounds.json")
+        assert cli.main(["bounds", "--spec", inst, "--out", out]) == 0
+        payload = json.loads(open(out).read())
+        assert payload["middle"] is None
+        assert "brute_nodes" not in payload["solver_stats"]
+        assert payload["chain_ok"] is (payload["lower"] <= payload["upper"] + offline.TOL)
+
+    @pytest.mark.parametrize("extra, code", [
+        ({}, 0), ({"exact_budget": 23}, 3), ({"brute_budget": 1}, 3),
+    ], ids=["full", "exact-half-budget", "brute-budget"])
+    def test_instance_built_and_lp_solved_once(self, tmp_path, monkeypatch, extra, code):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(offline, "solve_slotted_relaxed",
+                            counted("lp", offline.solve_slotted_relaxed))
+        monkeypatch.setattr(offline.SlottedInstance, "from_traces", staticmethod(
+            counted("instance", offline.SlottedInstance.from_traces)))
+        inst = make_bounds_instance(tmp_path, **extra)
+        out = str(tmp_path / "bounds.json")
+        assert cli.main(["bounds", "--spec", inst, "--out", out]) == code
+        assert calls == {"lp": 1, "instance": 1}
 
     def test_lp_failure_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(offline, "linprog", lambda *a, **kw: SimpleNamespace(
@@ -177,10 +237,15 @@ class TestBoundsCommand:
         assert "relaxation LP failed" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_malformed_instance_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("case", list(MALFORMED_BOUNDS))
+    def test_malformed_instance_exits_2(self, tmp_path, capsys, case):
+        payload = json.loads(open(make_bounds_instance(tmp_path)).read())
         path = tmp_path / "instance.json"
-        path.write_text(json.dumps({"profiles": []}))
-        assert cli.main(["bounds", "--spec", str(path)]) == 2
+        path.write_text(json.dumps(MALFORMED_BOUNDS[case](payload)))
+        out = tmp_path / "bounds.json"
+        assert cli.main(["bounds", "--spec", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("bad bounds instance")
+        assert not out.exists()
 
 
 class TestGenTracesCommand:

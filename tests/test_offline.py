@@ -278,7 +278,8 @@ class TestBoundCertificate:
                             phi_qdeg=0.5, phi_rebuf=0.1, c_time=0.05, c_data=0.02)
         cap = traces.CapacityTrace.constant([0], 1.0, 12.0)
         enc = traces.EncounterTrace.none(12.0)
-        cert = bound_certificate((prof,), cap, enc, slot_len=4.0)
+        inst = SlottedInstance.from_traces((prof,), cap, enc, 4.0)
+        cert = bound_certificate(inst, cap, enc)
         assert cert.chain_ok
         assert cert.split_monotone_ok
         assert cert.lower <= cert.middle + 1e-9 <= cert.upper + 2e-9
@@ -287,10 +288,11 @@ class TestBoundCertificate:
         prof = make_profile(segs=1)
         cap = traces.CapacityTrace.constant([0], 1.0, 4.0)
         enc = traces.EncounterTrace.none(4.0)
-        cert = bound_certificate((prof,), cap, enc, slot_len=4.0)
-        d = cert.to_dict()
+        inst = SlottedInstance.from_traces((prof,), cap, enc, 4.0)
+        d = bound_certificate(inst, cap, enc).to_dict()
         assert set(d) == {"lower", "middle", "upper", "chain_ok", "prop1_ok",
-                          "solver_stats"}
+                          "partial", "solver_stats"}
+        assert d["partial"] is False
 
 
 class TestSlottedInstance:
@@ -316,6 +318,12 @@ class TestSlottedInstance:
         half = inst.with_split(2)
         assert half.profiles[0].beta == 1.0
         assert half.profiles[0].video_segments == 6
+
+    def test_from_traces_rejects_zero_slot_length(self):
+        cap = traces.CapacityTrace.constant([0], 1.0, 8.0)
+        enc = traces.EncounterTrace.none(8.0)
+        with pytest.raises(ValueError, match="slot length"):
+            SlottedInstance.from_traces((make_profile(segs=1),), cap, enc, 0.0)
 
     def test_requires_contiguous_ids(self):
         with pytest.raises(ValueError):
