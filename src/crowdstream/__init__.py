@@ -8,7 +8,17 @@ Modules:
   sim      deterministic discrete-event simulator
   cli      experiment runner
 """
-from . import cli, model, offline, online, sim, traces
+import importlib
+
+from . import model, offline, online, sim, traces
 
 __all__ = ["cli", "model", "offline", "online", "sim", "traces"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # cli is imported on first use, not with the package: `python -m
+    # crowdstream.cli` would otherwise find it already in sys.modules and warn.
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -134,12 +134,27 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _run_cell(spec: ExperimentSpec, scheduler: str, lam: float | None,
-              seed: int, cooperation: str) -> dict:
+def _cell_traces(spec: ExperimentSpec, seed: int, cooperation: str):
     profiles = build_profiles(spec)
     ids = [p.id for p in profiles]
     capacity = traces.synth_capacity(ids, spec.horizon, spec.capacity_range, seed)
     encounters = traces.synth_encounters(ids, spec.horizon, seed, mode=cooperation)
+    return profiles, capacity, encounters
+
+
+def _fluid_upper(spec: ExperimentSpec, seed: int, cooperation: str) -> float:
+    """Fluid LP bound of one (seed, cooperation mode)'s traces. It does not
+    depend on the scheduler or lambda, so every cell with that seed and mode
+    shares it."""
+    instance = offline.SlottedInstance.from_traces(
+        *_cell_traces(spec, seed, cooperation), spec.slot_len
+    )
+    return offline.solve_slotted_relaxed(instance)
+
+
+def _run_cell(spec: ExperimentSpec, scheduler: str, lam: float | None,
+              seed: int, cooperation: str) -> sim.ExperimentReport:
+    profiles, capacity, encounters = _cell_traces(spec, seed, cooperation)
     params: dict[str, float] = {"delta_th": spec.delta_th, "gap_th": spec.gap_th}
     if scheduler == "lyapunov":
         params = {"lam": lam}
@@ -148,19 +163,17 @@ def _run_cell(spec: ExperimentSpec, scheduler: str, lam: float | None,
         encounters=encounters, scheduler=scheduler, scheduler_params=params,
         seed=str(seed), abort_policy=spec.abort_policy,
     )
-    report = sim.run_simulation(config)
-    if spec.compute_gap:
-        instance = offline.SlottedInstance.from_traces(
-            profiles, capacity, encounters, spec.slot_len
-        )
-        report.gap = sim.gap_vs_upper_bound(report, instance)
-    return {
-        "scheduler": scheduler,
-        "seed": seed,
-        "lambda": lam,
-        "cooperation": cooperation,
-        "report": report,
-    }
+    return sim.run_simulation(config)
+
+
+def _run_tasks(tasks: list[tuple], jobs: int) -> list:
+    """Results of ``fn(*args)`` for each ``(fn, *args)`` task, in task order;
+    with ``jobs > 1`` the tasks run in a process pool."""
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(*task) for task in tasks]
+            return [fut.result() for fut in futures]
+    return [fn(*args) for fn, *args in tasks]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -183,23 +196,24 @@ def cmd_run(args: argparse.Namespace) -> int:
                 for mode in modes:
                     cells.append((scheduler, lam, seed, mode))
 
-    results: dict[tuple, dict] = {}
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                pool.submit(_run_cell, spec, *cell): cell for cell in cells
-            }
-            for fut, cell in futures.items():
-                results[cell] = fut.result()
-    else:
-        for cell in cells:
-            results[cell] = _run_cell(spec, *cell)
+    # one fluid bound per (seed, mode), shared by every scheduler and lambda
+    bound_keys = list(dict.fromkeys(
+        (seed, mode) for _, _, seed, mode in cells)) if spec.compute_gap else []
+    outputs = _run_tasks(
+        [(_fluid_upper, spec, *key) for key in bound_keys]
+        + [(_run_cell, spec, *cell) for cell in cells],
+        args.jobs,
+    )
+    uppers = dict(zip(bound_keys, outputs))
+    reports = dict(zip(cells, outputs[len(bound_keys):]))
+    if spec.compute_gap:
+        for (_, _, seed, mode), report in reports.items():
+            report.gap = sim.relative_gap(uppers[seed, mode], report.sw_estimated)
 
     rows = []
     for cell in cells:
-        res = results[cell]
         scheduler, lam, seed, mode = cell
-        report: sim.ExperimentReport = res["report"]
+        report = reports[cell]
         lam_tag = "" if lam is None else f"{lam:g}"
         name = f"report_{scheduler}{('_lam' + lam_tag) if lam_tag else ''}_{mode}_{seed}.json"
         payload = report.to_dict()
@@ -231,8 +245,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         for scheduler, lam, seed, mode in cells:
             if mode != "full":
                 continue
-            full = results[(scheduler, lam, seed, "full")]["report"]
-            none = results[(scheduler, lam, seed, "none")]["report"]
+            full = reports[(scheduler, lam, seed, "full")]
+            none = reports[(scheduler, lam, seed, "none")]
             bitrate_gain = (
                 (full.avg_bitrate_mbps - none.avg_bitrate_mbps) / none.avg_bitrate_mbps
                 if none.avg_bitrate_mbps > 0 else ""
@@ -253,6 +267,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _instance_value(key: str, value, types: tuple[type, ...]):
+    """``value`` if it has one of ``types``; otherwise TypeError, never a
+    conversion. A JSON bool passes only where ``bool`` is listed, although
+    Python counts it as an int."""
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise TypeError(f"{key} must be {names}, got {value!r}")
+    return value
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
     try:
         with open(args.spec) as fh:
@@ -260,11 +284,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         capacity, encounters = traces.traces_from_dict(raw)
         instance = offline.SlottedInstance.from_traces(
             [UserProfile.from_dict(p) for p in raw["profiles"]], capacity, encounters,
-            float(raw["slot_len"]), raw.get("n_slots"),
+            float(_instance_value("slot_len", raw["slot_len"], (int, float))),
+            _instance_value("n_slots", raw.get("n_slots"), (int, type(None))),
         )
-        exact_budget = int(raw.get("exact_budget", 10_000_000))
-        brute_budget = int(raw.get("brute_budget", 2_000_000))
-        include_middle = bool(raw.get("include_middle", True))
+        exact_budget = _instance_value(
+            "exact_budget", raw.get("exact_budget", 10_000_000), (int,))
+        brute_budget = _instance_value(
+            "brute_budget", raw.get("brute_budget", 2_000_000), (int,))
+        include_middle = _instance_value(
+            "include_middle", raw.get("include_middle", True), (bool,))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"bad bounds instance: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -374,5 +374,10 @@ def gap_vs_upper_bound(
 ) -> float:
     """Relative gap between the fluid upper bound and the accumulated
     per-decision welfare estimate of a run."""
-    upper = offline.solve_slotted_relaxed(instance)
-    return (upper - report.sw_estimated) / max(abs(upper), eps)
+    return relative_gap(offline.solve_slotted_relaxed(instance), report.sw_estimated, eps)
+
+
+def relative_gap(upper: float, sw_estimated: float, eps: float = 1e-9) -> float:
+    """``(upper - sw_estimated) / max(|upper|, eps)``: the one gap formula,
+    for callers that solved the fluid bound themselves."""
+    return (upper - sw_estimated) / max(abs(upper), eps)

@@ -1,11 +1,14 @@
 import collections
 import csv
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
 
-from crowdstream import cli, offline, traces
+from crowdstream import cli, offline, sim, traces
 from crowdstream.cli import ExperimentSpec, SpecError, build_profiles
 from crowdstream.model import UserProfile
 
@@ -54,7 +57,19 @@ MALFORMED_BOUNDS = {
     "negative-n-slots": lambda d: {**d, "n_slots": -1},
     "profile-missing-from-trace": lambda d: {**d, "profiles": [{**d["profiles"][0], "id": 3}]},
     "zero-slot-length": lambda d: {**d, "slot_len": 0},
+    "string-include-middle": lambda d: {**d, "include_middle": "false"},
+    "bool-n-slots": lambda d: {**d, "n_slots": True},
+    "float-budget": lambda d: {**d, "exact_budget": 2.5},
+    "bool-slot-len": lambda d: {**d, "slot_len": True},
 }
+
+# every scheduler, two lambdas, two seeds and both cooperation modes: 16
+# cells over 4 distinct (seed, mode) fluid bounds
+GAP_MATRIX = dict(
+    scenario="multi", n_users=2, video_fraction=0.5, seeds=[0, 1],
+    horizon=40.0, video_length_s=40.0, schedulers=["lyapunov", "buffer", "prediction"],
+    lambdas=[1.0, 100.0], compute_gap=True, compare_cooperation=True,
+)
 
 
 class TestExperimentSpec:
@@ -139,6 +154,48 @@ class TestRunCommand:
 
     def test_missing_spec_exits_2(self, tmp_path):
         assert cli.main(["run", "--spec", str(tmp_path / "nope.json")]) == 2
+
+    def test_fluid_bound_solved_once_per_seed_and_mode(self, tmp_path, monkeypatch):
+        solves = []
+        solve = offline.solve_slotted_relaxed
+
+        def counted(instance):
+            solves.append(instance)
+            return solve(instance)
+
+        monkeypatch.setattr(offline, "solve_slotted_relaxed", counted)
+        spec_path = write_spec(tmp_path, **GAP_MATRIX)
+        assert cli.main(["run", "--spec", spec_path, "--jobs", "1"]) == 0
+        assert len(solves) == 4
+        monkeypatch.setattr(offline, "solve_slotted_relaxed", solve)
+
+        spec = ExperimentSpec.from_file(spec_path)
+        profiles = build_profiles(spec)
+        ids = [p.id for p in profiles]
+        names = sorted(n for n in os.listdir(tmp_path / "out") if n.startswith("report_"))
+        assert len(names) == 16
+        for name in names:
+            payload = json.loads((tmp_path / "out" / name).read_text())
+            seed, mode = int(name.split("_")[-1][:-5]), payload["cooperation"]
+            instance = offline.SlottedInstance.from_traces(
+                profiles,
+                traces.synth_capacity(ids, spec.horizon, spec.capacity_range, seed),
+                traces.synth_encounters(ids, spec.horizon, seed, mode=mode),
+                spec.slot_len,
+            )
+            report = SimpleNamespace(sw_estimated=payload["sw_estimated"])
+            assert payload["gap"] == sim.gap_vs_upper_bound(report, instance), name
+
+    def test_process_pool_writes_identical_files(self, tmp_path):
+        spec_path = write_spec(tmp_path, **GAP_MATRIX)
+        outputs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out_jobs{jobs}"
+            assert cli.main(["run", "--spec", spec_path, "--out", str(out),
+                             "--jobs", jobs]) == 0
+            outputs[jobs] = {n: (out / n).read_bytes() for n in sorted(os.listdir(out))}
+        assert "cooperation_gain.csv" in outputs["1"]
+        assert outputs["1"] == outputs["2"]
 
 
 class TestBoundsCommand:
@@ -276,6 +333,22 @@ VIEWING_CSV = """user_id,video_id,seg_index,seg_len_s,bitrate_mbps,download_s
 0,v1,0,2.0,1.3,2.0
 1,v2,0,2.0,0.7,4.0
 """
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_without_runtime_warning(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "t.json"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "crowdstream.cli",
+             "gen-traces", "--users", "2", "--horizon", "10", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert out.exists()
 
 
 class TestIngestCommand:
