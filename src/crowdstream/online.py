@@ -47,7 +47,7 @@ class SchedulerState:
     user: int
     now: float
     capacity: float  # current cellular rate of the decider, Mbps
-    neighbors: tuple[int, ...]  # encountered users, including the decider
+    neighbors: tuple[int, ...]  # encountered users, including the decider, by id
     buffers: Mapping[int, float]
     last_rates: Mapping[int, float | None]
     next_seg: Mapping[int, int | None]
@@ -136,15 +136,16 @@ def _split_candidates(
     state: SchedulerState, profiles: Mapping[int, UserProfile]
 ) -> tuple[list[int], list[int]]:
     """Owners the decider could serve now, and those blocked only by a
-    full buffer (relevant for the waiting-timer branch)."""
+    full buffer (relevant for the waiting-timer branch). Only users with a
+    next segment can be owners, so the others are dropped before sorting."""
     ready: list[int] = []
     blocked: list[int] = []
-    for u in sorted(set(state.neighbors)):
+    next_seg = state.next_seg
+    for u in sorted({u for u in state.neighbors if next_seg.get(u) is not None}):
         prof = profiles.get(u)
         if prof is None or not prof.is_video_user:
             continue
-        seg = state.next_seg.get(u)
-        if seg is None or (u, seg) in state.reserved:
+        if (u, next_seg[u]) in state.reserved:
             continue
         if state.buffers.get(u, 0.0) + prof.beta <= prof.buffer_cap:
             ready.append(u)

@@ -10,8 +10,10 @@ abort policy.
 
 Scheduler state is kept incrementally rather than rescanned per decision:
 each owner's next missing segment is found from a lower-bound pointer, each
-user's neighbour set is reused between consecutive encounter breakpoints,
-and one snapshot serves both the decision and its welfare estimate.
+user's neighbour set is reused between consecutive encounter breakpoints and
+rebuilt from its encounter partners only, only owners' buffers are drained
+and checked, and one snapshot serves both the decision and its welfare
+estimate.
 """
 from __future__ import annotations
 
@@ -24,9 +26,16 @@ from typing import Callable, Mapping, Sequence
 
 from . import model, offline, online
 from .model import SegmentRecord, UserProfile
-from .traces import CapacityTrace, EncounterTrace
+from .traces import CapacityTrace, EncounterTrace, TraceError
 
 TOL = 1e-9
+
+
+def fits_in_buffer(level: float, profile: UserProfile) -> bool:
+    """Drop rule: a completed segment is delivered only if it fits on top of
+    the owner's committed buffer level; otherwise it is dropped."""
+    return level + profile.beta <= profile.buffer_cap + TOL
+
 
 SchedulerFn = Callable[[online.SchedulerState, Mapping[int, UserProfile]], online.Decision]
 
@@ -117,32 +126,37 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         heapq.heappush(events, (time, seq, kind, payload))
         seq += 1
 
+    inflight = {n: 0 for n in ids}  # reserved transfers currently heading to n
+    betas = {n: profiles[n].beta for n in ids}
+    max_levels = {n: profiles[n].buffer_cap + TOL for n in ids}
+    video_ids = [n for n in ids if profiles[n].is_video_user]
+    # Owners are the only users whose buffer, parked set or in-flight count
+    # can be nonzero: the video users, plus any user a custom scheduler
+    # names as a Download owner (added when that transfer starts). Every
+    # other user's buffer and broadcast level stay exactly 0.0. (A dict is
+    # used as an insertion-ordered set.)
+    owners = dict.fromkeys(video_ids)
+    zero_levels = dict.fromkeys(ids, 0.0)
+
     def advance(now: float) -> None:
         nonlocal last_t
         dt = now - last_t
         if dt < -TOL:
             raise RuntimeError("event time went backwards")
         if dt > 0:
-            for n in ids:
+            for n in owners:
                 buffers[n] = max(0.0, buffers[n] - dt)
         last_t = now
 
-    inflight = {n: 0 for n in ids}  # reserved transfers currently heading to n
-    betas = {n: profiles[n].beta for n in ids}
-    max_levels = {n: profiles[n].buffer_cap + TOL for n in ids}
-    video_ids = [n for n in ids if profiles[n].is_video_user]
-    no_segs: dict[int, int | None] = dict.fromkeys(ids)
-
     def committed(n: int) -> float:
         """Buffer content including parked out-of-order segments (checked
-        against the cap at arrival and at every event)."""
+        against the cap at arrival and after every delivery)."""
         return buffers[n] + betas[n] * len(parked[n])
 
-    def check_invariants(now: float) -> None:
-        for n in ids:
-            level = buffers[n] + betas[n] * len(parked[n])
-            if buffers[n] < -TOL or level > max_levels[n]:
-                violations.append(f"t={now}: buffer of user {n} out of range: {level}")
+    def check_level(n: int, now: float) -> None:
+        level = committed(n)
+        if buffers[n] < -TOL or level > max_levels[n]:
+            violations.append(f"t={now}: buffer of user {n} out of range: {level}")
 
     def next_seg_of(n: int) -> int | None:
         """Smallest segment index of video user n neither delivered nor
@@ -154,35 +168,60 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         seg_lo[n] = k
         return k if k < segs else None
 
-    def usable_neighbor(n: int, m: int, now: float) -> bool:
-        """Encounter intervals are closed, so right at a break the pair is
-        still "encountered" but no positive-duration transfer fits; exclude
-        such neighbors to keep every started transfer strictly progressing."""
-        if m == n:
-            return True
-        if not config.encounters.encountered(n, m, now):
-            return False
-        brk = config.encounters.next_break(n, m, now)
-        return brk is None or brk > now + TOL
+    # next_seg_of(n) changes only when a transfer to owner n starts or ends,
+    # so it is kept per user and refreshed there; None for non-video users
+    next_segs: dict[int, int | None] = dict.fromkeys(ids)
+    for n in video_ids:
+        next_segs[n] = next_seg_of(n)
 
-    # Between two consecutive encounter breakpoints of user n, every
-    # usable_neighbor(n, m, .) answer is constant, so a neighbour tuple
-    # computed strictly inside such a gap, and more than TOL before its end,
-    # is reused until ``now`` leaves it. The trace horizon is a breakpoint so
-    # that a query past it still reaches the trace and raises.
-    breaks: dict[int, set[float]] = {n: {config.encounters.horizon} for n in ids}
-    for pair, ivs in config.encounters.intervals.items():
-        for n in pair:
-            if n in breaks:
-                breaks[n].update(t for iv in ivs for t in iv)
+    # A user is always its own neighbour. Another user m is a usable
+    # neighbour of n at ``now`` when the first of the pair's closed encounter
+    # intervals containing ``now`` reaches the trace horizon or ends more
+    # than TOL later: right at a break the pair is still "encountered" but
+    # no positive-duration transfer fits, so it is excluded to keep every
+    # started transfer strictly progressing. Each user's partners (users it
+    # ever encounters) are indexed, in id order below and above it, with the
+    # pair's interval starts and ends for one bisect per partner.
+    #
+    # Between two consecutive breakpoints of user n (its partners' interval
+    # ends and starts), every usability answer is constant, so a neighbour
+    # tuple computed strictly inside such a gap, and more than TOL before its
+    # end, is reused until ``now`` leaves it. The trace horizon is a
+    # breakpoint so that a query past it is never served from the cache and
+    # raises.
+    encounters = config.encounters
+    enc_horizon = encounters.horizon
+    partners: dict[int, tuple[list, list]] = {n: ([], []) for n in ids}
+    breaks: dict[int, set[float]] = {n: {enc_horizon} for n in ids}
+    for a, b in sorted(encounters.intervals):
+        starts, ends = encounters.interval_bounds(a, b)
+        if a in partners and b in partners and ends:
+            partners[a][1].append((b, starts, ends))
+            partners[b][0].append((a, starts, ends))
+            for n in (a, b):
+                breaks[n].update(starts, ends)
     breakpoints = {n: [-math.inf, *sorted(pts), math.inf] for n, pts in breaks.items()}
+
+    def usable(pairs: list, now: float) -> list[int]:
+        found = []
+        for m, starts, ends in pairs:
+            i = bisect.bisect_left(ends, now)
+            if i < len(ends) and starts[i] <= now and (
+                ends[i] >= enc_horizon or ends[i] > now + TOL
+            ):
+                found.append(m)
+        return found
+
     neighbor_cache: dict[int, tuple[float, float, tuple[int, ...]]] = {}
 
     def neighbors_of(n: int, now: float) -> tuple[int, ...]:
         hit = neighbor_cache.get(n)
         if hit is not None and hit[0] < now < hit[1]:
             return hit[2]
-        found = tuple(m for m in ids if usable_neighbor(n, m, now))
+        if len(ids) > 1 and not 0 <= now <= enc_horizon:
+            raise TraceError(f"time {now} outside horizon [0, {enc_horizon}]")
+        below, above = partners[n]
+        found = (*usable(below, now), n, *usable(above, now))
         pts = breakpoints[n]
         i = bisect.bisect_right(pts, now)
         lo, hi = pts[i - 1], pts[i] - TOL
@@ -192,22 +231,19 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
 
     def snapshot(n: int, now: float) -> online.SchedulerState:
         neighbors = neighbors_of(n, now)
-        next_seg = dict(no_segs)
-        for m in video_ids:
-            next_seg[m] = next_seg_of(m)
+        # broadcast level: committed content plus in-flight reservations,
+        # so concurrent downloaders do not over-fill one owner's buffer
+        levels = dict(zero_levels)
+        for m in owners:
+            levels[m] = buffers[m] + betas[m] * len(parked[m]) + betas[m] * inflight[m]
         return online.SchedulerState(
             user=n,
             now=now,
             capacity=config.capacity.rate_at(n, now),
             neighbors=neighbors,
-            # broadcast level: committed content plus in-flight reservations,
-            # so concurrent downloaders do not over-fill one owner's buffer
-            buffers={
-                m: buffers[m] + betas[m] * len(parked[m]) + betas[m] * inflight[m]
-                for m in ids
-            },
+            buffers=levels,
             last_rates=dict(last_rates),
-            next_seg=next_seg,
+            next_seg=dict(next_segs),
             reserved=frozenset(reserved),
             throughput_samples=tuple(samples[n]),
         )
@@ -249,7 +285,9 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         except ValueError:
             pass  # zero instantaneous capacity: no payoff estimate
         reserved.add((u, k))
+        next_segs[u] = next_seg_of(u)
         inflight[u] += 1
+        owners[u] = None
         busy[n] = True
         push(end, "complete", (n, record))
 
@@ -262,7 +300,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         final = record
         if record.completed:
             prof_u = profiles[u]
-            if committed(u) + prof_u.beta > prof_u.buffer_cap + TOL:
+            if not fits_in_buffer(committed(u), prof_u):
                 counters["drops"] += 1
             else:
                 final = SegmentRecord(
@@ -278,8 +316,10 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
                     parked[u].discard(play_next[u])
                     buffers[u] += prof_u.beta
                     play_next[u] += 1
+                check_level(u, now)
             if record.t_end > record.t_start:
                 samples[n].append(record.mbit / (record.t_end - record.t_start))
+        next_segs[u] = next_seg_of(u)
         downloads[n].append(final)
         if now < horizon:
             push(now, "epoch", n)
@@ -292,7 +332,6 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         if time > horizon + TOL:
             break
         advance(min(time, horizon))
-        check_invariants(time)
         if kind == "epoch":
             n = payload
             if busy[n] or time >= horizon:
@@ -310,7 +349,8 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             finish_download(n, time, record)
 
     advance(horizon)
-    check_invariants(horizon)
+    for n in ids:
+        check_level(n, horizon)
 
     # accounting invariants over the realized records
     seen: set[tuple[int, int]] = set()

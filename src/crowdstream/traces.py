@@ -152,7 +152,8 @@ def _merge_intervals(intervals: Iterable[tuple[float, float]]) -> tuple[tuple[fl
 
 @dataclass(frozen=True)
 class EncounterTrace:
-    """Pairwise encounter windows; symmetric, disjoint closed intervals."""
+    """Pairwise encounter windows: symmetric closed intervals per pair, in
+    start order and disjoint except that one may end where the next starts."""
 
     intervals: Mapping[tuple[int, int], tuple[tuple[float, float], ...]]
     horizon: float
@@ -164,9 +165,23 @@ class EncounterTrace:
             for a, b in ivs:
                 if a > b or a < 0 or b > self.horizon:
                     raise TraceError(f"bad encounter interval [{a}, {b}] for pair ({n}, {m})")
+            for (_, b), (a, _) in zip(ivs, ivs[1:]):
+                if b > a:  # touching intervals (b == a) are allowed
+                    raise TraceError(
+                        f"encounter intervals of pair ({n}, {m}) must be in start "
+                        f"order and disjoint: [.., {b}] then [{a}, ..]"
+                    )
+        object.__setattr__(self, "_bounds", {
+            pair: (tuple(a for a, _ in ivs), tuple(b for _, b in ivs))
+            for pair, ivs in self.intervals.items()
+        })
 
-    def _pair(self, n: int, m: int) -> tuple[tuple[float, float], ...]:
-        return self.intervals.get((min(n, m), max(n, m)), ())
+    def interval_bounds(self, n: int, m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Starts and ends of the pair's intervals, each nondecreasing. The
+        first interval containing ``t`` is the one at
+        ``bisect_left(ends, t)``, if its start is at most ``t``: where two
+        intervals touch at ``t``, that is the one ending there."""
+        return self._bounds.get((min(n, m), max(n, m)), ((), ()))
 
     def _check(self, t: float) -> None:
         if t < 0 or t > self.horizon:
@@ -176,7 +191,9 @@ class EncounterTrace:
         self._check(t)
         if n == m:
             return True
-        return any(a <= t <= b for a, b in self._pair(n, m))
+        starts, ends = self.interval_bounds(n, m)
+        i = bisect.bisect_left(ends, t)
+        return i < len(ends) and starts[i] <= t
 
     def holds(self, n: int, m: int, t1: float, t2: float) -> bool:
         """True iff the pair is encountered throughout [t1, t2]."""
@@ -184,16 +201,21 @@ class EncounterTrace:
         self._check(t2)
         if n == m:
             return True
-        return any(a <= t1 and t2 <= b for a, b in self._pair(n, m))
+        # the last interval starting by t1 reaches furthest among those
+        starts, ends = self.interval_bounds(n, m)
+        i = bisect.bisect_right(starts, t1) - 1
+        return i >= 0 and t2 <= ends[i]
 
     def next_break(self, n: int, m: int, t: float) -> float | None:
-        """End of the encounter window containing ``t``; None if unbounded or self."""
+        """End of the first encounter window containing ``t``; None if
+        unbounded or self, ``t`` itself if the pair is not encountered."""
         if n == m:
             return None
-        for a, b in self._pair(n, m):
-            if a <= t <= b:
-                return None if b >= self.horizon else b
-        return t  # not encountered at all
+        starts, ends = self.interval_bounds(n, m)
+        i = bisect.bisect_left(ends, t)
+        if i == len(ends) or starts[i] > t:
+            return t
+        return None if ends[i] >= self.horizon else ends[i]
 
     def breakpoints(self) -> list[float]:
         pts = {0.0, self.horizon}

@@ -61,6 +61,8 @@ MALFORMED_BOUNDS = {
     "bool-n-slots": lambda d: {**d, "n_slots": True},
     "float-budget": lambda d: {**d, "exact_budget": 2.5},
     "bool-slot-len": lambda d: {**d, "slot_len": True},
+    "overlapping-encounters": lambda d: {**d, "encounters": {
+        **d["encounters"], "pairs": [{"users": [0, 1], "intervals": [[0, 4], [3, 8]]}]}},
 }
 
 # every scheduler, two lambdas, two seeds and both cooperation modes: 16

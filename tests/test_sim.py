@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from crowdstream import model, offline, online, sim
@@ -222,6 +224,56 @@ class TestDrops:
         assert report.drops > 0
         assert report.deliveries >= 1
         assert report.violations == []  # drops keep the buffer legal
+
+    def test_injected_breach_is_reported(self, monkeypatch):
+        """With the drop rule switched off, a delivery past the cap is
+        reported when it happens."""
+        monkeypatch.setattr(sim, "fits_in_buffer", lambda level, profile: True)
+
+        def greedy(state, profiles):
+            seg = state.next_seg.get(0)
+            if seg is not None and (0, seg) not in state.reserved:
+                return online.Download(owner=0, level=0, seg_index=seg)
+            return online.Wait(0.5)
+
+        prof = make_profile(0, buffer_cap=2.0, video_segments=10)
+        cfg = SimConfig(horizon=30.0, profiles=(prof,),
+                        capacity=CapacityTrace.constant([0], 10.0, 30.0),
+                        encounters=EncounterTrace.none(30.0), scheduler=greedy)
+        report = run_simulation(cfg)
+        assert report.drops == 0
+        assert report.violations
+        first = report.violations[0]
+        # the second segment lands on a full 2 s buffer at t = 0.08 s
+        assert re.fullmatch(r"t=0\.08\d*: buffer of user 0 out of range: 3\.9\d*", first)
+        assert all(
+            re.fullmatch(r"t=[0-9.e-]+: buffer of user 0 out of range: [0-9.e-]+", v)
+            for v in report.violations
+        )
+
+
+class TestOwners:
+    def test_custom_owner_buffer_drains(self):
+        """A non-video user named as a Download owner gets a buffer that is
+        broadcast and drains like a video user's."""
+        seen = []
+
+        def feed_one(state, profiles):
+            if state.user == 0:
+                seen.append((state.now, state.buffers[1]))
+                if state.now == 0.0:
+                    return online.Download(owner=1, level=0, seg_index=0)
+            return online.Wait(1.0)
+
+        profiles = (make_profile(0, video_segments=0), make_profile(1, video_segments=0))
+        report = run_simulation(SimConfig(
+            horizon=5.0, profiles=profiles,
+            capacity=CapacityTrace.constant([0, 1], 0.4, 5.0),
+            encounters=EncounterTrace.full([0, 1], 5.0), scheduler=feed_one,
+        ))
+        assert report.deliveries == 1 and report.violations == []
+        # 0.4 Mbit at 0.4 Mbps arrives at t=1 with 2 s of content
+        assert seen == [(0.0, 0.0), (1.0, 2.0), (2.0, 1.0), (3.0, 0.0), (4.0, 0.0)]
 
 
 class TestReportShape:

@@ -1,10 +1,13 @@
 """Simulator invariants on random capacity and encounter traces."""
+import dataclasses
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crowdstream import online
 from crowdstream.model import UserProfile
 from crowdstream.sim import TOL, SimConfig, run_simulation
-from crowdstream.traces import CapacityTrace, EncounterTrace, PiecewiseConstant
+from crowdstream.traces import CapacityTrace, EncounterTrace, PiecewiseConstant, TraceError
 
 LADDER = (0.2, 0.4, 0.7, 1.3, 2.3)
 
@@ -65,30 +68,92 @@ def test_run_invariants(config):
                 assert config.encounters.holds(n, r.owner, r.t_start, r.t_end)
 
 
-@settings(max_examples=40, deadline=None)
-@given(sim_configs())
-def test_snapshot_neighbors_match_encounter_trace(config):
-    """The reused neighbour tuples equal a fresh query of the trace."""
+def usable_by_scan(enc, n, m, now):
+    """The neighbour rule by a linear scan of the pair's intervals: usable
+    when the first window containing ``now`` reaches the trace horizon or
+    ends more than TOL later."""
+    if m == n:
+        return True
+    for a, b in enc.intervals.get((min(n, m), max(n, m)), ()):
+        if a <= now <= b:
+            return b >= enc.horizon or b > now + TOL
+    return False
+
+
+def check_neighbors(config, idle=False):
+    """Run ``config`` with a scheduler that records every snapshot whose
+    neighbour tuple differs from a fresh scan. With ``idle`` the scheduler
+    only waits 0.5 s, so every user decides at every multiple of 0.5 s."""
     ids = sorted(p.id for p in config.profiles)
     enc = config.encounters
     decide = online.make_scheduler(config.scheduler)
     mismatches = []
 
-    def usable(n, m, now):
-        if m == n:
-            return True
-        brk = enc.next_break(n, m, now)
-        return enc.encountered(n, m, now) and (brk is None or brk > now + TOL)
-
     def checking(state, profiles):
-        want = tuple(m for m in ids if usable(state.user, m, state.now))
+        want = tuple(m for m in ids if usable_by_scan(enc, state.user, m, state.now))
         if state.neighbors != want:
             mismatches.append((state.user, state.now, state.neighbors, want))
-        return decide(state, profiles)
+        return online.Wait(0.5) if idle else decide(state, profiles)
 
-    run_simulation(SimConfig(
-        horizon=config.horizon, profiles=config.profiles,
-        capacity=config.capacity, encounters=enc, scheduler=checking,
-        abort_policy=config.abort_policy,
-    ))
-    assert mismatches == []
+    run_simulation(dataclasses.replace(config, scheduler=checking))
+    return mismatches
+
+
+@settings(max_examples=40, deadline=None)
+@given(sim_configs())
+def test_snapshot_neighbors_match_encounter_trace(config):
+    """The reused neighbour tuples equal a fresh scan of the trace."""
+    assert check_neighbors(config) == []
+
+
+@st.composite
+def grid_encounters(draw, ids, horizon):
+    """Windows with ends on the 0.5 s grid, so idle users decide exactly at
+    them. Windows may touch or have zero length, and an end may be moved
+    5e-10 s later, so that the grid point before it lies less than TOL
+    before the break."""
+    grid = st.integers(0, int(2 * horizon)).map(lambda k: k / 2)
+    intervals = {}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            pts = sorted(draw(st.lists(grid, max_size=6)))
+            raw = list(zip(pts[::2], pts[1::2]))
+            ivs = []
+            for k, (lo, hi) in enumerate(raw):
+                if ivs and draw(st.booleans()):
+                    lo = ivs[-1][1]  # touch the previous window
+                limit = raw[k + 1][0] if k + 1 < len(raw) else horizon
+                if draw(st.booleans()) and hi + 5e-10 <= limit:
+                    hi += 5e-10
+                ivs.append((lo, hi))
+            if ivs:
+                intervals[(a, b)] = tuple(ivs)
+    return EncounterTrace(intervals=intervals, horizon=horizon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sim_configs(), st.data())
+def test_snapshot_neighbors_at_breakpoints(config, data):
+    """Queries exactly at window ends and starts, less than TOL before an
+    end, and at points where two windows touch."""
+    ids = sorted(p.id for p in config.profiles)
+    enc = data.draw(grid_encounters(ids, config.horizon))
+    config = dataclasses.replace(config, encounters=enc)
+    assert check_neighbors(config, idle=True) == []
+    assert check_neighbors(config) == []
+
+
+def test_query_past_encounter_horizon_raises():
+    """A simulation longer than its encounter trace fails on the first
+    neighbour query past the trace's end, as a direct trace query would."""
+    profiles = tuple(
+        UserProfile(id=n, beta=2.0, buffer_cap=6.0, ladder=LADDER, video_segments=3)
+        for n in (0, 1)
+    )
+    config = SimConfig(
+        horizon=10.0, profiles=profiles,
+        capacity=CapacityTrace.constant([0, 1], 0.0, 10.0),
+        encounters=EncounterTrace(intervals={(0, 1): ((1.0, 5.0),)}, horizon=5.0),
+    )
+    with pytest.raises(TraceError, match="outside horizon"):
+        run_simulation(config)

@@ -130,6 +130,49 @@ class TestEncounterTrace:
         assert again.encountered(0, 1, 8.0)
         assert not again.encountered(0, 1, 6.0)
 
+    @pytest.mark.parametrize("ivs", [
+        ((5.0, 6.0), (1.0, 2.0)),  # out of start order
+        ((0.0, 4.0), (3.0, 8.0)),  # overlapping
+        ((0.0, 4.0), (4.0, 8.0), (6.0, 7.0)),  # nested in an earlier one
+    ])
+    def test_rejects_unordered_or_overlapping_intervals(self, ivs):
+        with pytest.raises(TraceError, match="start order and disjoint"):
+            EncounterTrace(intervals={(0, 1): ivs}, horizon=10.0)
+        blob = {"horizon": 10.0, "pairs": [{"users": [0, 1], "intervals": ivs}]}
+        with pytest.raises(TraceError):
+            EncounterTrace.from_dict(blob)
+
+    def test_touching_intervals_accepted(self):
+        enc = EncounterTrace(intervals={(0, 1): ((0.0, 4.0), (4.0, 8.0))}, horizon=10.0)
+        assert enc.encountered(0, 1, 4.0)
+        assert enc.holds(0, 1, 4.0, 8.0)
+        assert enc.holds(0, 1, 1.0, 4.0)
+        assert not enc.holds(0, 1, 3.0, 5.0)  # no single window covers it
+
+    def test_next_break_at_touch_point_is_first_window(self):
+        enc = EncounterTrace(intervals={(0, 1): ((0.0, 4.0), (4.0, 8.0))}, horizon=10.0)
+        assert enc.next_break(0, 1, 4.0) == 4.0  # the window ending at 4
+        assert enc.next_break(1, 0, 4.0 + 1e-12) == 8.0
+        assert enc.next_break(0, 1, 3.0) == 4.0
+        assert enc.next_break(0, 1, 9.0) == 9.0
+        unbounded = EncounterTrace(intervals={(0, 1): ((0.0, 4.0), (4.0, 10.0))}, horizon=10.0)
+        assert unbounded.next_break(0, 1, 4.0) == 4.0
+        assert unbounded.next_break(0, 1, 5.0) is None
+
+    @given(st.lists(st.integers(0, 20), max_size=8), st.integers(0, 20), st.integers(0, 20))
+    def test_bisect_queries_match_linear_scan(self, cuts, i, j):
+        """Queries on sorted windows, touching or zero-length ones included,
+        agree with a scan that takes the first window containing t."""
+        pts = sorted(c / 2 for c in cuts)
+        ivs = tuple(zip(pts[::2], pts[1::2]))
+        enc = EncounterTrace(intervals={(0, 1): ivs} if ivs else {}, horizon=10.0)
+        t1, t2 = i / 2, j / 2
+        containing = [b for a, b in ivs if a <= t1 <= b]
+        assert enc.encountered(0, 1, t1) == bool(containing)
+        assert enc.holds(0, 1, t1, t2) == any(a <= t1 and t2 <= b for a, b in ivs)
+        want = t1 if not containing else (None if containing[0] >= 10.0 else containing[0])
+        assert enc.next_break(0, 1, t1) == want
+
 
 SESSIONS_CSV = """user_id,hotspot_id,login_s,logout_s
 0,ap1,0,10
