@@ -23,7 +23,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import offline, sim, traces
+from . import offline, online, sim, traces
 from .model import UserProfile
 
 DEFAULT_LADDER = (0.2, 0.4, 0.7, 1.3, 2.3)
@@ -43,7 +43,7 @@ class ExperimentSpec:
     n_users: int = 10
     video_fraction: float = 1.0
     capacity_range: tuple[float, float] = (0.5, 3.0)
-    cooperation: str = "full"  # "full" | "none" | "trace"
+    cooperation: str = "full"  # one of traces.ENCOUNTER_MODES
     schedulers: tuple[str, ...] = ("lyapunov", "buffer", "prediction")
     lambdas: tuple[float, ...] = (100.0,)
     seeds: tuple[int, ...] = tuple(range(10))
@@ -79,9 +79,9 @@ class ExperimentSpec:
         if not self.schedulers:
             raise SpecError("scheduler list must be nonempty")
         for s in self.schedulers:
-            if s not in ("lyapunov", "buffer", "prediction"):
+            if s not in online.SCHEDULERS:
                 raise SpecError(f"unknown scheduler {s!r}")
-        if self.cooperation not in ("full", "none", "trace"):
+        if self.cooperation not in traces.ENCOUNTER_MODES:
             raise SpecError(f"unknown cooperation mode {self.cooperation!r}")
         lo, hi = self.capacity_range
         if lo < 0 or hi < lo:
@@ -372,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--cap-lo", type=float, default=0.5)
     p_gen.add_argument("--cap-hi", type=float, default=3.0)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--encounters", default="trace",
-                       choices=("full", "none", "trace"))
+    p_gen.add_argument("--encounters", default="trace", choices=traces.ENCOUNTER_MODES)
     p_gen.add_argument("--out", default="trace.json")
     p_gen.set_defaults(fn=cmd_gen_traces)
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-FEASIBILITY_TOL = 1e-9
+TOL = 1e-9  # absolute slack of every feasibility and ordering comparison
 
 
 class IntegrityError(ValueError):
@@ -219,6 +219,19 @@ def _reception_gaps(received: Sequence[SegmentRecord]) -> list[float]:
     return gaps
 
 
+def buffer_levels(profile: UserProfile, received: Sequence[SegmentRecord]) -> list[float]:
+    """Buffer level (seconds) right after each reception of a receiving
+    sequence in playback order, starting from an empty buffer."""
+    if not received:
+        return []
+    q = update_buffer(0.0, 0.0, profile.beta)
+    levels = [q]
+    for gap in _reception_gaps(received):
+        q = update_buffer(q, gap, profile.beta)
+        levels.append(q)
+    return levels
+
+
 def eval_rebuf_loss(
     profile: UserProfile, received: Sequence[SegmentRecord]
 ) -> tuple[float, float]:
@@ -330,7 +343,6 @@ def validate_sequences(
     capacity,
     encounters,
     all_downloads: Mapping[int, Sequence[SegmentRecord]],
-    tol: float = FEASIBILITY_TOL,
 ) -> list[Violation]:
     """Check a joint schedule against the feasibility constraints.
 
@@ -343,7 +355,7 @@ def validate_sequences(
     for uid, downloads in all_downloads.items():
         ordered = sorted(downloads, key=lambda r: r.t_start)
         for a, b in zip(ordered, ordered[1:]):
-            if a.t_end > b.t_start + tol:
+            if a.t_end > b.t_start + TOL:
                 violations.append(Violation(
                     "timing", uid,
                     f"transfer ending at {a.t_end} overlaps next start {b.t_start}",
@@ -351,7 +363,7 @@ def validate_sequences(
         for rec in ordered:
             volume = rec.rate * profiles[rec.owner].beta if rec.completed else segment_volume(rec, profiles)
             available = capacity.integrate(uid, rec.t_start, rec.t_end)
-            if volume > available + tol:
+            if volume > available + TOL:
                 violations.append(Violation(
                     "capacity", uid,
                     f"segment needs {volume} Mbit but only {available} Mbit available "
@@ -368,18 +380,8 @@ def validate_sequences(
     except IntegrityError as exc:
         return violations + [Violation("duplicate", -1, str(exc))]
     for uid, recs in received.items():
-        profile = profiles[uid]
-        if not recs:
-            continue
-        q = update_buffer(0.0, 0.0, profile.beta)
-        if q > profile.buffer_cap + tol:
-            violations.append(Violation(
-                "buffer", uid, f"buffer {q} exceeds cap {profile.buffer_cap} at first reception"
-            ))
-        for gap in _reception_gaps(recs):
-            q = update_buffer(q, gap, profile.beta)
-            if q > profile.buffer_cap + tol:
-                violations.append(Violation(
-                    "buffer", uid, f"buffer {q} exceeds cap {profile.buffer_cap}"
-                ))
+        cap = profiles[uid].buffer_cap
+        for q in buffer_levels(profiles[uid], recs):
+            if q > cap + TOL:
+                violations.append(Violation("buffer", uid, f"buffer {q} exceeds cap {cap}"))
     return violations

@@ -18,9 +18,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from . import model
-from .model import SegmentRecord, UserProfile, Violation, WelfareBreakdown
-
-TOL = 1e-9
+from .model import TOL, SegmentRecord, UserProfile, Violation, WelfareBreakdown
 
 
 class SolverBudgetError(RuntimeError):
@@ -149,7 +147,7 @@ def _slot_totals(
 
 
 def check_slotted_feasibility(
-    instance: SlottedInstance, schedule: SlottedSchedule, tol: float = TOL
+    instance: SlottedInstance, schedule: SlottedSchedule
 ) -> list[Violation]:
     violations: list[Violation] = []
     received = [0] * instance.n_users
@@ -171,7 +169,7 @@ def check_slotted_feasibility(
     for n in range(instance.n_users):
         for t in range(instance.n_slots):
             x = mbit[n][t]
-            if x > instance.capacity[n][t] + tol:
+            if x > instance.capacity[n][t] + TOL:
                 violations.append(Violation(
                     "capacity", n,
                     f"slot {t}: {x} Mbit exceeds capacity {instance.capacity[n][t]}",
@@ -180,7 +178,7 @@ def check_slotted_feasibility(
         q = 0.0
         for t in range(instance.n_slots):
             q = max(0.0, q - instance.slot_len) + secs[m][t]
-            if q > prof.buffer_cap + tol:
+            if q > prof.buffer_cap + TOL:
                 violations.append(Violation(
                     "buffer", m, f"slot {t}: buffer {q} exceeds cap {prof.buffer_cap}"
                 ))
@@ -188,7 +186,7 @@ def check_slotted_feasibility(
 
 
 def eval_slotted_welfare(
-    instance: SlottedInstance, schedule: SlottedSchedule, check: bool = True
+    instance: SlottedInstance, schedule: SlottedSchedule
 ) -> tuple[float, dict[int, WelfareBreakdown]]:
     """Welfare of a slotted schedule: value minus losses and energies.
 
@@ -197,11 +195,10 @@ def eval_slotted_welfare(
     an empty slot carries the previous high bitrate forward. Rebuffering is
     charged per slot from the second slot on, only for video users.
     """
-    if check:
-        violations = check_slotted_feasibility(instance, schedule)
-        if violations:
-            raise ValueError("infeasible slotted schedule: "
-                             + "; ".join(f"{v.kind}: {v.detail}" for v in violations))
+    violations = check_slotted_feasibility(instance, schedule)
+    if violations:
+        raise ValueError("infeasible slotted schedule: "
+                         + "; ".join(f"{v.kind}: {v.detail}" for v in violations))
     N, T, L = instance.n_users, instance.n_slots, instance.slot_len
     slot_rates: list[list[list[float]]] = [[[] for _ in range(T)] for _ in range(N)]
     value = [0.0] * N
@@ -521,21 +518,19 @@ def brute_force_segmented(
     capacity,
     encounters,
     horizon: float,
-    grid: Sequence[float] | None = None,
     node_budget: int = 2_000_000,
 ) -> BruteForceResult:
     """Exhaustive search over asynchronous segmented schedules.
 
-    Start times are restricted to a finite grid (trace breakpoints by
-    default) plus each downloader's previous completion time, and every
-    transfer runs at full link capacity. The result is a welfare lower
-    bound certificate for the asynchronous optimum.
+    Start times are restricted to the trace breakpoints plus each
+    downloader's previous completion time, and every transfer runs at full
+    link capacity. The result is a welfare lower bound certificate for the
+    asynchronous optimum.
     """
     pmap = model.profile_map(profiles)
     ids = sorted(pmap)
-    if grid is None:
-        pts = set(capacity.breakpoints()) | set(encounters.breakpoints())
-        grid = sorted(t for t in pts if 0 <= t < horizon)
+    pts = set(capacity.breakpoints()) | set(encounters.breakpoints())
+    grid = sorted(t for t in pts if 0 <= t < horizon)
     owners = [m for m in ids if pmap[m].is_video_user]
     stats = {"nodes": 0, "leaves": 0}
     best = {"welfare": 0.0, "downloads": {n: [] for n in ids}}
@@ -550,7 +545,7 @@ def brute_force_segmented(
 
     def leaf(partial: float):
         stats["leaves"] += 1
-        if partial < best["welfare"] - 1e-9:
+        if partial < best["welfare"] - TOL:
             return  # welfare = partial minus nonnegative losses: cannot win
         downloads: dict[int, list[SegmentRecord]] = {n: [] for n in ids}
         per_owner: dict[int, list[tuple[float, int, float, float, int]]] = {m: [] for m in owners}
@@ -558,21 +553,17 @@ def brute_force_segmented(
             for start, end, m, z in scheduled[n]:
                 per_owner[m].append((end, n, start, pmap[m].ladder[z], z))
         for m in owners:
-            per_owner[m].sort()
-            prof = pmap[m]
-            q = 0.0
-            for k, (end, n, start, rate, z) in enumerate(per_owner[m]):
-                if k == 0:
-                    q = model.update_buffer(0.0, 0.0, prof.beta)
-                else:
-                    gap = max(0.0, end - per_owner[m][k - 1][0])
-                    q = model.update_buffer(q, gap, prof.beta)
-                if q > prof.buffer_cap + TOL:
-                    return  # infeasible leaf
-                downloads[n].append(SegmentRecord(
-                    downloader=n, owner=m, level=z, rate=rate, seg_index=k,
-                    t_start=start, t_end=end,
-                ))
+            # segments are numbered in arrival order, so this is playback order
+            received = [
+                SegmentRecord(downloader=n, owner=m, level=z, rate=rate, seg_index=k,
+                              t_start=start, t_end=end)
+                for k, (end, n, start, rate, z) in enumerate(sorted(per_owner[m]))
+            ]
+            cap = pmap[m].buffer_cap
+            if any(q > cap + TOL for q in model.buffer_levels(pmap[m], received)):
+                return  # infeasible leaf
+            for rec in received:
+                downloads[rec.downloader].append(rec)
         welfare, _ = model.eval_social_welfare(pmap, downloads)
         if welfare > best["welfare"]:
             best["welfare"] = welfare

@@ -39,9 +39,9 @@ class SchedulerState:
     """Snapshot visible to one deciding downloader at one instant.
 
     ``buffers`` and ``last_rates`` cover every user (the periodic broadcast);
-    ``next_seg`` maps each user to its next missing playback index, or None
-    once the video is complete. ``reserved`` holds (owner, seg_index) pairs
-    already committed to an in-flight transfer.
+    ``next_seg`` maps each user to the smallest segment index that is
+    neither delivered nor in flight, or None when there is none.
+    ``neighbors`` is in ascending id order, without duplicates.
     """
 
     user: int
@@ -51,7 +51,6 @@ class SchedulerState:
     buffers: Mapping[int, float]
     last_rates: Mapping[int, float | None]
     next_seg: Mapping[int, int | None]
-    reserved: frozenset[tuple[int, int]] = frozenset()
     throughput_samples: tuple[float, ...] = ()
 
 
@@ -136,16 +135,16 @@ def _split_candidates(
     state: SchedulerState, profiles: Mapping[int, UserProfile]
 ) -> tuple[list[int], list[int]]:
     """Owners the decider could serve now, and those blocked only by a
-    full buffer (relevant for the waiting-timer branch). Only users with a
-    next segment can be owners, so the others are dropped before sorting."""
+    full buffer (relevant for the waiting-timer branch); both in id order.
+    Only users with a next segment can be owners."""
     ready: list[int] = []
     blocked: list[int] = []
     next_seg = state.next_seg
-    for u in sorted({u for u in state.neighbors if next_seg.get(u) is not None}):
+    for u in state.neighbors:
+        if next_seg.get(u) is None:
+            continue
         prof = profiles.get(u)
         if prof is None or not prof.is_video_user:
-            continue
-        if (u, next_seg[u]) in state.reserved:
             continue
         if state.buffers.get(u, 0.0) + prof.beta <= prof.buffer_cap:
             ready.append(u)
@@ -198,14 +197,11 @@ def lyapunov_decide(
     return Download(owner=u, level=z, seg_index=state.next_seg[u])
 
 
-def predict_capacity(
-    samples: tuple[float, ...] | list[float], fallback: float,
-    window: int = PREDICTION_WINDOW,
-) -> float:
-    """Harmonic mean of the last ``window`` throughput samples (Mbps)."""
+def predict_capacity(samples: tuple[float, ...] | list[float], fallback: float) -> float:
+    """Harmonic mean of the last ``PREDICTION_WINDOW`` throughput samples (Mbps)."""
     if not samples:
         return fallback
-    recent = list(samples[-window:])
+    recent = list(samples[-PREDICTION_WINDOW:])
     if min(recent) <= 0:
         return 0.0
     return len(recent) / sum(1.0 / s for s in recent)

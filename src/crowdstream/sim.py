@@ -9,11 +9,11 @@ encounter mid-flight are aborted with pro-rata energy under the default
 abort policy.
 
 Scheduler state is kept incrementally rather than rescanned per decision:
-each owner's next missing segment is found from a lower-bound pointer, each
-user's neighbour set is reused between consecutive encounter breakpoints and
-rebuilt from its encounter partners only, only owners' buffers are drained
-and checked, and one snapshot serves both the decision and its welfare
-estimate.
+each owner's smallest free segment moves only when a transfer to it starts
+or ends undelivered, each user's neighbour set is reused between
+consecutive encounter breakpoints and rebuilt from its encounter partners
+only, only owners' buffers are drained and checked, and one snapshot serves
+both the decision and its welfare estimate.
 """
 from __future__ import annotations
 
@@ -25,10 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from . import model, offline, online
-from .model import SegmentRecord, UserProfile
+from .model import TOL, SegmentRecord, UserProfile
 from .traces import CapacityTrace, EncounterTrace, TraceError
-
-TOL = 1e-9
 
 
 def fits_in_buffer(level: float, profile: UserProfile) -> bool:
@@ -106,15 +104,13 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     parked: dict[int, set[int]] = {n: set() for n in ids}
     play_next = {n: 0 for n in ids}  # first index not yet in the playable prefix
     last_rates: dict[int, float | None] = {n: None for n in ids}
-    delivered_segs: dict[int, set[int]] = {n: set() for n in ids}
-    reserved: set[tuple[int, int]] = set()
-    # every segment index below seg_lo[n] is delivered or reserved
-    seg_lo = {n: 0 for n in ids}
-    busy = {n: False for n in ids}
+    # segment indices of the transfers in flight to each owner; segment k
+    # of owner u is delivered iff k < play_next[u] or k in parked[u]
+    reserved: dict[int, set[int]] = {n: set() for n in ids}
     samples: dict[int, list[float]] = {n: [] for n in ids}
     downloads: dict[int, list[SegmentRecord]] = {n: [] for n in ids}
     violations: list[str] = []
-    counters = {"deliveries": 0, "drops": 0, "aborts": 0}
+    counters = {"drops": 0, "aborts": 0}
     sw_estimated = 0.0
     last_t = 0.0
 
@@ -126,16 +122,14 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         heapq.heappush(events, (time, seq, kind, payload))
         seq += 1
 
-    inflight = {n: 0 for n in ids}  # reserved transfers currently heading to n
     betas = {n: profiles[n].beta for n in ids}
     max_levels = {n: profiles[n].buffer_cap + TOL for n in ids}
-    video_ids = [n for n in ids if profiles[n].is_video_user]
-    # Owners are the only users whose buffer, parked set or in-flight count
-    # can be nonzero: the video users, plus any user a custom scheduler
+    # Owners are the only users with a nonzero buffer or a nonempty parked
+    # or reserved set: the video users, plus any user a custom scheduler
     # names as a Download owner (added when that transfer starts). Every
     # other user's buffer and broadcast level stay exactly 0.0. (A dict is
     # used as an insertion-ordered set.)
-    owners = dict.fromkeys(video_ids)
+    owners = dict.fromkeys(n for n in ids if profiles[n].is_video_user)
     zero_levels = dict.fromkeys(ids, 0.0)
 
     def advance(now: float) -> None:
@@ -158,21 +152,15 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         if buffers[n] < -TOL or level > max_levels[n]:
             violations.append(f"t={now}: buffer of user {n} out of range: {level}")
 
-    def next_seg_of(n: int) -> int | None:
-        """Smallest segment index of video user n neither delivered nor
-        reserved by an in-flight transfer, so several downloaders can serve
-        one owner. The scan starts at ``seg_lo[n]`` and moves it forward."""
-        k, segs, done = seg_lo[n], profiles[n].video_segments, delivered_segs[n]
-        while k < segs and (k in done or (n, k) in reserved):
-            k += 1
-        seg_lo[n] = k
-        return k if k < segs else None
+    def taken(u: int, k: int) -> bool:
+        """Segment k of owner u is delivered or reserved by a transfer."""
+        return k < play_next[u] or k in parked[u] or k in reserved[u]
 
-    # next_seg_of(n) changes only when a transfer to owner n starts or ends,
-    # so it is kept per user and refreshed there; None for non-video users
-    next_segs: dict[int, int | None] = dict.fromkeys(ids)
-    for n in video_ids:
-        next_segs[n] = next_seg_of(n)
+    # Each owner's smallest segment index that is neither delivered nor
+    # reserved (None once there is none, and for non-video users), so
+    # several downloaders can serve one owner. It moves forward when a
+    # transfer reserves it and back when a transfer ends undelivered.
+    next_segs = {n: 0 if profiles[n].is_video_user else None for n in ids}
 
     # A user is always its own neighbour. Another user m is a usable
     # neighbour of n at ``now`` when the first of the pair's closed encounter
@@ -235,7 +223,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         # so concurrent downloaders do not over-fill one owner's buffer
         levels = dict(zero_levels)
         for m in owners:
-            levels[m] = buffers[m] + betas[m] * len(parked[m]) + betas[m] * inflight[m]
+            levels[m] = committed(m) + betas[m] * len(reserved[m])
         return online.SchedulerState(
             user=n,
             now=now,
@@ -244,7 +232,6 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             buffers=levels,
             last_rates=dict(last_rates),
             next_seg=dict(next_segs),
-            reserved=frozenset(reserved),
             throughput_samples=tuple(samples[n]),
         )
 
@@ -255,11 +242,15 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         was made on, reused for the welfare estimate."""
         nonlocal sw_estimated
         u, z, k = decision.owner, decision.level, decision.seg_index
-        prof_u = profiles[u]
-        if k in delivered_segs[u] or (u, k) in reserved:
+        if u not in state.neighbors:
+            violations.append(f"t={now}: owner {u} is not a neighbour of {n}")
+            push(min(now + online.DEFAULT_EPOCH, horizon), "epoch", n)
+            return
+        if taken(u, k):
             violations.append(f"t={now}: stale segment choice ({u},{k}) by {n}")
             push(min(now + online.DEFAULT_EPOCH, horizon), "epoch", n)
             return
+        prof_u = profiles[u]
         rate = prof_u.ladder[z]
         vol = rate * prof_u.beta
         end = config.capacity.invert(n, now, vol)
@@ -284,19 +275,18 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             sw_estimated += online.decision_payoff(state, profiles, u, z)
         except ValueError:
             pass  # zero instantaneous capacity: no payoff estimate
-        reserved.add((u, k))
-        next_segs[u] = next_seg_of(u)
-        inflight[u] += 1
+        reserved[u].add(k)
+        if next_segs[u] == k:
+            j, segs = k + 1, prof_u.video_segments
+            while j < segs and taken(u, j):
+                j += 1
+            next_segs[u] = j if j < segs else None
         owners[u] = None
-        busy[n] = True
         push(end, "complete", (n, record))
 
     def finish_download(n: int, now: float, record: SegmentRecord) -> None:
         u, k = record.owner, record.seg_index
-        reserved.discard((u, k))
-        seg_lo[u] = min(seg_lo[u], k)  # k is free again unless delivered below
-        inflight[u] -= 1
-        busy[n] = False
+        reserved[u].discard(k)
         final = record
         if record.completed:
             prof_u = profiles[u]
@@ -309,8 +299,6 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
                     delivered=True, completed=True, mbit=record.mbit,
                 )
                 last_rates[u] = record.rate
-                delivered_segs[u].add(k)
-                counters["deliveries"] += 1
                 parked[u].add(k)
                 while play_next[u] in parked[u]:
                     parked[u].discard(play_next[u])
@@ -319,7 +307,10 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
                 check_level(u, now)
             if record.t_end > record.t_start:
                 samples[n].append(record.mbit / (record.t_end - record.t_start))
-        next_segs[u] = next_seg_of(u)
+        # k is free again (unless a custom scheduler named one past the end)
+        cur = next_segs[u]
+        if not final.delivered and k < profiles[u].video_segments and (cur is None or k < cur):
+            next_segs[u] = k
         downloads[n].append(final)
         if now < horizon:
             push(now, "epoch", n)
@@ -334,7 +325,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         advance(min(time, horizon))
         if kind == "epoch":
             n = payload
-            if busy[n] or time >= horizon:
+            if time >= horizon:
                 continue
             state = snapshot(n, time)
             decision = scheduler(state, profiles)
@@ -349,22 +340,17 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             finish_download(n, time, record)
 
     advance(horizon)
-    for n in ids:
+    for n in sorted(owners):
         check_level(n, horizon)
 
-    # accounting invariants over the realized records
-    seen: set[tuple[int, int]] = set()
+    # A duplicate delivery would make eval_social_welfare raise below.
     for n in ids:
         for r in downloads[n]:
             if r.delivered:
-                key = (r.owner, r.seg_index)
-                if key in seen:
-                    violations.append(f"duplicate delivered segment {key}")
-                seen.add(key)
                 got = config.capacity.integrate(n, r.t_start, r.t_end)
-                if r.rate * profiles[r.owner].beta > got + 1e-9:
+                if r.rate * profiles[r.owner].beta > got + TOL:
                     violations.append(
-                        f"capacity shortfall for segment {key} by user {n}"
+                        f"capacity shortfall for segment {(r.owner, r.seg_index)} by user {n}"
                     )
 
     welfare, breakdowns = model.eval_social_welfare(profiles, downloads)
@@ -379,7 +365,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     per_user = {
         n: {
             **breakdowns[n].to_dict(),
-            "delivered_segments": len(delivered_segs[n]),
+            "delivered_segments": play_next[n] + len(parked[n]),
             "video_segments": profiles[n].video_segments,
         }
         for n in ids
@@ -398,7 +384,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         sw_estimated=sw_estimated,
         avg_bitrate_mbps=avg_rate,
         rebuffer_s=rebuffer_s,
-        deliveries=counters["deliveries"],
+        deliveries=len(delivered_records),
         drops=counters["drops"],
         aborts=counters["aborts"],
         per_user=per_user,
@@ -407,17 +393,13 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     )
 
 
-def gap_vs_upper_bound(
-    report: ExperimentReport,
-    instance: offline.SlottedInstance,
-    eps: float = 1e-9,
-) -> float:
+def gap_vs_upper_bound(report: ExperimentReport, instance: offline.SlottedInstance) -> float:
     """Relative gap between the fluid upper bound and the accumulated
     per-decision welfare estimate of a run."""
-    return relative_gap(offline.solve_slotted_relaxed(instance), report.sw_estimated, eps)
+    return relative_gap(offline.solve_slotted_relaxed(instance), report.sw_estimated)
 
 
-def relative_gap(upper: float, sw_estimated: float, eps: float = 1e-9) -> float:
-    """``(upper - sw_estimated) / max(|upper|, eps)``: the one gap formula,
+def relative_gap(upper: float, sw_estimated: float) -> float:
+    """``(upper - sw_estimated) / max(|upper|, TOL)``: the one gap formula,
     for callers that solved the fluid bound themselves."""
-    return (upper - sw_estimated) / max(abs(upper), eps)
+    return (upper - sw_estimated) / max(abs(upper), TOL)

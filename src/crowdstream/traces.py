@@ -385,13 +385,19 @@ def capacity_from_viewing_log(
 # Synthetic generators (seed-deterministic)
 # ---------------------------------------------------------------------------
 
+CAPACITY_HOLD_MEAN = 30.0  # mean seconds a synthetic capacity rate holds
+CAPACITY_JITTER = 0.5  # each held rate is the user's mean times U(1 -/+ this)
+ENCOUNTER_MEAN_ON = 60.0  # mean seconds of a synthetic encounter window
+ENCOUNTER_MEAN_OFF = 60.0  # mean seconds between two windows of a pair
+# "full": every pair always encountered; "none": no pair ever; "trace": random
+ENCOUNTER_MODES = ("full", "none", "trace")
+
+
 def synth_capacity(
     user_ids: Sequence[int],
     horizon: float,
     mean_range: tuple[float, float],
     seed: int,
-    hold_mean: float = 30.0,
-    jitter: float = 0.5,
 ) -> CapacityTrace:
     """Markov-modulated piecewise-constant capacity per user.
 
@@ -402,8 +408,6 @@ def synth_capacity(
     lo, hi = mean_range
     if lo < 0 or hi < lo:
         raise TraceError(f"bad mean capacity range [{lo}, {hi}]")
-    if hold_mean <= 0 or not 0 <= jitter < 1:
-        raise TraceError("hold_mean must be positive and jitter in [0, 1)")
     rng = random.Random(f"capacity/{seed}")
     users = {}
     for n in sorted(user_ids):
@@ -412,8 +416,8 @@ def synth_capacity(
         t = 0.0
         while t < horizon:
             times.append(t)
-            rates.append(mean * rng.uniform(1.0 - jitter, 1.0 + jitter))
-            t += rng.expovariate(1.0 / hold_mean)
+            rates.append(mean * rng.uniform(1.0 - CAPACITY_JITTER, 1.0 + CAPACITY_JITTER))
+            t += rng.expovariate(1.0 / CAPACITY_HOLD_MEAN)
         users[n] = PiecewiseConstant(tuple(times), tuple(rates), horizon)
     return CapacityTrace(users=users, horizon=horizon)
 
@@ -423,22 +427,18 @@ def synth_encounters(
     horizon: float,
     seed: int,
     mode: str = "trace",
-    mean_on: float = 60.0,
-    mean_off: float = 60.0,
 ) -> EncounterTrace:
     """Alternating exponential ON/OFF encounter process per user pair.
 
-    ``mode`` selects the two benchmark scenarios: "full" (every pair always
-    encountered), "none" (no pair ever encountered), or "trace" (random).
+    ``mode`` is one of ``ENCOUNTER_MODES``.
     """
+    if mode not in ENCOUNTER_MODES:
+        raise TraceError(f"unknown encounter mode {mode!r}")
     if mode == "full":
         return EncounterTrace.full(list(user_ids), horizon)
     if mode == "none":
         return EncounterTrace.none(horizon)
-    if mode != "trace":
-        raise TraceError(f"unknown encounter mode {mode!r}")
-    if mean_on <= 0 or mean_off <= 0:
-        raise TraceError("ON/OFF durations must be positive")
+    mean_on, mean_off = ENCOUNTER_MEAN_ON, ENCOUNTER_MEAN_OFF
     rng = random.Random(f"encounters/{seed}")
     ids = sorted(user_ids)
     pairs: dict[tuple[int, int], tuple[tuple[float, float], ...]] = {}

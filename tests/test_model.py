@@ -118,6 +118,19 @@ class TestUpdateBuffer:
         assert beta <= got <= q + beta
 
 
+class TestBufferLevels:
+    def test_out_of_order_arrivals(self):
+        # playback order 0..3; segment 2 arrives at t=3 before segment 1 at
+        # t=5, so segment 2 adds to the buffer with no drain in between
+        p = make_profile()
+        seq = [rec(0.7, 1.0, 0), rec(0.7, 5.0, 1), rec(0.7, 3.0, 2), rec(0.7, 6.5, 3)]
+        # 2; drained 4 s to 0 then +2; +2 with a zero gap; 4 - 1.5 + 2
+        assert model.buffer_levels(p, seq) == [2.0, 2.0, 4.0, 4.5]
+
+    def test_empty_sequence(self):
+        assert model.buffer_levels(make_profile(), []) == []
+
+
 class TestRebufLoss:
     def test_no_stall(self):
         p = make_profile(phi_rebuf=1.0)
@@ -268,6 +281,17 @@ class TestValidateSequences:
         downloads = {0: [rec(0.7, 1.0, 0, t_start=0.0), rec(0.7, 1.5, 1, t_start=1.0)]}
         got = model.validate_sequences(profiles, self.cap, self.enc, downloads)
         assert any(v.kind == "buffer" for v in got)
+
+    def test_only_receptions_above_cap_flagged(self):
+        # same out-of-order sequence: levels 2, 2, 4, 4.5, so a 4.2 s cap
+        # is exceeded only at the last reception
+        profiles = {0: make_profile(buffer_cap=4.2)}
+        downloads = {0: [
+            rec(0.7, 1.0, 0, t_start=0.0), rec(0.7, 3.0, 2, t_start=2.0),
+            rec(0.7, 5.0, 1, t_start=4.0), rec(0.7, 6.5, 3, t_start=5.5),
+        ]}
+        got = model.validate_sequences(profiles, self.cap, self.enc, downloads)
+        assert got == [model.Violation("buffer", 0, "buffer 4.5 exceeds cap 4.2")]
 
     def test_duplicate_detected(self):
         downloads = {0: [rec(0.7, 1.0, 0, t_start=0.0), rec(0.7, 3.0, 0, t_start=2.0)]}

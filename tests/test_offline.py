@@ -242,6 +242,17 @@ class TestBruteForceSegmented:
         res = brute_force_segmented((prof,), cap, enc, horizon=8.0)
         assert model.validate_sequences({0: prof}, cap, enc, res.downloads) == []
 
+    def test_buffer_cap_delays_second_segment(self):
+        # a 2 s buffer holds one segment, so a second segment arriving back
+        # to back overflows it; it starts at the t=4 breakpoint instead
+        prof = make_profile(segs=2, buffer_cap=2.0, c_time=0.05)
+        cap = traces.CapacityTrace(
+            users={0: traces.PiecewiseConstant((0.0, 4.0), (1.0, 1.0), 8.0)}, horizon=8.0)
+        enc = traces.EncounterTrace.none(8.0)
+        res = brute_force_segmented((prof,), cap, enc, horizon=8.0)
+        assert [r.t_start for r in res.downloads[0]] == [0.0, 4.0]
+        assert model.validate_sequences({0: prof}, cap, enc, res.downloads) == []
+
 
 class TestSlottedEmbedding:
     def test_back_to_back_embedding_matches_welfare(self):

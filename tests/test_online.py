@@ -23,15 +23,14 @@ def make_profile(n=0, **kw):
 
 
 def make_state(user=0, capacity=1.4, neighbors=(0,), buffers=None,
-               last_rates=None, next_seg=None, reserved=frozenset(),
-               samples=()):
+               last_rates=None, next_seg=None, samples=()):
     ids = set(neighbors) | {user}
     return SchedulerState(
         user=user, now=0.0, capacity=capacity, neighbors=tuple(neighbors),
         buffers=buffers if buffers is not None else {n: 5.0 for n in ids},
         last_rates=last_rates if last_rates is not None else {n: None for n in ids},
         next_seg=next_seg if next_seg is not None else {n: 0 for n in ids},
-        reserved=reserved, throughput_samples=tuple(samples),
+        throughput_samples=tuple(samples),
     )
 
 
@@ -133,11 +132,6 @@ class TestLyapunovDecide:
         state = make_state(next_seg={0: None})
         assert lyapunov_decide(state, profs, lam=100.0) == Wait(1.0)
 
-    def test_reserved_segment_not_rechosen(self):
-        profs = {0: make_profile()}
-        state = make_state(next_seg={0: 3}, reserved=frozenset({(0, 3)}))
-        assert lyapunov_decide(state, profs, lam=100.0) == Wait(1.0)
-
     def test_large_lambda_maximizes_payoff(self):
         profs = {0: make_profile()}
         state = make_state(capacity=10.0, buffers={0: 5.0})
@@ -185,7 +179,7 @@ class TestPredictCapacity:
 
     def test_window_keeps_recent_samples(self):
         assert predict_capacity((9.0, 9.0, 1.0, 1.0, 1.0, 1.0, 1.0),
-                                fallback=0.0, window=5) == pytest.approx(1.0)
+                                fallback=0.0) == pytest.approx(1.0)
 
     def test_zero_sample_gives_zero(self):
         assert predict_capacity((2.0, 0.0), fallback=1.0) == 0.0

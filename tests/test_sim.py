@@ -212,7 +212,7 @@ class TestDrops:
     def test_over_eager_scheduler_drops_at_full_buffer(self):
         def greedy(state, profiles):
             seg = state.next_seg.get(0)
-            if seg is not None and (0, seg) not in state.reserved:
+            if seg is not None:
                 return online.Download(owner=0, level=0, seg_index=seg)
             return online.Wait(0.5)
 
@@ -232,7 +232,7 @@ class TestDrops:
 
         def greedy(state, profiles):
             seg = state.next_seg.get(0)
-            if seg is not None and (0, seg) not in state.reserved:
+            if seg is not None:
                 return online.Download(owner=0, level=0, seg_index=seg)
             return online.Wait(0.5)
 
@@ -274,6 +274,71 @@ class TestOwners:
         assert report.deliveries == 1 and report.violations == []
         # 0.4 Mbit at 0.4 Mbps arrives at t=1 with 2 s of content
         assert seen == [(0.0, 0.0), (1.0, 2.0), (2.0, 1.0), (3.0, 0.0), (4.0, 0.0)]
+
+
+class TestNextSeg:
+    def test_next_seg_across_reserve_ahead_abort_and_delivery(self):
+        """``next_seg`` skips segments in flight, stays put when a segment
+        ahead of it is reserved or delivered, and falls back to a segment
+        whose transfer was aborted."""
+        seen = []
+
+        def script(state, profiles):
+            seen.append((state.user, state.now, state.next_seg[0]))
+            if state.user == 0:  # reserve segment 2, ahead of next_seg 0
+                return online.Download(0, 0, 2) if state.now == 0.0 else online.Wait(10.0)
+            seg = state.next_seg[0]
+            if 0 in state.neighbors and seg is not None:
+                return online.Download(owner=0, level=0, seg_index=seg)
+            return online.Wait(1.0)
+
+        profiles = (make_profile(0, video_segments=5),
+                    make_profile(1, video_segments=0), make_profile(2, video_segments=0))
+        # a level-0 segment (0.4 Mbit) takes 2 s; user 2 meets user 0 only
+        # until t=1.5, so its transfer of segment 1 is aborted there
+        report = run_simulation(SimConfig(
+            horizon=5.0, profiles=profiles,
+            capacity=CapacityTrace.constant([0, 1, 2], 0.2, 5.0),
+            encounters=EncounterTrace(
+                intervals={(0, 1): ((0.0, 5.0),), (0, 2): ((0.0, 1.5),)}, horizon=5.0),
+            scheduler=script,
+        ))
+        assert seen == [
+            (0, 0.0, 0), (1, 0.0, 0), (2, 0.0, 1),  # 2 and 0 reserved -> 1
+            (2, 1.5, 1),  # segment 1 aborted: free again
+            (0, 2.0, 1), (1, 2.0, 1),  # 2 and 0 delivered: unchanged
+            (2, 2.5, 3), (2, 3.5, 3),  # 1 reserved; 2 delivered -> 3
+            (1, 4.0, 3), (2, 4.5, 4),  # 3 reserved (cut at the horizon)
+        ]
+        assert report.aborts == 1 and report.violations == []
+        assert report.per_user[0]["delivered_segments"] == 3
+
+
+class TestSchedulerChoiceChecks:
+    def test_non_neighbour_owner_is_a_violation(self):
+        """A Download naming an owner the downloader does not encounter is
+        refused and the downloader re-polls one epoch later."""
+        calls = []
+
+        def reach(state, profiles):
+            calls.append(state.now)
+            if len(calls) > 1000:
+                raise RuntimeError("simulator made no progress")
+            if state.user == 1:
+                return online.Download(owner=0, level=0, seg_index=0)
+            return online.Wait(10.0)
+
+        profiles = (make_profile(0, video_segments=5), make_profile(1, video_segments=0))
+        report = run_simulation(SimConfig(
+            horizon=10.0, profiles=profiles,
+            capacity=CapacityTrace.constant([0, 1], 1.0, 10.0),
+            encounters=EncounterTrace.none(10.0), scheduler=reach,
+        ))
+        assert report.violations == [
+            f"t={float(t)}: owner 0 is not a neighbour of 1" for t in range(10)
+        ]
+        assert report.downloads == {0: [], 1: []}
+        assert report.aborts == 0
 
 
 class TestReportShape:

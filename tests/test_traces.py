@@ -236,7 +236,7 @@ class TestSynthetic:
         assert a.to_dict() != c.to_dict()
 
     def test_capacity_rates_within_jitter_band(self):
-        cap = traces.synth_capacity([0], 200.0, (1.0, 2.0), seed=1, jitter=0.5)
+        cap = traces.synth_capacity([0], 200.0, (1.0, 2.0), seed=1)
         for rate in cap.users[0].values:
             assert 0.5 * 1.0 <= rate <= 1.5 * 2.0
 
