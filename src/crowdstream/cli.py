@@ -7,8 +7,9 @@ Verbs:
   gen-traces synthesize seeded capacity/encounter traces to trace.json
   ingest     convert session/viewing CSV logs to trace.json
 
-Exit codes: 0 success, 2 usage/config error (including a bounds instance
-that cannot be built), 3 partial result (a bound solver ran out of budget:
+Exit codes: 0 success, 2 usage/config error (including a run spec that
+fails its checks, before anything runs, and a bounds instance that cannot
+be built), 3 partial result (a bound solver ran out of budget:
 the partial certificate names it in solver_stats.failed_solver and keeps
 the LP bound and every value that finished) or no result (the relaxation
 LP failed, which happens before any search: nothing is written).
@@ -19,6 +20,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -74,8 +76,6 @@ class ExperimentSpec:
             self.video_fraction = 1.0
         if not 0.0 <= self.video_fraction <= 1.0:
             raise SpecError("video_fraction must lie in [0, 1]")
-        if self.n_users < 1:
-            raise SpecError("need at least one user")
         if not self.schedulers:
             raise SpecError("scheduler list must be nonempty")
         for s in self.schedulers:
@@ -83,9 +83,31 @@ class ExperimentSpec:
                 raise SpecError(f"unknown scheduler {s!r}")
         if self.cooperation not in traces.ENCOUNTER_MODES:
             raise SpecError(f"unknown cooperation mode {self.cooperation!r}")
+        if self.abort_policy not in sim.ABORT_POLICIES:
+            raise SpecError(f"unknown abort policy {self.abort_policy!r}")
         lo, hi = self.capacity_range
         if lo < 0 or hi < lo:
             raise SpecError(f"bad capacity range [{lo}, {hi}]")
+        if not self.seeds:
+            raise SpecError("seed list must be nonempty")
+        if "lyapunov" in self.schedulers and not self.lambdas:
+            raise SpecError("lambda list must be nonempty when lyapunov is listed")
+        if not self.horizon > 0:
+            raise SpecError(f"horizon must be positive, got {self.horizon}")
+        if self.compute_gap and not self.slot_len > 0:
+            raise SpecError(f"slot_len must be positive, got {self.slot_len}")
+        if not self.beta > 0:  # build_profiles divides by it
+            raise SpecError(f"beta must be positive, got {self.beta}")
+        try:
+            _instance_value("n_users", self.n_users, (int,))
+            for lam in self.lambdas:
+                if not math.isfinite(_instance_value("lambda", lam, (int, float))):
+                    raise SpecError(f"lambda must be finite, got {lam}")
+            if self.n_users < 1:
+                raise SpecError("need at least one user")
+            build_profiles(self)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(str(exc)) from exc
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentSpec":

@@ -38,10 +38,12 @@ Decision = Download | Wait
 class SchedulerState:
     """Snapshot visible to one deciding downloader at one instant.
 
-    ``buffers`` and ``last_rates`` cover every user (the periodic broadcast);
-    ``next_seg`` maps each user to the smallest segment index that is
-    neither delivered nor in flight, or None when there is none.
-    ``neighbors`` is in ascending id order, without duplicates.
+    The broadcast ``buffers``, ``last_rates`` and ``next_seg`` holds owners
+    only (video users, and users a Download has named); a user missing from
+    it has a 0 s buffer, no last rate and no next segment. ``next_seg`` is
+    the smallest segment index neither delivered nor in flight, or None.
+    ``throughput_samples`` holds the decider's last ``PREDICTION_WINDOW``
+    samples. ``neighbors`` is in ascending id order, without duplicates.
     """
 
     user: int
@@ -119,10 +121,10 @@ def lyapunov_drift(
     if gamma is None:
         raise ValueError("cannot evaluate a download with zero capacity")
     drift = 0.0
-    for m, prof in profiles.items():
-        if not prof.is_video_user or m not in state.buffers:
+    for m, q in state.buffers.items():
+        prof = profiles.get(m)
+        if prof is None or not prof.is_video_user:
             continue
-        q = state.buffers[m]
         if m == u:
             q_next = min(prof.buffer_cap, max(0.0, q - gamma) + prof.beta)
         else:

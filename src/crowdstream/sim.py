@@ -12,12 +12,13 @@ Scheduler state is kept incrementally rather than rescanned per decision:
 each owner's smallest free segment moves only when a transfer to it starts
 or ends undelivered, each user's neighbour set is reused between
 consecutive encounter breakpoints and rebuilt from its encounter partners
-only, only owners' buffers are drained and checked, and one snapshot serves
-both the decision and its welfare estimate.
+only, only owners' buffers are drained, checked and broadcast, and one
+snapshot serves both the decision and its welfare estimate.
 """
 from __future__ import annotations
 
 import bisect
+import collections
 import heapq
 import json
 import math
@@ -35,6 +36,8 @@ def fits_in_buffer(level: float, profile: UserProfile) -> bool:
     return level + profile.beta <= profile.buffer_cap + TOL
 
 
+ABORT_POLICIES = ("abort", "complete")
+
 SchedulerFn = Callable[[online.SchedulerState, Mapping[int, UserProfile]], online.Decision]
 
 
@@ -47,14 +50,14 @@ class SimConfig:
     scheduler: str | SchedulerFn = "lyapunov"
     scheduler_params: Mapping[str, float] = field(default_factory=dict)
     seed: str = "0"
-    abort_policy: str = "abort"  # "abort" | "complete"
+    abort_policy: str = "abort"  # one of ABORT_POLICIES
 
     def __post_init__(self) -> None:
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if self.horizon > self.capacity.horizon + TOL:
             raise ValueError("horizon exceeds capacity trace horizon")
-        if self.abort_policy not in ("abort", "complete"):
+        if self.abort_policy not in ABORT_POLICIES:
             raise ValueError(f"unknown abort policy {self.abort_policy!r}")
 
 
@@ -103,11 +106,11 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     buffers = {n: 0.0 for n in ids}
     parked: dict[int, set[int]] = {n: set() for n in ids}
     play_next = {n: 0 for n in ids}  # first index not yet in the playable prefix
-    last_rates: dict[int, float | None] = {n: None for n in ids}
+    last_rates: dict[int, float] = {}  # owners with a delivery: their last rate
     # segment indices of the transfers in flight to each owner; segment k
     # of owner u is delivered iff k < play_next[u] or k in parked[u]
     reserved: dict[int, set[int]] = {n: set() for n in ids}
-    samples: dict[int, list[float]] = {n: [] for n in ids}
+    samples = {n: collections.deque(maxlen=online.PREDICTION_WINDOW) for n in ids}
     downloads: dict[int, list[SegmentRecord]] = {n: [] for n in ids}
     violations: list[str] = []
     counters = {"drops": 0, "aborts": 0}
@@ -126,11 +129,10 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     max_levels = {n: profiles[n].buffer_cap + TOL for n in ids}
     # Owners are the only users with a nonzero buffer or a nonempty parked
     # or reserved set: the video users, plus any user a custom scheduler
-    # names as a Download owner (added when that transfer starts). Every
-    # other user's buffer and broadcast level stay exactly 0.0. (A dict is
-    # used as an insertion-ordered set.)
-    owners = dict.fromkeys(n for n in ids if profiles[n].is_video_user)
-    zero_levels = dict.fromkeys(ids, 0.0)
+    # names as a Download owner (added when that transfer starts). Only
+    # owners are broadcast. (An insertion-ordered set: video users first, in
+    # ``profiles`` order, which fixes the drift's summation order.)
+    owners = dict.fromkeys(n for n, p in profiles.items() if p.is_video_user)
 
     def advance(now: float) -> None:
         nonlocal last_t
@@ -156,11 +158,11 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         """Segment k of owner u is delivered or reserved by a transfer."""
         return k < play_next[u] or k in parked[u] or k in reserved[u]
 
-    # Each owner's smallest segment index that is neither delivered nor
-    # reserved (None once there is none, and for non-video users), so
-    # several downloaders can serve one owner. It moves forward when a
-    # transfer reserves it and back when a transfer ends undelivered.
-    next_segs = {n: 0 if profiles[n].is_video_user else None for n in ids}
+    # Each video user's smallest segment index that is neither delivered
+    # nor reserved (None once there is none), so several downloaders can
+    # serve one owner. It moves forward when a transfer reserves it and
+    # back when a transfer ends undelivered.
+    next_segs = {n: 0 for n in owners}
 
     # A user is always its own neighbour. Another user m is a usable
     # neighbour of n at ``now`` when the first of the pair's closed encounter
@@ -219,17 +221,14 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
 
     def snapshot(n: int, now: float) -> online.SchedulerState:
         neighbors = neighbors_of(n, now)
-        # broadcast level: committed content plus in-flight reservations,
-        # so concurrent downloaders do not over-fill one owner's buffer
-        levels = dict(zero_levels)
-        for m in owners:
-            levels[m] = committed(m) + betas[m] * len(reserved[m])
         return online.SchedulerState(
             user=n,
             now=now,
             capacity=config.capacity.rate_at(n, now),
             neighbors=neighbors,
-            buffers=levels,
+            # broadcast level: committed content plus in-flight reservations,
+            # so concurrent downloaders do not over-fill one owner's buffer
+            buffers={m: committed(m) + betas[m] * len(reserved[m]) for m in owners},
             last_rates=dict(last_rates),
             next_seg=dict(next_segs),
             throughput_samples=tuple(samples[n]),
@@ -276,7 +275,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         except ValueError:
             pass  # zero instantaneous capacity: no payoff estimate
         reserved[u].add(k)
-        if next_segs[u] == k:
+        if next_segs.get(u) == k:
             j, segs = k + 1, prof_u.video_segments
             while j < segs and taken(u, j):
                 j += 1
@@ -308,7 +307,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             if record.t_end > record.t_start:
                 samples[n].append(record.mbit / (record.t_end - record.t_start))
         # k is free again (unless a custom scheduler named one past the end)
-        cur = next_segs[u]
+        cur = next_segs.get(u)
         if not final.delivered and k < profiles[u].video_segments and (cur is None or k < cur):
             next_segs[u] = k
         downloads[n].append(final)

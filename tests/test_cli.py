@@ -65,6 +65,24 @@ MALFORMED_BOUNDS = {
         **d["encounters"], "pairs": [{"users": [0, 1], "intervals": [[0, 4], [3, 8]]}]}},
 }
 
+# each makes a run spec that must be rejected before anything runs
+BAD_RUN_SPECS = {
+    "zero-beta": {"beta": 0},
+    "unknown-abort-policy": {"abort_policy": "x"},
+    "zero-horizon": {"horizon": 0},
+    "negative-horizon": {"horizon": -5},
+    "empty-ladder": {"ladder": []},
+    "cap-below-beta": {"buffer_cap": 1},
+    "zero-theta": {"theta": 0},
+    "negative-video-length": {"video_length_s": -4},
+    "float-n-users": {"scenario": "multi", "n_users": 2.5},
+    "string-lambda": {"lambdas": ["x"]},
+    "nan-lambda": {"lambdas": [float("nan")]},
+    "zero-slot-length-with-gap": {"slot_len": 0, "compute_gap": True},
+    "no-seeds": {"seeds": []},
+    "no-lambdas-for-lyapunov": {"lambdas": []},
+}
+
 # every scheduler, two lambdas, two seeds and both cooperation modes: 16
 # cells over 4 distinct (seed, mode) fluid bounds
 GAP_MATRIX = dict(
@@ -156,6 +174,14 @@ class TestRunCommand:
 
     def test_missing_spec_exits_2(self, tmp_path):
         assert cli.main(["run", "--spec", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("case", list(BAD_RUN_SPECS))
+    def test_bad_spec_exits_2_before_running(self, tmp_path, capsys, case):
+        spec_path = write_spec(tmp_path, **BAD_RUN_SPECS[case])
+        assert cli.main(["run", "--spec", spec_path]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("bad experiment spec: ")
+        assert not (tmp_path / "out").exists()
 
     def test_fluid_bound_solved_once_per_seed_and_mode(self, tmp_path, monkeypatch):
         solves = []

@@ -20,13 +20,15 @@ SLOT = 4.0
 ENERGY = dict(c_time=0.05, c_data=0.02, w_data=0.01)
 
 
-def build(caps, segs, ladder=(0.2, 0.7), enc_slots=(), **kw):
+def build(caps, segs, ladder=(0.2, 0.7), enc_slots=(), buffer_cap=None, **kw):
     """Users 0..N-1 with per-slot capacities ``caps[n]`` (Mbps) and
-    ``segs[n]`` segments of 2 s; users 0 and 1 meet in ``enc_slots``."""
+    ``segs[n]`` segments of 2 s; users 0 and 1 meet in ``enc_slots``. The
+    buffer cap defaults to the whole video, so it cannot bind."""
     n_slots = len(caps[0])
     horizon = n_slots * SLOT
     profiles = tuple(
-        UserProfile(id=n, beta=2.0, buffer_cap=max(2.0, 2.0 * segs[n]),
+        UserProfile(id=n, beta=2.0,
+                    buffer_cap=max(2.0, 2.0 * segs[n]) if buffer_cap is None else buffer_cap,
                     ladder=ladder, video_segments=segs[n], **{**ENERGY, **kw})
         for n in range(len(caps))
     )
@@ -54,6 +56,9 @@ INSTANCES = {
         phi_qdeg=0.5),
     "pair-2slot": lambda: build(
         [[0.5, 1.0], [2.0, 0.5]], [2, 1], ladder=(0.2, 0.4), enc_slots=(0,)),
+    # a 2 s cap holds one segment: the link could fetch all three at the
+    # top level in slot 0, so every solver must wait for the buffer to drain
+    "solo-cap-binds": lambda: build([[4.0, 4.0]], [3], buffer_cap=2.0),
 }
 
 GOLDEN = {
@@ -76,6 +81,10 @@ GOLDEN = {
     'solo-3slot-play-energy': (
         '(1.8205130042486817, 1.8205130042486817, 1.8205130042486817, 1.8205130042486817, 1.8205130042486815)',
         (35, 7, 91, 24, 40, 25, 216, 147),
+    ),
+    'solo-cap-binds': (
+        '(2.0315130042486813, 2.0315130042486813, 2.0315130042486813, 2.0315130042486813, 2.0315130042486818)',
+        (43, 8, 168, 35, 91, 47, 1472, 751),
     ),
     'solo-3slot-rebuf': (
         '(4.446454737610623, 4.446454737610623, 4.646454737610624, 4.6464547376106236, 4.6464547376106236)',

@@ -107,6 +107,13 @@ class TestLyapunovDrift:
         bystander = 0.5 * (31.0 ** 2 - 30.0 ** 2)
         assert got == pytest.approx(receiver + bystander)
 
+    def test_only_video_users_with_a_profile_count(self):
+        profs = {0: make_profile(0), 1: make_profile(1, video_segments=0)}
+        # user 1 is a non-video owner; user 7 has no profile
+        state = make_state(capacity=1.4, neighbors=(0, 1),
+                           buffers={0: 5.0, 1: 3.0, 7: 1.0})
+        assert lyapunov_drift(state, profs, 0, 1) == 0.5 * (34.0 ** 2 - 35.0 ** 2)
+
     def test_refill_clamped_at_cap(self):
         profs = {0: make_profile()}
         state = make_state(capacity=1.4, buffers={0: 39.5})

@@ -255,12 +255,13 @@ class TestDrops:
 class TestOwners:
     def test_custom_owner_buffer_drains(self):
         """A non-video user named as a Download owner gets a buffer that is
-        broadcast and drains like a video user's."""
+        broadcast, from the moment it is named, and drains like a video
+        user's."""
         seen = []
 
         def feed_one(state, profiles):
             if state.user == 0:
-                seen.append((state.now, state.buffers[1]))
+                seen.append((state.now, state.buffers.get(1)))
                 if state.now == 0.0:
                     return online.Download(owner=1, level=0, seg_index=0)
             return online.Wait(1.0)
@@ -273,7 +274,35 @@ class TestOwners:
         ))
         assert report.deliveries == 1 and report.violations == []
         # 0.4 Mbit at 0.4 Mbps arrives at t=1 with 2 s of content
-        assert seen == [(0.0, 0.0), (1.0, 2.0), (2.0, 1.0), (3.0, 0.0), (4.0, 0.0)]
+        assert seen == [(0.0, None), (1.0, 2.0), (2.0, 1.0), (3.0, 0.0), (4.0, 0.0)]
+
+    def test_broadcast_holds_owners_only(self):
+        """Every snapshot broadcasts owners only: the video user, and the
+        non-video user once a Download has named it. The decider's
+        throughput samples are its last PREDICTION_WINDOW."""
+        known = {0}
+        keys, windows = [], []
+
+        def name_helper_once(state, profiles):
+            for broadcast in (state.buffers, state.last_rates, state.next_seg):
+                assert set(broadcast) <= known
+            keys.append(set(state.buffers))
+            windows.append(len(state.throughput_samples))
+            if state.user == 1 and 2 not in known:
+                known.add(2)
+                return online.Download(owner=2, level=0, seg_index=0)
+            return online.lyapunov_decide(state, profiles)
+
+        profiles = (make_profile(0, video_segments=20),
+                    make_profile(1, video_segments=0), make_profile(2, video_segments=0))
+        report = run_simulation(SimConfig(
+            horizon=40.0, profiles=profiles,
+            capacity=CapacityTrace.constant([0, 1, 2], 2.0, 40.0),
+            encounters=EncounterTrace.full([0, 1, 2], 40.0), scheduler=name_helper_once,
+        ))
+        assert report.violations == [] and report.per_user[2]["delivered_segments"] == 1
+        assert keys[0] == {0} and keys[-1] == {0, 2}
+        assert max(windows) == online.PREDICTION_WINDOW
 
 
 class TestNextSeg:
