@@ -132,9 +132,23 @@ class WelfareBreakdown:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "timing" | "capacity" | "encounter" | "buffer" | "duplicate"
+    kind: str  # "timing" | "capacity" | "encounter" | "segment" | "buffer" | "duplicate"
     user: int
     detail: str
+
+
+def ordered_sum(terms: Iterable[float]) -> float:
+    """Left-to-right sum from int 0, as ``sum`` did before Python 3.12.
+
+    From 3.12 on, ``sum`` compensates float rounding, so its result depends
+    on the interpreter. Float totals that reach a report or a bound value
+    are summed here instead, so outputs are byte-identical on every
+    supported Python. An empty sum is int 0.
+    """
+    total = 0
+    for term in terms:
+        total += term
+    return total
 
 
 def profile_map(profiles: Iterable[UserProfile]) -> dict[int, UserProfile]:
@@ -183,7 +197,7 @@ def segment_gain(
 
 
 def eval_value(profile: UserProfile, received: Sequence[SegmentRecord]) -> float:
-    return sum(quality_value(profile, rec.rate) * profile.beta for rec in received)
+    return ordered_sum(quality_value(profile, rec.rate) * profile.beta for rec in received)
 
 
 def eval_qdeg_loss(profile: UserProfile, received: Sequence[SegmentRecord]) -> float:
@@ -334,7 +348,7 @@ def eval_social_welfare(
         )
         for uid in sorted(profiles)
     }
-    welfare = sum(b.payoff for b in breakdowns.values())
+    welfare = ordered_sum(b.payoff for b in breakdowns.values())
     return welfare, breakdowns
 
 
@@ -347,9 +361,11 @@ def validate_sequences(
     """Check a joint schedule against the feasibility constraints.
 
     Per downloader: non-overlapping ordered transfers, cellular capacity,
-    encounter coverage for cross-user transfers. Per owner: the buffer
-    trajectory stays within [0, cap] at every reception. Violations are
-    returned as data; an empty list means the schedule is feasible.
+    encounter coverage for cross-user transfers, and every delivered
+    segment inside its owner's video (an owner without video has none).
+    Per owner: the buffer trajectory stays within [0, cap] at every
+    reception. Violations are returned as data; an empty list means the
+    schedule is feasible.
     """
     violations: list[Violation] = []
     for uid, downloads in all_downloads.items():
@@ -374,6 +390,13 @@ def validate_sequences(
                     "encounter", uid,
                     f"users {uid} and {rec.owner} not encountered throughout "
                     f"[{rec.t_start}, {rec.t_end}]",
+                ))
+            segs = profiles[rec.owner].video_segments
+            if rec.delivered and not 0 <= rec.seg_index < segs:
+                violations.append(Violation(
+                    "segment", uid,
+                    f"delivered segment {rec.seg_index} of user {rec.owner}, "
+                    f"whose video has {segs} segments",
                 ))
     try:
         received = receiving_sequences(profiles, all_downloads)

@@ -289,7 +289,7 @@ def solve_slotted_exact(
         slot_density.append(best)
     suffix_cap = [0.0] * (T + 1)
     for t in range(T - 1, -1, -1):
-        suffix_cap[t] = suffix_cap[t + 1] + slot_density[t] * sum(
+        suffix_cap[t] = suffix_cap[t + 1] + slot_density[t] * model.ordered_sum(
             instance.capacity[n][t] for n in range(N)
         )
     best_seg_value = [
@@ -303,8 +303,8 @@ def solve_slotted_exact(
     best = {"welfare": -math.inf, "kappa": {}}
 
     def budget_bound(rcv: list[int]) -> float:
-        return sum((profiles[m].video_segments - rcv[m]) * best_seg_value[m]
-                   for m in range(N))
+        return model.ordered_sum((profiles[m].video_segments - rcv[m]) * best_seg_value[m]
+                                 for m in range(N))
 
     def close_slot(t: int, acc: float, q: list[float], last_high: list[float | None]):
         """Charge slot-level losses and advance buffers; recurse or prune."""
@@ -351,7 +351,7 @@ def solve_slotted_exact(
             close_slot(t, acc, q, last_high)
             return
         if best["welfare"] > -math.inf:
-            rem_total = sum(rem_cap)
+            rem_total = model.ordered_sum(rem_cap)
             optimistic = acc + min(
                 rem_total * slot_density[t] + suffix_cap[t + 1],
                 budget_bound(received),
@@ -570,8 +570,8 @@ def brute_force_segmented(
             best["downloads"] = {n: list(v) for n, v in downloads.items()}
 
     def bound_remaining() -> float:
-        return sum((pmap[m].video_segments - received[m]) * best_seg_value[m]
-                   for m in owners)
+        return model.ordered_sum((pmap[m].video_segments - received[m]) * best_seg_value[m]
+                                 for m in owners)
 
     def dfs(active: tuple[int, ...], partial: float):
         stats["nodes"] += 1

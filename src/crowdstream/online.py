@@ -12,7 +12,7 @@ import inspect
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .model import UserProfile, quality_value
+from .model import UserProfile, ordered_sum, quality_value
 
 DEFAULT_EPOCH = 1.0  # re-poll interval when no download is possible (s)
 RESERVOIR_FRAC = 0.25  # buffer-based: share of the cap mapped to the lowest level
@@ -38,10 +38,10 @@ Decision = Download | Wait
 class SchedulerState:
     """Snapshot visible to one deciding downloader at one instant.
 
-    The broadcast ``buffers``, ``last_rates`` and ``next_seg`` holds owners
-    only (video users, and users a Download has named); a user missing from
-    it has a 0 s buffer, no last rate and no next segment. ``next_seg`` is
-    the smallest segment index neither delivered nor in flight, or None.
+    The broadcast ``buffers`` and ``next_seg`` are keyed by the video users,
+    the only segment owners; ``last_rates`` holds those with a delivery.
+    ``next_seg`` is the smallest segment index neither delivered nor in
+    flight, or None.
     ``throughput_samples`` holds the decider's last ``PREDICTION_WINDOW``
     samples. ``neighbors`` is in ascending id order, without duplicates.
     """
@@ -93,14 +93,11 @@ def decision_payoff(
     last = state.last_rates.get(u)
     if last is not None:
         util -= owner.phi_qdeg * max(0.0, last - rate)
-    util -= owner.phi_rebuf * max(0.0, gamma - state.buffers.get(u, 0.0))
+    util -= owner.phi_rebuf * max(0.0, gamma - state.buffers[u])
     for m in state.neighbors:
-        if m == u:
-            continue
-        prof_m = profiles[m]
-        if not prof_m.is_video_user or state.last_rates.get(m) is None:
+        if m == u or state.last_rates.get(m) is None:
             continue  # playback not started: startup waiting is not a stall
-        util -= prof_m.phi_rebuf * max(0.0, gamma - state.buffers.get(m, 0.0))
+        util -= profiles[m].phi_rebuf * max(0.0, gamma - state.buffers[m])
     cost = dl.c_time * gamma + dl.c_data * vol
     if u != state.user:
         cost += dl.w_data * vol
@@ -122,9 +119,7 @@ def lyapunov_drift(
         raise ValueError("cannot evaluate a download with zero capacity")
     drift = 0.0
     for m, q in state.buffers.items():
-        prof = profiles.get(m)
-        if prof is None or not prof.is_video_user:
-            continue
+        prof = profiles[m]
         if m == u:
             q_next = min(prof.buffer_cap, max(0.0, q - gamma) + prof.beta)
         else:
@@ -138,17 +133,15 @@ def _split_candidates(
 ) -> tuple[list[int], list[int]]:
     """Owners the decider could serve now, and those blocked only by a
     full buffer (relevant for the waiting-timer branch); both in id order.
-    Only users with a next segment can be owners."""
+    Only video users with a next segment are candidates."""
     ready: list[int] = []
     blocked: list[int] = []
     next_seg = state.next_seg
     for u in state.neighbors:
         if next_seg.get(u) is None:
             continue
-        prof = profiles.get(u)
-        if prof is None or not prof.is_video_user:
-            continue
-        if state.buffers.get(u, 0.0) + prof.beta <= prof.buffer_cap:
+        prof = profiles[u]
+        if state.buffers[u] + prof.beta <= prof.buffer_cap:
             ready.append(u)
         else:
             blocked.append(u)
@@ -206,7 +199,7 @@ def predict_capacity(samples: tuple[float, ...] | list[float], fallback: float) 
     recent = list(samples[-PREDICTION_WINDOW:])
     if min(recent) <= 0:
         return 0.0
-    return len(recent) / sum(1.0 / s for s in recent)
+    return len(recent) / ordered_sum(1.0 / s for s in recent)
 
 
 def select_owner(
@@ -227,16 +220,11 @@ def select_owner(
     others = [u for u in ready if u != n]
     if not others:
         return n
-    u_min = min(others, key=lambda u: (state.buffers.get(u, 0.0), u))
-    prof_n = profiles[n]
-    self_active = prof_n.is_video_user and state.next_seg.get(n) is not None
-    if not self_active:
+    u_min = min(others, key=lambda u: (state.buffers[u], u))
+    if state.next_seg.get(n) is None:
         return u_min
-    q_n = state.buffers.get(n, 0.0)
-    if (
-        q_n >= delta_th * prof_n.buffer_cap
-        and q_n - state.buffers.get(u_min, 0.0) >= gap_th
-    ):
+    q_n = state.buffers[n]
+    if q_n >= delta_th * profiles[n].buffer_cap and q_n - state.buffers[u_min] >= gap_th:
         return u_min
     return n
 
@@ -272,7 +260,7 @@ def buffer_based_decide(
         top = len(prof.ladder) - 1
         if top == 0 or span <= 0:
             return top
-        frac = (state.buffers.get(u, 0.0) - reservoir) / span
+        frac = (state.buffers[u] - reservoir) / span
         frac = min(1.0, max(0.0, frac))
         return min(top, int(frac * top))
 

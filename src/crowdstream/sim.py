@@ -8,6 +8,12 @@ buffer are dropped (energy still charged), and transfers that lose their
 encounter mid-flight are aborted with pro-rata energy under the default
 abort policy.
 
+Segment owners are the video users, fixed at setup. A scheduler's Download
+is refused, with a violation and a re-poll one ``DEFAULT_EPOCH`` later, when
+it names a user that is not a neighbour, a user without video, a level off
+the owner's ladder, a segment outside the owner's video, or a segment that
+is delivered or in flight.
+
 Scheduler state is kept incrementally rather than rescanned per decision:
 each owner's smallest free segment moves only when a transfer to it starts
 or ends undelivered, each user's neighbour set is reused between
@@ -127,12 +133,10 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
 
     betas = {n: profiles[n].beta for n in ids}
     max_levels = {n: profiles[n].buffer_cap + TOL for n in ids}
-    # Owners are the only users with a nonzero buffer or a nonempty parked
-    # or reserved set: the video users, plus any user a custom scheduler
-    # names as a Download owner (added when that transfer starts). Only
-    # owners are broadcast. (An insertion-ordered set: video users first, in
-    # ``profiles`` order, which fixes the drift's summation order.)
-    owners = dict.fromkeys(n for n, p in profiles.items() if p.is_video_user)
+    # Owners, the only users with a nonzero buffer or a nonempty parked or
+    # reserved set, are the video users; only they are broadcast. Their
+    # ``profiles`` order fixes the drift's summation order.
+    owners = tuple(n for n, p in profiles.items() if p.is_video_user)
 
     def advance(now: float) -> None:
         nonlocal last_t
@@ -242,11 +246,19 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         nonlocal sw_estimated
         u, z, k = decision.owner, decision.level, decision.seg_index
         if u not in state.neighbors:
-            violations.append(f"t={now}: owner {u} is not a neighbour of {n}")
-            push(min(now + online.DEFAULT_EPOCH, horizon), "epoch", n)
-            return
-        if taken(u, k):
-            violations.append(f"t={now}: stale segment choice ({u},{k}) by {n}")
+            refusal = f"owner {u} is not a neighbour of {n}"
+        elif not profiles[u].is_video_user:
+            refusal = f"owner {u} has no video"
+        elif not 0 <= z < len(profiles[u].ladder):
+            refusal = f"level {z} is off the ladder of owner {u}"
+        elif not 0 <= k < profiles[u].video_segments:
+            refusal = f"segment {k} is outside the video of owner {u}"
+        elif taken(u, k):
+            refusal = f"stale segment choice ({u},{k}) by {n}"
+        else:
+            refusal = None
+        if refusal is not None:
+            violations.append(f"t={now}: {refusal}")
             push(min(now + online.DEFAULT_EPOCH, horizon), "epoch", n)
             return
         prof_u = profiles[u]
@@ -275,12 +287,11 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         except ValueError:
             pass  # zero instantaneous capacity: no payoff estimate
         reserved[u].add(k)
-        if next_segs.get(u) == k:
+        if next_segs[u] == k:
             j, segs = k + 1, prof_u.video_segments
             while j < segs and taken(u, j):
                 j += 1
             next_segs[u] = j if j < segs else None
-        owners[u] = None
         push(end, "complete", (n, record))
 
     def finish_download(n: int, now: float, record: SegmentRecord) -> None:
@@ -306,10 +317,9 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
                 check_level(u, now)
             if record.t_end > record.t_start:
                 samples[n].append(record.mbit / (record.t_end - record.t_start))
-        # k is free again (unless a custom scheduler named one past the end)
-        cur = next_segs.get(u)
-        if not final.delivered and k < profiles[u].video_segments and (cur is None or k < cur):
-            next_segs[u] = k
+        cur = next_segs[u]
+        if not final.delivered and (cur is None or k < cur):
+            next_segs[u] = k  # k is free again
         downloads[n].append(final)
         if now < horizon:
             push(now, "epoch", n)
@@ -357,10 +367,10 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         r for recs in downloads.values() for r in recs if r.delivered
     ]
     avg_rate = (
-        sum(r.rate for r in delivered_records) / len(delivered_records)
+        model.ordered_sum(r.rate for r in delivered_records) / len(delivered_records)
         if delivered_records else 0.0
     )
-    rebuffer_s = sum(b.rebuffer_s for b in breakdowns.values())
+    rebuffer_s = model.ordered_sum(b.rebuffer_s for b in breakdowns.values())
     per_user = {
         n: {
             **breakdowns[n].to_dict(),

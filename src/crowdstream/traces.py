@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .model import ordered_sum
+
 
 class TraceError(ValueError):
     pass
@@ -366,7 +368,7 @@ def capacity_from_viewing_log(
     for rec in records:
         by_user.setdefault(rec.user_id, []).append(rec)
     if horizon is None:
-        horizon = max(sum(r.download_time for r in recs) for recs in by_user.values())
+        horizon = max(ordered_sum(r.download_time for r in recs) for recs in by_user.values())
     users = {}
     for uid, recs in by_user.items():
         times, rates = [], []

@@ -250,6 +250,27 @@ class TestSocialWelfare:
         assert bds[0].qdeg_loss >= 0 and bds[0].rebuf_loss >= 0
 
 
+class TestOrderedSum:
+    def test_empty_sum_is_int_zero(self):
+        got = model.ordered_sum([])
+        assert got == 0 and type(got) is int
+
+    def test_welfare_is_the_left_to_right_sum(self):
+        """These payoffs round differently under the compensated summation
+        that ``sum`` uses for floats from Python 3.12 on; the welfare is the
+        left-to-right sum on every version."""
+        profiles = {n: make_profile(id=n) for n in range(3)}
+        downloads = {
+            n: [rec(rate, 1.0, owner=n, downloader=n)]
+            for n, rate in enumerate((0.2, 0.4, 0.2))
+        }
+        welfare, bds = model.eval_social_welfare(profiles, downloads)
+        payoffs = [bds[n].payoff for n in range(3)]
+        left_to_right = (payoffs[0] + payoffs[1]) + payoffs[2]
+        assert math.fsum(payoffs) != left_to_right
+        assert welfare == left_to_right
+
+
 class TestValidateSequences:
     def setup_method(self):
         from crowdstream import traces
@@ -296,3 +317,18 @@ class TestValidateSequences:
     def test_duplicate_detected(self):
         downloads = {0: [rec(0.7, 1.0, 0, t_start=0.0), rec(0.7, 3.0, 0, t_start=2.0)]}
         assert any(v.kind == "duplicate" for v in self.check(downloads))
+
+    def test_delivery_outside_video_detected(self):
+        profiles = {0: make_profile(video_segments=3), 1: make_profile(id=1, video_segments=0)}
+        downloads = {
+            0: [rec(0.7, 1.0, 3, t_start=0.0), rec(0.7, 2.0, -1, t_start=1.0),
+                rec(0.7, 3.0, 4, t_start=2.0, delivered=False),
+                rec(0.7, 4.0, 2, t_start=3.0)],
+            1: [rec(0.7, 1.0, 0, owner=1, downloader=1, t_start=0.0)],
+        }
+        got = model.validate_sequences(profiles, self.cap, self.enc, downloads)
+        assert got == [
+            model.Violation("segment", 0, "delivered segment 3 of user 0, whose video has 3 segments"),
+            model.Violation("segment", 0, "delivered segment -1 of user 0, whose video has 3 segments"),
+            model.Violation("segment", 1, "delivered segment 0 of user 1, whose video has 0 segments"),
+        ]

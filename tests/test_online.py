@@ -22,14 +22,16 @@ def make_profile(n=0, **kw):
     return UserProfile(**base)
 
 
-def make_state(user=0, capacity=1.4, neighbors=(0,), buffers=None,
+def make_state(profs, user=0, capacity=1.4, neighbors=(0,), buffers=None,
                last_rates=None, next_seg=None, samples=()):
-    ids = set(neighbors) | {user}
+    """A snapshot whose broadcast is keyed by the video users of ``profs``,
+    as the simulator's is."""
+    owners = [n for n, p in profs.items() if p.is_video_user]
     return SchedulerState(
         user=user, now=0.0, capacity=capacity, neighbors=tuple(neighbors),
-        buffers=buffers if buffers is not None else {n: 5.0 for n in ids},
-        last_rates=last_rates if last_rates is not None else {n: None for n in ids},
-        next_seg=next_seg if next_seg is not None else {n: 0 for n in ids},
+        buffers=buffers if buffers is not None else {n: 5.0 for n in owners},
+        last_rates=last_rates if last_rates is not None else {n: None for n in owners},
+        next_seg=next_seg if next_seg is not None else {n: 0 for n in owners},
         throughput_samples=tuple(samples),
     )
 
@@ -37,20 +39,20 @@ def make_state(user=0, capacity=1.4, neighbors=(0,), buffers=None,
 class TestEstimateDownloadTime:
     def test_volume_over_capacity(self):
         profs = {0: make_profile()}
-        state = make_state(capacity=1.4)
+        state = make_state(profs, capacity=1.4)
         assert estimate_download_time(state, profs, 0, 1) == pytest.approx(1.0)
-        state = make_state(capacity=4.0)
+        state = make_state(profs, capacity=4.0)
         assert estimate_download_time(state, profs, 0, 0) == pytest.approx(0.1)
 
     def test_zero_capacity_is_none(self):
         profs = {0: make_profile()}
-        assert estimate_download_time(make_state(capacity=0.0), profs, 0, 1) is None
+        assert estimate_download_time(make_state(profs, capacity=0.0), profs, 0, 1) is None
 
 
 class TestDecisionPayoff:
     def test_fresh_self_download(self):
         profs = {0: make_profile()}
-        state = make_state(capacity=1.4, buffers={0: 5.0})
+        state = make_state(profs, capacity=1.4, buffers={0: 5.0})
         got = decision_payoff(state, profs, 0, 1)
         # value 2*ln(1.7); no degradation (no previous rate); no projected
         # stall (buffer 5 s > 1 s transfer); cell energy 0.05*1 + 0.02*1.4
@@ -58,7 +60,7 @@ class TestDecisionPayoff:
 
     def test_downswitch_and_stall_charges(self):
         profs = {0: make_profile()}
-        state = make_state(capacity=0.4, buffers={0: 0.3}, last_rates={0: 0.7})
+        state = make_state(profs, capacity=0.4, buffers={0: 0.3}, last_rates={0: 0.7})
         got = decision_payoff(state, profs, 0, 0)  # gamma = 0.4/0.4 = 1 s
         expect = (2 * math.log(1.2) - 0.5 * 0.5 - 1.0 * (1.0 - 0.3)
                   - (0.05 * 1.0 + 0.02 * 0.4))
@@ -67,7 +69,7 @@ class TestDecisionPayoff:
     def test_cross_user_adds_wifi_energy(self):
         profs = {0: make_profile(0), 1: make_profile(1)}
         buffers = {0: 5.0, 1: 5.0}
-        self_state = make_state(user=1, capacity=1.4, neighbors=(0, 1),
+        self_state = make_state(profs, user=1, capacity=1.4, neighbors=(0, 1),
                                 buffers=buffers)
         cross = decision_payoff(self_state, profs, 0, 1)
         own = decision_payoff(self_state, profs, 1, 1)
@@ -76,9 +78,9 @@ class TestDecisionPayoff:
     def test_third_user_stall_projected(self):
         profs = {n: make_profile(n) for n in range(3)}
         buffers = {0: 5.0, 1: 5.0, 2: 0.25}
-        playing = make_state(capacity=1.4, neighbors=(0, 1, 2), buffers=buffers,
+        playing = make_state(profs, capacity=1.4, neighbors=(0, 1, 2), buffers=buffers,
                              last_rates={0: None, 1: None, 2: 0.2})
-        idle = make_state(capacity=1.4, neighbors=(0, 1, 2), buffers=buffers,
+        idle = make_state(profs, capacity=1.4, neighbors=(0, 1, 2), buffers=buffers,
                           last_rates={0: None, 1: None, 2: None})
         # downloading for user 0 takes 1 s while user 2 has 0.25 s buffered
         delta = decision_payoff(idle, profs, 0, 1) - decision_payoff(playing, profs, 0, 1)
@@ -87,36 +89,41 @@ class TestDecisionPayoff:
     def test_zero_capacity_rejected(self):
         profs = {0: make_profile()}
         with pytest.raises(ValueError):
-            decision_payoff(make_state(capacity=0.0), profs, 0, 0)
+            decision_payoff(make_state(profs, capacity=0.0), profs, 0, 0)
 
 
 class TestLyapunovDrift:
     def test_receiver_refill(self):
         profs = {0: make_profile()}
-        state = make_state(capacity=1.4, buffers={0: 5.0})
+        state = make_state(profs, capacity=1.4, buffers={0: 5.0})
         # gamma = 1 s: buffer 5 -> 6, deficit 35 -> 34
         assert lyapunov_drift(state, profs, 0, 1) == pytest.approx(
             0.5 * (34.0 ** 2 - 35.0 ** 2))
 
     def test_bystander_drain(self):
         profs = {0: make_profile(0), 1: make_profile(1)}
-        state = make_state(capacity=1.4, neighbors=(0, 1),
+        state = make_state(profs, capacity=1.4, neighbors=(0, 1),
                            buffers={0: 5.0, 1: 10.0})
         got = lyapunov_drift(state, profs, 0, 1)
         receiver = 0.5 * (34.0 ** 2 - 35.0 ** 2)
         bystander = 0.5 * (31.0 ** 2 - 30.0 ** 2)
         assert got == pytest.approx(receiver + bystander)
 
-    def test_only_video_users_with_a_profile_count(self):
-        profs = {0: make_profile(0), 1: make_profile(1, video_segments=0)}
-        # user 1 is a non-video owner; user 7 has no profile
-        state = make_state(capacity=1.4, neighbors=(0, 1),
-                           buffers={0: 5.0, 1: 3.0, 7: 1.0})
-        assert lyapunov_drift(state, profs, 0, 1) == 0.5 * (34.0 ** 2 - 35.0 ** 2)
+    def test_sums_every_broadcast_owner(self):
+        """The potential covers each video user in the broadcast, neighbour
+        or not; an idle neighbour has no buffer and adds nothing."""
+        profs = {0: make_profile(0), 1: make_profile(1, video_segments=0),
+                 2: make_profile(2)}
+        state = make_state(profs, capacity=1.4, neighbors=(0, 1),
+                           buffers={0: 5.0, 2: 10.0})
+        assert set(state.buffers) == {0, 2}
+        receiver = 0.5 * (34.0 ** 2 - 35.0 ** 2)
+        bystander = 0.5 * (31.0 ** 2 - 30.0 ** 2)
+        assert lyapunov_drift(state, profs, 0, 1) == receiver + bystander
 
     def test_refill_clamped_at_cap(self):
         profs = {0: make_profile()}
-        state = make_state(capacity=1.4, buffers={0: 39.5})
+        state = make_state(profs, capacity=1.4, buffers={0: 39.5})
         # 39.5 - 1 + 2 = 40.5 clamps to the 40 s cap
         assert lyapunov_drift(state, profs, 0, 1) == pytest.approx(
             0.5 * (0.0 - 0.5 ** 2))
@@ -125,36 +132,36 @@ class TestLyapunovDrift:
 class TestLyapunovDecide:
     def test_zero_capacity_waits_default_epoch(self):
         profs = {0: make_profile()}
-        got = lyapunov_decide(make_state(capacity=0.0), profs, lam=100.0)
+        got = lyapunov_decide(make_state(profs, capacity=0.0), profs, lam=100.0)
         assert got == Wait(1.0)
 
     def test_full_buffer_waits_for_headroom(self):
         profs = {0: make_profile()}
-        state = make_state(buffers={0: 39.5})
+        state = make_state(profs, buffers={0: 39.5})
         got = lyapunov_decide(state, profs, lam=100.0)
         assert got == Wait(pytest.approx(1.5))  # 39.5 + 2 - 40
 
     def test_finished_video_waits(self):
         profs = {0: make_profile()}
-        state = make_state(next_seg={0: None})
+        state = make_state(profs, next_seg={0: None})
         assert lyapunov_decide(state, profs, lam=100.0) == Wait(1.0)
 
     def test_large_lambda_maximizes_payoff(self):
         profs = {0: make_profile()}
-        state = make_state(capacity=10.0, buffers={0: 5.0})
+        state = make_state(profs, capacity=10.0, buffers={0: 5.0})
         got = lyapunov_decide(state, profs, lam=1e9)
         assert got == Download(owner=0, level=1, seg_index=0)
 
     def test_zero_lambda_maximizes_refill(self):
         profs = {0: make_profile()}
-        state = make_state(capacity=1.4, buffers={0: 5.0})
+        state = make_state(profs, capacity=1.4, buffers={0: 5.0})
         # pure drift: the faster low level refills the deficit hardest
         got = lyapunov_decide(state, profs, lam=0.0)
         assert got == Download(owner=0, level=0, seg_index=0)
 
     def test_helps_most_starved_neighbor(self):
         profs = {0: make_profile(0), 1: make_profile(1)}
-        state = make_state(user=0, capacity=1.4, neighbors=(0, 1),
+        state = make_state(profs, user=0, capacity=1.4, neighbors=(0, 1),
                            buffers={0: 30.0, 1: 2.0}, next_seg={0: 7, 1: 4})
         got = lyapunov_decide(state, profs, lam=0.0)
         assert got.owner == 1
@@ -162,14 +169,14 @@ class TestLyapunovDecide:
 
     def test_tie_breaks_toward_lower_owner_id(self):
         profs = {0: make_profile(0), 1: make_profile(1)}
-        state = make_state(user=0, capacity=1.4, neighbors=(0, 1),
+        state = make_state(profs, user=0, capacity=1.4, neighbors=(0, 1),
                            buffers={0: 5.0, 1: 5.0})
         got = lyapunov_decide(state, profs, lam=100.0)
         assert got.owner == 0
 
     def test_deterministic(self):
         profs = {0: make_profile()}
-        state = make_state()
+        state = make_state(profs)
         assert (lyapunov_decide(state, profs, 100.0)
                 == lyapunov_decide(state, profs, 100.0))
 
@@ -195,40 +202,41 @@ class TestPredictCapacity:
 class TestSelectOwner:
     def test_comfortable_decider_helps_starved_neighbor(self):
         profs = {0: make_profile(0), 1: make_profile(1)}
-        state = make_state(user=0, neighbors=(0, 1), buffers={0: 30.0, 1: 5.0})
+        state = make_state(profs, user=0, neighbors=(0, 1), buffers={0: 30.0, 1: 5.0})
         assert select_owner(state, profs) == 1
 
     def test_low_own_buffer_serves_self(self):
         profs = {0: make_profile(0), 1: make_profile(1)}
-        state = make_state(user=0, neighbors=(0, 1), buffers={0: 10.0, 1: 5.0})
+        state = make_state(profs, user=0, neighbors=(0, 1), buffers={0: 10.0, 1: 5.0})
         assert select_owner(state, profs) == 0
 
     def test_small_gap_serves_self(self):
         profs = {0: make_profile(0), 1: make_profile(1)}
-        state = make_state(user=0, neighbors=(0, 1), buffers={0: 30.0, 1: 25.0})
+        state = make_state(profs, user=0, neighbors=(0, 1), buffers={0: 30.0, 1: 25.0})
         assert select_owner(state, profs) == 0
 
     def test_idle_decider_always_helps(self):
         profs = {0: make_profile(0, video_segments=0), 1: make_profile(1)}
-        state = make_state(user=0, neighbors=(0, 1), buffers={0: 0.0, 1: 39.0 - 1.0})
+        state = make_state(profs, user=0, neighbors=(0, 1), buffers={1: 39.0 - 1.0})
+        assert 0 not in state.next_seg
         assert select_owner(state, profs) == 1
 
     def test_finished_decider_always_helps(self):
         profs = {0: make_profile(0), 1: make_profile(1)}
-        state = make_state(user=0, neighbors=(0, 1), buffers={0: 1.0, 1: 5.0},
+        state = make_state(profs, user=0, neighbors=(0, 1), buffers={0: 1.0, 1: 5.0},
                            next_seg={0: None, 1: 2})
         assert select_owner(state, profs) == 1
 
     def test_no_neighbors_serves_self(self):
         profs = {0: make_profile(0)}
-        state = make_state(user=0, neighbors=(0,))
+        state = make_state(profs, user=0, neighbors=(0,))
         assert select_owner(state, profs) == 0
 
 
 class TestBufferBased:
     def level_for(self, q):
         profs = {0: make_profile(ladder=LADDER)}
-        state = make_state(capacity=5.0, buffers={0: q})
+        state = make_state(profs, capacity=5.0, buffers={0: q})
         got = buffer_based_decide(state, profs)
         assert isinstance(got, Download)
         return got.level
@@ -249,26 +257,26 @@ class TestBufferBased:
 
     def test_waits_without_capacity(self):
         profs = {0: make_profile(ladder=LADDER)}
-        got = buffer_based_decide(make_state(capacity=0.0), profs)
+        got = buffer_based_decide(make_state(profs, capacity=0.0), profs)
         assert got == Wait(1.0)
 
 
 class TestPredictionBased:
     def test_picks_highest_sustainable_rate(self):
         profs = {0: make_profile(ladder=LADDER)}
-        state = make_state(capacity=5.0, samples=(1.0, 1.0))
+        state = make_state(profs, capacity=5.0, samples=(1.0, 1.0))
         got = prediction_based_decide(state, profs)
         assert got == Download(owner=0, level=2, seg_index=0)  # 0.7 <= 1.0 < 1.3
 
     def test_poor_prediction_floors_at_lowest(self):
         profs = {0: make_profile(ladder=LADDER)}
-        state = make_state(capacity=5.0, samples=(0.1,))
+        state = make_state(profs, capacity=5.0, samples=(0.1,))
         got = prediction_based_decide(state, profs)
         assert got.level == 0
 
     def test_no_samples_uses_current_capacity(self):
         profs = {0: make_profile(ladder=LADDER)}
-        state = make_state(capacity=2.3, samples=())
+        state = make_state(profs, capacity=2.3, samples=())
         got = prediction_based_decide(state, profs)
         assert got.level == 4
 
@@ -276,14 +284,14 @@ class TestPredictionBased:
 class TestMakeScheduler:
     def test_known_names(self):
         profs = {0: make_profile()}
-        state = make_state()
+        state = make_state(profs)
         for name in ("lyapunov", "buffer", "prediction"):
             decision = make_scheduler(name)(state, profs)
             assert isinstance(decision, (Download, Wait))
 
     def test_lyapunov_lambda_forwarded(self):
         profs = {0: make_profile()}
-        state = make_state(capacity=10.0, buffers={0: 5.0})
+        state = make_state(profs, capacity=10.0, buffers={0: 5.0})
         assert make_scheduler("lyapunov", lam=1e9)(state, profs).level == 1
         assert make_scheduler("lyapunov", lam=0.0)(state, profs).level == 0
 
@@ -297,7 +305,7 @@ class TestMakeScheduler:
 
     def test_settable_params(self):
         profs = {0: make_profile()}
-        state = make_state()
+        state = make_state(profs)
         make_scheduler("lyapunov", lam=1.0)(state, profs)
         for name in ("buffer", "prediction"):
             make_scheduler(name, delta_th=0.4, gap_th=5.0)(state, profs)

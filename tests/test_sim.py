@@ -253,55 +253,74 @@ class TestDrops:
 
 
 class TestOwners:
-    def test_custom_owner_buffer_drains(self):
-        """A non-video user named as a Download owner gets a buffer that is
-        broadcast, from the moment it is named, and drains like a video
-        user's."""
-        seen = []
+    @pytest.mark.parametrize("owner, level, seg, why", [
+        (1, 0, 0, "owner 1 has no video"),
+        (0, -1, 0, "level -1 is off the ladder of owner 0"),
+        (0, len(LADDER), 0, f"level {len(LADDER)} is off the ladder of owner 0"),
+        (0, 0, -1, "segment -1 is outside the video of owner 0"),
+        (0, 0, 3, "segment 3 is outside the video of owner 0"),
+    ], ids=["non-video-owner", "level-below", "level-past-top",
+            "segment-below", "segment-past-end"])
+    def test_refused_download(self, owner, level, seg, why):
+        """A Download outside the owners' videos and ladders is refused: a
+        violation, a re-poll one epoch later, no transfer, no exception."""
+        polls = []
 
-        def feed_one(state, profiles):
-            if state.user == 0:
-                seen.append((state.now, state.buffers.get(1)))
-                if state.now == 0.0:
-                    return online.Download(owner=1, level=0, seg_index=0)
-            return online.Wait(1.0)
+        def bad_choice(state, profiles):
+            if state.user == 1:
+                polls.append(state.now)
+                return online.Download(owner=owner, level=level, seg_index=seg)
+            return online.Wait(10.0)
+
+        profiles = (make_profile(0, video_segments=3), make_profile(1, video_segments=0))
+        report = run_simulation(SimConfig(
+            horizon=3.0, profiles=profiles,
+            capacity=CapacityTrace.constant([0, 1], 1.0, 3.0),
+            encounters=EncounterTrace.full([0, 1], 3.0), scheduler=bad_choice,
+        ))
+        assert polls == [0.0, 1.0, 2.0]
+        assert report.violations == [f"t={t}: {why}" for t in polls]
+        assert report.downloads == {0: [], 1: []} and report.deliveries == 0
+
+    def test_idle_helpers_gain_nothing(self):
+        """Two idle helpers cannot serve each other, so the run stays within
+        the fluid upper bound, which is 0 without a video user."""
+        def serve_user_1(state, profiles):
+            return online.Download(owner=1, level=0, seg_index=0)
 
         profiles = (make_profile(0, video_segments=0), make_profile(1, video_segments=0))
+        capacity = CapacityTrace.constant([0, 1], 1.0, 20.0)
+        encounters = EncounterTrace.full([0, 1], 20.0)
         report = run_simulation(SimConfig(
-            horizon=5.0, profiles=profiles,
-            capacity=CapacityTrace.constant([0, 1], 0.4, 5.0),
-            encounters=EncounterTrace.full([0, 1], 5.0), scheduler=feed_one,
+            horizon=20.0, profiles=profiles, capacity=capacity,
+            encounters=encounters, scheduler=serve_user_1,
         ))
-        assert report.deliveries == 1 and report.violations == []
-        # 0.4 Mbit at 0.4 Mbps arrives at t=1 with 2 s of content
-        assert seen == [(0.0, None), (1.0, 2.0), (2.0, 1.0), (3.0, 0.0), (4.0, 0.0)]
+        upper = offline.solve_slotted_relaxed(
+            offline.SlottedInstance.from_traces(profiles, capacity, encounters, 2.0))
+        assert report.deliveries == 0 and report.downloads == {0: [], 1: []}
+        assert report.welfare <= upper + model.TOL
 
     def test_broadcast_holds_owners_only(self):
-        """Every snapshot broadcasts owners only: the video user, and the
-        non-video user once a Download has named it. The decider's
-        throughput samples are its last PREDICTION_WINDOW."""
-        known = {0}
-        keys, windows = [], []
+        """Every snapshot broadcasts the video users only, and no other user
+        ever gets a buffer. The decider's throughput samples are its last
+        PREDICTION_WINDOW."""
+        video = {0, 2}
+        windows = []
 
-        def name_helper_once(state, profiles):
-            for broadcast in (state.buffers, state.last_rates, state.next_seg):
-                assert set(broadcast) <= known
-            keys.append(set(state.buffers))
+        def recording(state, profiles):
+            assert set(state.buffers) == set(state.next_seg) == video
+            assert set(state.last_rates) <= video
             windows.append(len(state.throughput_samples))
-            if state.user == 1 and 2 not in known:
-                known.add(2)
-                return online.Download(owner=2, level=0, seg_index=0)
             return online.lyapunov_decide(state, profiles)
 
-        profiles = (make_profile(0, video_segments=20),
-                    make_profile(1, video_segments=0), make_profile(2, video_segments=0))
+        profiles = (make_profile(2, video_segments=20),
+                    make_profile(1, video_segments=0), make_profile(0, video_segments=20))
         report = run_simulation(SimConfig(
             horizon=40.0, profiles=profiles,
             capacity=CapacityTrace.constant([0, 1, 2], 2.0, 40.0),
-            encounters=EncounterTrace.full([0, 1, 2], 40.0), scheduler=name_helper_once,
+            encounters=EncounterTrace.full([0, 1, 2], 40.0), scheduler=recording,
         ))
-        assert report.violations == [] and report.per_user[2]["delivered_segments"] == 1
-        assert keys[0] == {0} and keys[-1] == {0, 2}
+        assert report.violations == [] and report.per_user[1]["delivered_segments"] == 0
         assert max(windows) == online.PREDICTION_WINDOW
 
 

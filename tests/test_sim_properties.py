@@ -4,7 +4,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crowdstream import online
+from crowdstream import model, online
 from crowdstream.model import UserProfile
 from crowdstream.sim import TOL, SimConfig, run_simulation
 from crowdstream.traces import CapacityTrace, EncounterTrace, PiecewiseConstant, TraceError
@@ -66,6 +66,29 @@ def test_run_invariants(config):
                 assert r.rate * betas[r.owner] <= got + 1e-9
             if config.abort_policy == "abort" and r.completed and r.owner != n:
                 assert config.encounters.holds(n, r.owner, r.t_start, r.t_end)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sim_configs(), st.randoms(use_true_random=False))
+def test_random_choices_stay_inside_videos(config, rnd):
+    """A scheduler naming random owners, levels and segments, in range or
+    not, never makes the simulator raise and never gets a segment outside
+    an owner's video delivered."""
+    ids = [p.id for p in config.profiles]
+
+    def random_choice(state, profiles):
+        return online.Download(owner=rnd.choice(ids), level=rnd.randint(-1, len(LADDER)),
+                               seg_index=rnd.randint(-1, 13))
+
+    report = run_simulation(dataclasses.replace(config, scheduler=random_choice))
+    profiles = model.profile_map(config.profiles)
+    for recs in report.downloads.values():
+        for r in recs:
+            assert 0 <= r.seg_index < profiles[r.owner].video_segments
+            assert 0 <= r.level < len(LADDER)
+    found = model.validate_sequences(profiles, config.capacity, config.encounters,
+                                     report.downloads)
+    assert [v for v in found if v.kind in ("segment", "duplicate")] == []
 
 
 def usable_by_scan(enc, n, m, now):
