@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -149,8 +150,29 @@ def _slot_totals(
 def check_slotted_feasibility(
     instance: SlottedInstance, schedule: SlottedSchedule
 ) -> list[Violation]:
+    """Violations of a slotted schedule; an empty list means feasible.
+
+    A key naming a slot, user or level the instance lacks, or a count that
+    is not a whole number, is reported alone, as a ``"segment"``
+    violation, before any other check reads the schedule.
+    """
+    N, T = instance.n_users, instance.n_slots
     violations: list[Violation] = []
-    received = [0] * instance.n_users
+    for key, c in schedule.kappa.items():
+        t, n, m, z = key
+        if not (all(isinstance(i, numbers.Integral) for i in key)
+                and t in range(T) and n in range(N) and m in range(N)
+                and z in range(len(instance.profiles[m].ladder))):
+            violations.append(Violation(
+                "segment", n, f"key {key} names a slot, user or level outside the instance"
+            ))
+        elif not isinstance(c, numbers.Integral):
+            violations.append(Violation(
+                "segment", n, f"count {c!r} at key {key} is not a whole number of segments"
+            ))
+    if violations:
+        return violations
+    received = [0] * N
     for (t, n, m, z), c in schedule.kappa.items():
         if c < 0:
             violations.append(Violation("capacity", n, f"negative count at slot {t}"))
@@ -297,14 +319,34 @@ def solve_slotted_exact(
         for p in profiles
     ]
 
+    # Each variable's constants, once per solve: (n, m, z, owner, rate,
+    # unit_vol, unit_gain) in slot_vars order.
+    var_plan: list[list[tuple]] = []
+    for t in range(T):
+        row = []
+        for n, m, z in slot_vars[t]:
+            owner = profiles[m]
+            rate = owner.ladder[z]
+            unit_vol = rate * owner.beta
+            unit_gain = model.segment_gain(
+                owner, profiles[n], rate, unit_vol / instance.capacity[n][t] * L, m != n
+            )
+            row.append((n, m, z, owner, rate, unit_vol, unit_gain))
+        var_plan.append(row)
+
     counts: dict[tuple[int, int, int, int], int] = {}
     received = [0] * N
     stats = {"nodes": 0, "leaves": 0}
     best = {"welfare": -math.inf, "kappa": {}}
+    budget_memo: dict[tuple[int, ...], float] = {}
 
     def budget_bound(rcv: list[int]) -> float:
-        return model.ordered_sum((profiles[m].video_segments - rcv[m]) * best_seg_value[m]
-                                 for m in range(N))
+        key = tuple(rcv)
+        bound = budget_memo.get(key)
+        if bound is None:
+            bound = budget_memo[key] = model.ordered_sum(
+                (profiles[m].video_segments - rcv[m]) * best_seg_value[m] for m in range(N))
+        return bound
 
     def close_slot(t: int, acc: float, q: list[float], last_high: list[float | None]):
         """Charge slot-level losses and advance buffers; recurse or prune."""
@@ -347,7 +389,7 @@ def solve_slotted_exact(
                 incumbent=SlottedSchedule(dict(best["kappa"])),
                 welfare=best["welfare"] if best["welfare"] > -math.inf else None,
             )
-        if i == len(slot_vars[t]):
+        if i == len(var_plan[t]):
             close_slot(t, acc, q, last_high)
             return
         if best["welfare"] > -math.inf:
@@ -358,16 +400,10 @@ def solve_slotted_exact(
             )
             if optimistic <= best["welfare"] + 1e-12:
                 return
-        n, m, z = slot_vars[t][i]
-        owner = profiles[m]
-        rate = owner.ladder[z]
-        unit_vol = rate * owner.beta
+        n, m, z, owner, rate, unit_vol, unit_gain = var_plan[t][i]
         cmax = min(
             int((rem_cap[n] + TOL) // unit_vol),
             owner.video_segments - received[m],
-        )
-        unit_gain = model.segment_gain(
-            owner, profiles[n], rate, unit_vol / instance.capacity[n][t] * L, m != n
         )
         for c in range(cmax + 1):
             if c > 0:
@@ -569,9 +605,36 @@ def brute_force_segmented(
             best["welfare"] = welfare
             best["downloads"] = {n: list(v) for n, v in downloads.items()}
 
+    # Per-solve tables, freed on return. A move's end time, encounter check
+    # and gain depend only on (downloader, start, owner, level), never on
+    # the search state; the remaining bound depends only on the received
+    # counts.
+    moves_memo: dict[tuple[int, float], tuple[tuple[int, int, float, float], ...]] = {}
+    bound_memo: dict[tuple[int, ...], float] = {}
+
+    def moves_from(d: int, start: float) -> tuple[tuple[int, int, float, float], ...]:
+        """(owner, level, end, gain) of each transfer ``d`` can run from
+        ``start``, by owner, then level."""
+        moves = []
+        for m in owners:
+            prof_m = pmap[m]
+            for z, rate in enumerate(prof_m.ladder):
+                end = capacity.invert(d, start, rate * prof_m.beta)
+                if end is None:
+                    continue
+                if m != d and not encounters.holds(d, m, start, end):
+                    continue
+                gain = model.segment_gain(prof_m, pmap[d], rate, end - start, m != d)
+                moves.append((m, z, end, gain))
+        return tuple(moves)
+
     def bound_remaining() -> float:
-        return model.ordered_sum((pmap[m].video_segments - received[m]) * best_seg_value[m]
-                                 for m in owners)
+        key = tuple(received.values())
+        bound = bound_memo.get(key)
+        if bound is None:
+            bound = bound_memo[key] = model.ordered_sum(
+                (pmap[m].video_segments - received[m]) * best_seg_value[m] for m in owners)
+        return bound
 
     def dfs(active: tuple[int, ...], partial: float):
         stats["nodes"] += 1
@@ -592,26 +655,20 @@ def brute_force_segmented(
         for start in starts:
             if start >= horizon - TOL:
                 break
-            for m in owners:
+            moves = moves_memo.get((d, start))
+            if moves is None:
+                moves = moves_memo[(d, start)] = moves_from(d, start)
+            for m, z, end, gain in moves:
                 if received[m] >= pmap[m].video_segments:
                     continue
-                prof_m = pmap[m]
-                for z, rate in enumerate(prof_m.ladder):
-                    vol = rate * prof_m.beta
-                    end = capacity.invert(d, start, vol)
-                    if end is None:
-                        continue
-                    if m != d and not encounters.holds(d, m, start, end):
-                        continue
-                    gain = model.segment_gain(prof_m, pmap[d], rate, end - start, m != d)
-                    scheduled[d].append((start, end, m, z))
-                    old_free = next_free[d]
-                    next_free[d] = end
-                    received[m] += 1
-                    dfs(active, partial + gain)
-                    received[m] -= 1
-                    next_free[d] = old_free
-                    scheduled[d].pop()
+                scheduled[d].append((start, end, m, z))
+                old_free = next_free[d]
+                next_free[d] = end
+                received[m] += 1
+                dfs(active, partial + gain)
+                received[m] -= 1
+                next_free[d] = old_free
+                scheduled[d].pop()
         dfs(tuple(n for n in active if n != d), partial)  # retire this downloader
 
     dfs(tuple(ids), 0.0)

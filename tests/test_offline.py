@@ -98,6 +98,25 @@ class TestFeasibility:
         got = check_slotted_feasibility(inst, sched)
         assert any(v.kind == "buffer" for v in got)
 
+    @pytest.mark.parametrize("key, count", [
+        ((5, 0, 0, 0), 1),    # slot past the 3-slot horizon
+        ((-1, 0, 0, 0), 1),   # negative slot (would index the last one)
+        ((1.0, 0, 0, 0), 1),  # slot that is not an integer
+        ((0, 1, 0, 0), 1),    # downloader outside the instance
+        ((0, 0, 1, 0), 1),    # owner outside the instance
+        ((0, 0, 0, 7), 1),    # level past the 2-rung ladder
+        ((0, 0, 0, -1), 1),   # negative level (would index the top rung)
+        ((0, 0, 0, 0), 0.5),  # count that is not a whole number
+    ], ids=["slot-past-end", "slot-negative", "slot-float", "downloader",
+            "owner", "level-past-top", "level-negative", "count-fraction"])
+    def test_malformed_entry_is_a_violation(self, key, count):
+        inst = one_user_instance([8.0, 8.0, 8.0], n_slots=3, segs=2)
+        sched = SlottedSchedule({key: count})
+        got = check_slotted_feasibility(inst, sched)
+        assert [v.kind for v in got] == ["segment"]
+        with pytest.raises(ValueError, match="infeasible slotted schedule: segment"):
+            eval_slotted_welfare(inst, sched)
+
 
 def enumerate_one_slot_optimum(inst):
     """Oracle: exhaustive enumeration of all schedules of a 1-user 1-slot instance."""

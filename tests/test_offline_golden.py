@@ -20,10 +20,12 @@ SLOT = 4.0
 ENERGY = dict(c_time=0.05, c_data=0.02, w_data=0.01)
 
 
-def build(caps, segs, ladder=(0.2, 0.7), enc_slots=(), buffer_cap=None, **kw):
+def build(caps, segs, ladder=(0.2, 0.7), enc_slots=(), buffer_cap=None,
+          enc_window=None, **kw):
     """Users 0..N-1 with per-slot capacities ``caps[n]`` (Mbps) and
-    ``segs[n]`` segments of 2 s; users 0 and 1 meet in ``enc_slots``. The
-    buffer cap defaults to the whole video, so it cannot bind."""
+    ``segs[n]`` segments of 2 s; users 0 and 1 meet in ``enc_slots``, or
+    over ``enc_window`` (start, end) when it is given. The buffer cap
+    defaults to the whole video, so it cannot bind."""
     n_slots = len(caps[0])
     horizon = n_slots * SLOT
     profiles = tuple(
@@ -38,6 +40,8 @@ def build(caps, segs, ladder=(0.2, 0.7), enc_slots=(), buffer_cap=None, **kw):
         for n, row in enumerate(caps)
     }, horizon=horizon)
     intervals = tuple((t * SLOT, (t + 1) * SLOT) for t in enc_slots)
+    if enc_window is not None:
+        intervals = (enc_window,)
     enc = EncounterTrace(intervals={(0, 1): intervals} if intervals else {},
                          horizon=horizon)
     return profiles, capacity, enc, horizon
@@ -59,12 +63,23 @@ INSTANCES = {
     # a 2 s cap holds one segment: the link could fetch all three at the
     # top level in slot 0, so every solver must wait for the buffer to drain
     "solo-cap-binds": lambda: build([[4.0, 4.0]], [3], buffer_cap=2.0),
+    # the window ends mid-slot: from t=0 the 1 Mbps helper fetches a low
+    # segment (0.4 Mbit, ends at 0.4 s) inside it but not a high one
+    # (1.4 Mbit, ends at 1.4 s), while the 0.2 Mbps owner has its own
+    # end times. No slotted variable sees the window, and the fluid bound
+    # (whole-slot encounters only) falls below the brute force here.
+    "helper-window-mid-slot": lambda: build(
+        [[0.2, 0.2], [1.0, 1.0]], [2, 0], enc_window=(0.0, 1.0)),
 }
 
 GOLDEN = {
     'helper-cross': (
         '(1.9685130042486816, 1.9685130042486816, 1.9685130042486816, 1.9685130042486816, 1.9685130042486814)',
         (37, 8, 97, 27, 50, 31, 254, 175),
+    ),
+    'helper-window-mid-slot': (
+        '(0.5132862271758185, 0.7265929214440343, 1.0158996157122497, 1.3242063099804657, 0.8545769380049637)',
+        (17, 4, 54, 20, 35, 18, 240, 141),
     ),
     'pair-2slot': (
         '(1.8948334197272776, 1.8948334197272776, 1.8948334197272776, 1.8948334197272776, 1.8948334197272776)',
@@ -93,20 +108,43 @@ GOLDEN = {
 }
 
 
-def solve_all(profiles, capacity, enc, horizon):
+def searches(profiles, capacity, enc, horizon):
+    """Exact and brute-force results at beta and beta/2."""
     inst = SlottedInstance.from_traces(profiles, capacity, enc, SLOT)
     half = inst.with_split(2)
-    exact = solve_slotted_exact(inst)
-    exact_half = solve_slotted_exact(half)
-    brute = brute_force_segmented(profiles, capacity, enc, horizon)
-    brute_half = brute_force_segmented(half.profiles, capacity, enc, horizon)
-    welfare = repr((exact.welfare, exact_half.welfare, brute.welfare,
-                    brute_half.welfare, solve_slotted_relaxed(inst)))
-    counts = (exact.nodes, exact.leaves, exact_half.nodes, exact_half.leaves,
-              brute.nodes, brute.leaves, brute_half.nodes, brute_half.leaves)
+    return (solve_slotted_exact(inst), solve_slotted_exact(half),
+            brute_force_segmented(profiles, capacity, enc, horizon),
+            brute_force_segmented(half.profiles, capacity, enc, horizon))
+
+
+def pins(results, upper):
+    welfare = repr(tuple(r.welfare for r in results) + (upper,))
+    counts = tuple(x for r in results for x in (r.nodes, r.leaves))
     return welfare, counts
+
+
+def solve_all(profiles, capacity, enc, horizon):
+    upper = solve_slotted_relaxed(SlottedInstance.from_traces(profiles, capacity, enc, SLOT))
+    return pins(searches(profiles, capacity, enc, horizon), upper)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_bound_solvers_golden(name):
     assert solve_all(*INSTANCES[name]()) == GOLDEN[name]
+
+
+def test_searches_keep_no_tables_between_solves():
+    """Instance A, then B (same profiles, other capacities, the same
+    downloaders and start times), then A again: A's schedules, welfare
+    values and counts are the same both times, and equal A's pin."""
+    name = "helper-window-mid-slot"
+    a = INSTANCES[name]()
+    b = build([[0.7, 0.1], [0.3, 2.0]], [2, 0], enc_window=(0.0, 1.0))
+    assert a[0] == b[0]
+    first = searches(*a)
+    other = searches(*b)
+    again = searches(*a)
+    assert [r.welfare for r in other] != [r.welfare for r in first]
+    assert again == first
+    upper = solve_slotted_relaxed(SlottedInstance.from_traces(*a[:3], SLOT))
+    assert pins(again, upper) == GOLDEN[name]
