@@ -41,7 +41,9 @@ class SchedulerState:
     The broadcast ``buffers`` and ``next_seg`` are keyed by the video users,
     the only segment owners; ``last_rates`` holds those with a delivery.
     ``next_seg`` is the smallest segment index neither delivered nor in
-    flight, or None.
+    flight, or None. The simulator shares these three mappings between
+    the decisions made on one unchanged state, so a scheduler must treat
+    them as read-only.
     ``throughput_samples`` holds the decider's last ``PREDICTION_WINDOW``
     samples. ``neighbors`` is in ascending id order, without duplicates.
     """
@@ -130,22 +132,27 @@ def lyapunov_drift(
 
 def _split_candidates(
     state: SchedulerState, profiles: Mapping[int, UserProfile]
-) -> tuple[list[int], list[int]]:
-    """Owners the decider could serve now, and those blocked only by a
-    full buffer (relevant for the waiting-timer branch); both in id order.
-    Only video users with a next segment are candidates."""
+) -> tuple[list[int], list[float]]:
+    """Owners the decider could serve now, in id order, and by how many
+    seconds each owner blocked only by a full buffer overflows its cap
+    (relevant for the waiting-timer branch). Only neighbours with a next
+    segment are candidates."""
     ready: list[int] = []
-    blocked: list[int] = []
-    next_seg = state.next_seg
+    overflows: list[float] = []
+    next_seg_of, buffers = state.next_seg.get, state.buffers
     for u in state.neighbors:
-        if next_seg.get(u) is None:
+        if next_seg_of(u) is None:
             continue
         prof = profiles[u]
-        if state.buffers[u] + prof.beta <= prof.buffer_cap:
+        # same test as ``level + beta <= cap``: for finite doubles, s <= c iff
+        # s - c <= 0, as an IEEE difference of unequal doubles is never zero
+        # or of the wrong sign
+        over = buffers[u] + prof.beta - prof.buffer_cap
+        if over <= 0:
             ready.append(u)
         else:
-            blocked.append(u)
-    return ready, blocked
+            overflows.append(over)
+    return ready, overflows
 
 
 def _ready_or_wait(
@@ -158,14 +165,11 @@ def _ready_or_wait(
     """
     if state.capacity <= 0:
         return Wait(DEFAULT_EPOCH)
-    ready, blocked = _split_candidates(state, profiles)
+    ready, overflows = _split_candidates(state, profiles)
     if ready:
         return ready
-    if blocked:
-        t_w = min(
-            state.buffers[u] + profiles[u].beta - profiles[u].buffer_cap for u in blocked
-        )
-        return Wait(max(t_w, 1e-6))
+    if overflows:
+        return Wait(max(min(overflows), 1e-6))
     return Wait(DEFAULT_EPOCH)
 
 

@@ -12,14 +12,19 @@ Segment owners are the video users, fixed at setup. A scheduler's Download
 is refused, with a violation and a re-poll one ``DEFAULT_EPOCH`` later, when
 it names a user that is not a neighbour, a user without video, a level off
 the owner's ladder, a segment outside the owner's video, or a segment that
-is delivered or in flight.
+is delivered or in flight. A Wait of NaN seconds is refused the same way.
 
-Scheduler state is kept incrementally rather than rescanned per decision:
-each owner's smallest free segment moves only when a transfer to it starts
-or ends undelivered, each user's neighbour set is reused between
-consecutive encounter breakpoints and rebuilt from its encounter partners
-only, only owners' buffers are drained, checked and broadcast, and one
-snapshot serves both the decision and its welfare estimate.
+Scheduler state is kept incrementally rather than rescanned per decision.
+Each owner's smallest free segment moves only when a transfer to it starts
+or ends undelivered, and only owners' buffers are drained, checked and
+broadcast. The owner broadcast is built on the first decision after a state
+change (a time advance, an accepted transfer or a finished one) and shared,
+read-only, by every decision until the next change; most decisions are
+same-instant wake-ups that see an unchanged state. Each user's neighbour set
+is reused between consecutive encounter breakpoints; on leaving such a gap,
+only the partners with a breakpoint since the user's previous rebuild are
+tested again. One snapshot serves both the decision and its welfare
+estimate.
 """
 from __future__ import annotations
 
@@ -138,14 +143,21 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     # ``profiles`` order fixes the drift's summation order.
     owners = tuple(n for n, p in profiles.items() if p.is_video_user)
 
+    # The owner broadcast (``buffers``, ``last_rates``, ``next_seg``), shared
+    # by every snapshot until the state next changes; None marks it stale. A
+    # rebuild must make new dicts, so that a snapshot handed out earlier
+    # keeps what it saw.
+    broadcast: tuple[dict, dict, dict] | None = None
+
     def advance(now: float) -> None:
-        nonlocal last_t
+        nonlocal last_t, broadcast
         dt = now - last_t
         if dt < -TOL:
             raise RuntimeError("event time went backwards")
         if dt > 0:
             for n in owners:
                 buffers[n] = max(0.0, buffers[n] - dt)
+            broadcast = None
         last_t = now
 
     def committed(n: int) -> float:
@@ -173,38 +185,37 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     # intervals containing ``now`` reaches the trace horizon or ends more
     # than TOL later: right at a break the pair is still "encountered" but
     # no positive-duration transfer fits, so it is excluded to keep every
-    # started transfer strictly progressing. Each user's partners (users it
-    # ever encounters) are indexed, in id order below and above it, with the
-    # pair's interval starts and ends for one bisect per partner.
+    # started transfer strictly progressing.
     #
     # Between two consecutive breakpoints of user n (its partners' interval
     # ends and starts), every usability answer is constant, so a neighbour
     # tuple computed strictly inside such a gap, and more than TOL before its
     # end, is reused until ``now`` leaves it. The trace horizon is a
     # breakpoint so that a query past it is never served from the cache and
-    # raises.
+    # raises. On a cache miss only the partners with a breakpoint in
+    # [previous miss, now + TOL] are tested again: for any other partner the
+    # window found at the previous miss (or the lack of one) is the one
+    # found now, and it does not end within TOL after now.
     encounters = config.encounters
     enc_horizon = encounters.horizon
-    partners: dict[int, tuple[list, list]] = {n: ([], []) for n in ids}
-    breaks: dict[int, set[float]] = {n: {enc_horizon} for n in ids}
-    for a, b in sorted(encounters.intervals):
+    pair_bounds: dict[int, dict[int, tuple]] = {n: {} for n in ids}
+    marks: dict[int, list[tuple[float, int]]] = {n: [] for n in ids}
+    for a, b in encounters.intervals:
         starts, ends = encounters.interval_bounds(a, b)
-        if a in partners and b in partners and ends:
-            partners[a][1].append((b, starts, ends))
-            partners[b][0].append((a, starts, ends))
-            for n in (a, b):
-                breaks[n].update(starts, ends)
-    breakpoints = {n: [-math.inf, *sorted(pts), math.inf] for n, pts in breaks.items()}
-
-    def usable(pairs: list, now: float) -> list[int]:
-        found = []
-        for m, starts, ends in pairs:
-            i = bisect.bisect_left(ends, now)
-            if i < len(ends) and starts[i] <= now and (
-                ends[i] >= enc_horizon or ends[i] > now + TOL
-            ):
-                found.append(m)
-        return found
+        if a in pair_bounds and b in pair_bounds and ends:
+            for n, m in ((a, b), (b, a)):
+                pair_bounds[n][m] = (starts, ends)
+                marks[n].extend((t, m) for t in (*starts, *ends))
+    mark_times: dict[int, list[float]] = {}
+    mark_partners: dict[int, list[int]] = {}
+    breakpoints: dict[int, list[float]] = {}
+    for n, pts in marks.items():
+        pts.sort()
+        mark_times[n] = [t for t, _ in pts]
+        mark_partners[n] = [m for _, m in pts]
+        breakpoints[n] = [-math.inf, *sorted({enc_horizon, *mark_times[n]}), math.inf]
+    last_miss = {n: -math.inf for n in ids}
+    last_usable: dict[int, set[int]] = {n: set() for n in ids}  # usable at last_miss
 
     neighbor_cache: dict[int, tuple[float, float, tuple[int, ...]]] = {}
 
@@ -214,8 +225,20 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             return hit[2]
         if len(ids) > 1 and not 0 <= now <= enc_horizon:
             raise TraceError(f"time {now} outside horizon [0, {enc_horizon}]")
-        below, above = partners[n]
-        found = (*usable(below, now), n, *usable(above, now))
+        times, usable, bounds = mark_times[n], last_usable[n], pair_bounds[n]
+        since = bisect.bisect_left(times, last_miss[n])
+        until = bisect.bisect_right(times, now + TOL)
+        for m in set(mark_partners[n][since:until]):
+            starts, ends = bounds[m]
+            i = bisect.bisect_left(ends, now)
+            if i < len(ends) and starts[i] <= now and (
+                ends[i] >= enc_horizon or ends[i] > now + TOL
+            ):
+                usable.add(m)
+            else:
+                usable.discard(m)
+        last_miss[n] = now
+        found = tuple(sorted((n, *usable)))
         pts = breakpoints[n]
         i = bisect.bisect_right(pts, now)
         lo, hi = pts[i - 1], pts[i] - TOL
@@ -224,26 +247,41 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         return found
 
     def snapshot(n: int, now: float) -> online.SchedulerState:
+        nonlocal broadcast
         neighbors = neighbors_of(n, now)
+        if broadcast is None:
+            broadcast = (
+                # broadcast level: committed content plus in-flight
+                # reservations, so concurrent downloaders do not over-fill
+                # one owner's buffer
+                {m: committed(m) + betas[m] * len(reserved[m]) for m in owners},
+                dict(last_rates),
+                dict(next_segs),
+            )
+        levels, rates, nexts = broadcast
         return online.SchedulerState(
             user=n,
             now=now,
             capacity=config.capacity.rate_at(n, now),
             neighbors=neighbors,
-            # broadcast level: committed content plus in-flight reservations,
-            # so concurrent downloaders do not over-fill one owner's buffer
-            buffers={m: committed(m) + betas[m] * len(reserved[m]) for m in owners},
-            last_rates=dict(last_rates),
-            next_seg=dict(next_segs),
+            buffers=levels,
+            last_rates=rates,
+            next_seg=nexts,
             throughput_samples=tuple(samples[n]),
         )
+
+    def refuse(n: int, now: float, why: str) -> None:
+        """A decision the simulator cannot carry out: a violation, and user
+        n decides again one ``DEFAULT_EPOCH`` later."""
+        violations.append(f"t={now}: {why}")
+        push(min(now + online.DEFAULT_EPOCH, horizon), "epoch", n)
 
     def start_download(
         n: int, now: float, decision: online.Download, state: online.SchedulerState
     ) -> None:
         """Start the chosen transfer; ``state`` is the snapshot the decision
         was made on, reused for the welfare estimate."""
-        nonlocal sw_estimated
+        nonlocal sw_estimated, broadcast
         u, z, k = decision.owner, decision.level, decision.seg_index
         if u not in state.neighbors:
             refusal = f"owner {u} is not a neighbour of {n}"
@@ -258,8 +296,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         else:
             refusal = None
         if refusal is not None:
-            violations.append(f"t={now}: {refusal}")
-            push(min(now + online.DEFAULT_EPOCH, horizon), "epoch", n)
+            refuse(n, now, refusal)
             return
         prof_u = profiles[u]
         rate = prof_u.ladder[z]
@@ -287,6 +324,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         except ValueError:
             pass  # zero instantaneous capacity: no payoff estimate
         reserved[u].add(k)
+        broadcast = None
         if next_segs[u] == k:
             j, segs = k + 1, prof_u.video_segments
             while j < segs and taken(u, j):
@@ -295,6 +333,8 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         push(end, "complete", (n, record))
 
     def finish_download(n: int, now: float, record: SegmentRecord) -> None:
+        nonlocal broadcast
+        broadcast = None
         u, k = record.owner, record.seg_index
         reserved[u].discard(k)
         final = record
@@ -340,6 +380,8 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             decision = scheduler(state, profiles)
             if isinstance(decision, online.Download):
                 start_download(n, time, decision, state)
+            elif math.isnan(decision.duration):
+                refuse(n, time, f"wait of nan from user {n}")
             else:
                 wake = time + max(decision.duration, 1e-6)
                 if wake < horizon:

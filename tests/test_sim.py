@@ -1,3 +1,4 @@
+import copy
 import re
 
 import pytest
@@ -282,6 +283,40 @@ class TestOwners:
         assert report.violations == [f"t={t}: {why}" for t in polls]
         assert report.downloads == {0: [], 1: []} and report.deliveries == 0
 
+    def test_nan_wait_is_refused(self):
+        """A Wait(nan) is refused like a bad Download: a violation and a
+        re-poll one epoch later, so the user keeps deciding."""
+        polls = []
+
+        def nan_wait(state, profiles):
+            polls.append(state.now)
+            return online.Wait(float("nan"))
+
+        report = run_simulation(SimConfig(
+            horizon=3.0, profiles=(make_profile(0, video_segments=3),),
+            capacity=CapacityTrace.constant([0], 1.0, 3.0),
+            encounters=EncounterTrace.none(3.0), scheduler=nan_wait,
+        ))
+        assert polls == [0.0, 1.0, 2.0]
+        assert report.violations == [f"t={t}: wait of nan from user 0" for t in polls]
+
+    def test_negative_and_infinite_waits(self):
+        """A negative wait is floored at 1e-6 s; an infinite one ends the
+        user's decisions without a violation."""
+        polls = []
+
+        def waits(state, profiles):
+            polls.append(state.now)
+            return online.Wait(-5.0 if len(polls) == 1 else float("inf"))
+
+        report = run_simulation(SimConfig(
+            horizon=3.0, profiles=(make_profile(0, video_segments=3),),
+            capacity=CapacityTrace.constant([0], 1.0, 3.0),
+            encounters=EncounterTrace.none(3.0), scheduler=waits,
+        ))
+        assert polls == [0.0, 1e-6]
+        assert report.violations == []
+
     def test_idle_helpers_gain_nothing(self):
         """Two idle helpers cannot serve each other, so the run stays within
         the fluid upper bound, which is 0 without a video user."""
@@ -322,6 +357,41 @@ class TestOwners:
         ))
         assert report.violations == [] and report.per_user[1]["delivered_segments"] == 0
         assert max(windows) == online.PREDICTION_WINDOW
+
+
+    def test_snapshots_stay_snapshots(self):
+        """A state handed to a scheduler keeps what it showed, although the
+        simulator shares its mappings between decisions on an unchanged
+        state; and a decision at the instant of an accepted Download sees
+        that transfer's reservation."""
+        seen = []
+
+        def recording(state, profiles):
+            copies = tuple(copy.deepcopy(dict(m)) for m in
+                           (state.buffers, state.last_rates, state.next_seg))
+            decision = online.lyapunov_decide(state, profiles)
+            seen.append((state, copies, decision))
+            return decision
+
+        profiles = (make_profile(0, video_segments=6, buffer_cap=6.0),
+                    make_profile(1, video_segments=0),
+                    make_profile(2, video_segments=6, buffer_cap=6.0))
+        report = run_simulation(SimConfig(
+            horizon=30.0, profiles=profiles,
+            capacity=CapacityTrace.constant([0, 1, 2], 1.0, 30.0),
+            encounters=EncounterTrace.full([0, 1, 2], 30.0), scheduler=recording,
+        ))
+        assert report.violations == [] and report.deliveries > 0
+        for state, copies, _ in seen:
+            assert (dict(state.buffers), dict(state.last_rates), dict(state.next_seg)) == copies
+        same_instant = 0
+        for (before, _, decision), (after, _, _) in zip(seen, seen[1:]):
+            if before.now == after.now and isinstance(decision, online.Download):
+                u, k = decision.owner, decision.seg_index
+                assert after.buffers[u] == pytest.approx(before.buffers[u] + profiles[0].beta)
+                assert after.next_seg[u] != k
+                same_instant += 1
+        assert same_instant > 0
 
 
 class TestNextSeg:

@@ -92,31 +92,38 @@ def test_random_choices_stay_inside_videos(config, rnd):
 
 
 def usable_by_scan(enc, n, m, now):
-    """The neighbour rule by a linear scan of the pair's intervals: usable
-    when the first window containing ``now`` reaches the trace horizon or
+    """The neighbour rule, afresh by a linear scan of the pair's
+    interval starts and ends: usable when the first window containing
+    ``now`` (at a touch, the one ending there) reaches the trace horizon or
     ends more than TOL later."""
     if m == n:
         return True
-    for a, b in enc.intervals.get((min(n, m), max(n, m)), ()):
+    starts, ends = enc.interval_bounds(n, m)
+    for a, b in zip(starts, ends):
         if a <= now <= b:
             return b >= enc.horizon or b > now + TOL
     return False
 
 
-def check_neighbors(config, idle=False):
+def idle(state, profiles):
+    """Only waits 0.5 s, so every user decides at every multiple of 0.5 s."""
+    return online.Wait(0.5)
+
+
+def check_neighbors(config, decide=None):
     """Run ``config`` with a scheduler that records every snapshot whose
-    neighbour tuple differs from a fresh scan. With ``idle`` the scheduler
-    only waits 0.5 s, so every user decides at every multiple of 0.5 s."""
+    neighbour tuple differs from a fresh scan, and then decides as
+    ``decide`` (by default, as ``config.scheduler``)."""
     ids = sorted(p.id for p in config.profiles)
     enc = config.encounters
-    decide = online.make_scheduler(config.scheduler)
+    decide = decide or online.make_scheduler(config.scheduler)
     mismatches = []
 
     def checking(state, profiles):
         want = tuple(m for m in ids if usable_by_scan(enc, state.user, m, state.now))
         if state.neighbors != want:
             mismatches.append((state.user, state.now, state.neighbors, want))
-        return online.Wait(0.5) if idle else decide(state, profiles)
+        return decide(state, profiles)
 
     run_simulation(dataclasses.replace(config, scheduler=checking))
     return mismatches
@@ -162,7 +169,7 @@ def test_snapshot_neighbors_at_breakpoints(config, data):
     ids = sorted(p.id for p in config.profiles)
     enc = data.draw(grid_encounters(ids, config.horizon))
     config = dataclasses.replace(config, encounters=enc)
-    assert check_neighbors(config, idle=True) == []
+    assert check_neighbors(config, idle) == []
     assert check_neighbors(config) == []
 
 
@@ -180,3 +187,59 @@ def test_query_past_encounter_horizon_raises():
     )
     with pytest.raises(TraceError, match="outside horizon"):
         run_simulation(config)
+
+
+@st.composite
+def breakpoint_traces(draw):
+    """Three to five users, each pair with one to four windows on a 0.25 s
+    grid. A window may touch the one before it, may end less than TOL after
+    a grid point (where idle users poll), and the last may reach the
+    horizon."""
+    horizon = 10.0
+    ids = list(range(draw(st.integers(3, 5))))
+    grid = st.integers(0, int(4 * horizon)).map(lambda k: k / 4)
+    intervals = {}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            pts = sorted(draw(st.lists(grid, min_size=2, max_size=8)))
+            raw = list(zip(pts[::2], pts[1::2]))
+            ivs = []
+            for k, (lo, hi) in enumerate(raw):
+                if ivs and draw(st.booleans()):
+                    lo = ivs[-1][1]  # touch the previous window
+                limit = raw[k + 1][0] if k + 1 < len(raw) else horizon
+                late = draw(st.sampled_from([0.0, 0.0, 5e-10, TOL]))
+                if k + 1 == len(raw) and draw(st.booleans()):
+                    hi = horizon
+                elif hi + late <= limit:
+                    hi += late
+                ivs.append((lo, hi))
+            intervals[(a, b)] = tuple(ivs)
+    return ids, EncounterTrace(intervals=intervals, horizon=horizon)
+
+
+@settings(max_examples=80, deadline=None)
+@given(breakpoint_traces(), st.randoms(use_true_random=False))
+def test_neighbors_follow_rule_at_every_decision(trace, rnd):
+    """Every decision's neighbour tuple equals the rule evaluated afresh,
+    while users poll on the grid at random intervals and sometimes
+    download, so that queries fall on window ends and starts, where two
+    windows touch, less than TOL before an end, and between breakpoints.
+    Every user has at least two partners."""
+    ids, enc = trace
+    profiles = tuple(
+        UserProfile(id=n, beta=2.0, buffer_cap=40.0, ladder=LADDER,
+                    video_segments=8 if n % 2 == 0 else 0)
+        for n in ids
+    )
+
+    def poll_or_download(state, profs):
+        if rnd.random() < 0.2:
+            return online.lyapunov_decide(state, profs)
+        return online.Wait(rnd.choice([0.25, 0.5, 1.25]))
+
+    config = SimConfig(
+        horizon=enc.horizon, profiles=profiles,
+        capacity=CapacityTrace.constant(ids, 0.5, enc.horizon), encounters=enc,
+    )
+    assert check_neighbors(config, poll_or_download) == []
