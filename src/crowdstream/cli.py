@@ -153,7 +153,22 @@ def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        os.remove(tmp)
+        raise
+
+
+def _write_output(path: str, text: str) -> bool:
+    """``_atomic_write``; False, after one stderr line, when ``path`` cannot
+    be written."""
+    try:
+        _atomic_write(path, text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cell_traces(spec: ExperimentSpec, seed: int, cooperation: str):
@@ -205,7 +220,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"bad experiment spec: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = args.out or spec.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     cells: list[tuple[str, float | None, int, str]] = []
     modes = [spec.cooperation]
@@ -330,7 +349,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if cert.partial:
         print(f"{cert.solver_stats['failed_solver']} solver budget exhausted; "
               f"partial certificate in {out_path}", file=sys.stderr)
-    _atomic_write(out_path, json.dumps(cert.to_dict(), sort_keys=True, indent=2))
+    if not _write_output(out_path, json.dumps(cert.to_dict(), sort_keys=True, indent=2)):
+        return EXIT_CONFIG
     return EXIT_PARTIAL if cert.partial else EXIT_OK
 
 
@@ -349,10 +369,8 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
     except traces.TraceError as exc:
         print(f"trace generation failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _atomic_write(args.out, json.dumps(
-        traces.traces_to_dict(capacity, encounters), sort_keys=True, indent=2
-    ))
-    return EXIT_OK
+    text = json.dumps(traces.traces_to_dict(capacity, encounters), sort_keys=True, indent=2)
+    return EXIT_OK if _write_output(args.out, text) else EXIT_CONFIG
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -364,10 +382,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     except (OSError, traces.TraceError) as exc:
         print(f"ingestion failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _atomic_write(args.out, json.dumps(
-        traces.traces_to_dict(capacity, encounters), sort_keys=True, indent=2
-    ))
-    return EXIT_OK
+    text = json.dumps(traces.traces_to_dict(capacity, encounters), sort_keys=True, indent=2)
+    return EXIT_OK if _write_output(args.out, text) else EXIT_CONFIG
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -46,6 +46,11 @@ class UserProfile:
     video_segments: int = 0
 
     def __post_init__(self) -> None:
+        weights = ("phi_qdeg", "phi_rebuf", "c_time", "c_data",
+                   "w_time", "w_data", "eps_time", "eps_rate")
+        for name in ("beta", "buffer_cap", "theta", *weights):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta <= 0:
             raise ValueError(f"segment length must be positive, got {self.beta}")
         if self.buffer_cap < self.beta:
@@ -54,12 +59,13 @@ class UserProfile:
             )
         if not self.ladder:
             raise ValueError("bitrate ladder must be non-empty")
+        if not all(math.isfinite(r) and r > 0 for r in self.ladder):
+            raise ValueError(f"bitrate ladder rates must be finite and positive: {self.ladder}")
         if any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
             raise ValueError(f"bitrate ladder must be strictly increasing: {self.ladder}")
         if self.theta <= 0:
             raise ValueError(f"quality factor must be positive, got {self.theta}")
-        for name in ("phi_qdeg", "phi_rebuf", "c_time", "c_data",
-                     "w_time", "w_data", "eps_time", "eps_rate"):
+        for name in weights:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.video_segments < 0:

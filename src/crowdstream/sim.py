@@ -20,11 +20,11 @@ or ends undelivered, and only owners' buffers are drained, checked and
 broadcast. The owner broadcast is built on the first decision after a state
 change (a time advance, an accepted transfer or a finished one) and shared,
 read-only, by every decision until the next change; most decisions are
-same-instant wake-ups that see an unchanged state. Each user's neighbour set
-is reused between consecutive encounter breakpoints; on leaving such a gap,
-only the partners with a breakpoint since the user's previous rebuild are
-tested again. One snapshot serves both the decision and its welfare
-estimate.
+same-instant wake-ups that see an unchanged state. A user's neighbour set
+is tested again only for the partners with an encounter window starting or
+ending since the user's previous test, by ``EncounterTrace.next_break``, the
+rule the abort policy also asks. One snapshot serves both the decision and
+its welfare estimate.
 """
 from __future__ import annotations
 
@@ -181,70 +181,50 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     next_segs = {n: 0 for n in owners}
 
     # A user is always its own neighbour. Another user m is a usable
-    # neighbour of n at ``now`` when the first of the pair's closed encounter
-    # intervals containing ``now`` reaches the trace horizon or ends more
-    # than TOL later: right at a break the pair is still "encountered" but
-    # no positive-duration transfer fits, so it is excluded to keep every
-    # started transfer strictly progressing.
-    #
-    # Between two consecutive breakpoints of user n (its partners' interval
-    # ends and starts), every usability answer is constant, so a neighbour
-    # tuple computed strictly inside such a gap, and more than TOL before its
-    # end, is reused until ``now`` leaves it. The trace horizon is a
-    # breakpoint so that a query past it is never served from the cache and
-    # raises. On a cache miss only the partners with a breakpoint in
-    # [previous miss, now + TOL] are tested again: for any other partner the
-    # window found at the previous miss (or the lack of one) is the one
-    # found now, and it does not end within TOL after now.
+    # neighbour of n at ``now`` when ``encounters.next_break(n, m, now)`` is
+    # None or more than TOL after ``now``: right at a break the pair is still
+    # "encountered" but no positive-duration transfer fits, so it is
+    # excluded to keep every started transfer strictly progressing. The
+    # answer for m can differ from the one at n's last test only if a start
+    # or end of one of the pair's windows lies in [last test, now + TOL], so
+    # only those partners are tested again. With no mark left, the trace
+    # horizon stands in for the next one, so that a query past it is never
+    # answered from the last test and raises.
     encounters = config.encounters
     enc_horizon = encounters.horizon
-    pair_bounds: dict[int, dict[int, tuple]] = {n: {} for n in ids}
     marks: dict[int, list[tuple[float, int]]] = {n: [] for n in ids}
-    for a, b in encounters.intervals:
-        starts, ends = encounters.interval_bounds(a, b)
-        if a in pair_bounds and b in pair_bounds and ends:
+    for (a, b), ivs in encounters.intervals.items():
+        if a in marks and b in marks:
             for n, m in ((a, b), (b, a)):
-                pair_bounds[n][m] = (starts, ends)
-                marks[n].extend((t, m) for t in (*starts, *ends))
-    mark_times: dict[int, list[float]] = {}
-    mark_partners: dict[int, list[int]] = {}
-    breakpoints: dict[int, list[float]] = {}
-    for n, pts in marks.items():
+                marks[n].extend((t, m) for iv in ivs for t in iv)
+    for pts in marks.values():
         pts.sort()
-        mark_times[n] = [t for t, _ in pts]
-        mark_partners[n] = [m for _, m in pts]
-        breakpoints[n] = [-math.inf, *sorted({enc_horizon, *mark_times[n]}), math.inf]
-    last_miss = {n: -math.inf for n in ids}
-    last_usable: dict[int, set[int]] = {n: set() for n in ids}  # usable at last_miss
-
-    neighbor_cache: dict[int, tuple[float, float, tuple[int, ...]]] = {}
+    last_test = {n: -math.inf for n in ids}
+    next_mark = {n: -math.inf for n in ids}  # first mark >= last_test, or horizon
+    usable: dict[int, set[int]] = {n: set() for n in ids}  # at last_test
+    found = {n: (n,) for n in ids}
 
     def neighbors_of(n: int, now: float) -> tuple[int, ...]:
-        hit = neighbor_cache.get(n)
-        if hit is not None and hit[0] < now < hit[1]:
-            return hit[2]
+        if now + TOL < next_mark[n]:
+            return found[n]
         if len(ids) > 1 and not 0 <= now <= enc_horizon:
             raise TraceError(f"time {now} outside horizon [0, {enc_horizon}]")
-        times, usable, bounds = mark_times[n], last_usable[n], pair_bounds[n]
-        since = bisect.bisect_left(times, last_miss[n])
-        until = bisect.bisect_right(times, now + TOL)
-        for m in set(mark_partners[n][since:until]):
-            starts, ends = bounds[m]
-            i = bisect.bisect_left(ends, now)
-            if i < len(ends) and starts[i] <= now and (
-                ends[i] >= enc_horizon or ends[i] > now + TOL
-            ):
-                usable.add(m)
-            else:
-                usable.discard(m)
-        last_miss[n] = now
-        found = tuple(sorted((n, *usable)))
-        pts = breakpoints[n]
-        i = bisect.bisect_right(pts, now)
-        lo, hi = pts[i - 1], pts[i] - TOL
-        if lo < now < hi:
-            neighbor_cache[n] = (lo, hi, found)
-        return found
+        pts = marks[n]
+        since = bisect.bisect_left(pts, (last_test[n],))
+        until = bisect.bisect_right(pts, (now + TOL, math.inf))
+        if since < until:
+            use = usable[n]
+            for m in {m for _, m in pts[since:until]}:
+                brk = encounters.next_break(n, m, now)
+                if brk is None or brk > now + TOL:
+                    use.add(m)
+                else:
+                    use.discard(m)
+            found[n] = tuple(sorted((n, *use)))
+        last_test[n] = now
+        i = bisect.bisect_left(pts, (now,))
+        next_mark[n] = pts[i][0] if i < len(pts) else enc_horizon
+        return found[n]
 
     def snapshot(n: int, now: float) -> online.SchedulerState:
         nonlocal broadcast

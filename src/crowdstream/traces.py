@@ -3,7 +3,7 @@
 Capacity is piecewise constant, which keeps the feasibility integral exact
 and makes download-completion inversion closed form. Encounters are stored
 as disjoint closed intervals per unordered user pair; a user always
-"encounters" himself, so self-download is always feasible.
+"encounters" itself, so self-download is always feasible.
 
 Also provides CSV ingestion for hotspot session logs and video viewing logs,
 plus seeded synthetic generators standing in for real datasets.
@@ -210,7 +210,13 @@ class EncounterTrace:
 
     def next_break(self, n: int, m: int, t: float) -> float | None:
         """End of the first encounter window containing ``t``; None if
-        unbounded or self, ``t`` itself if the pair is not encountered."""
+        unbounded or self, ``t`` itself if the pair is not encountered.
+
+        Where two windows touch at ``t``, this is the one ending there, so
+        ``t`` itself: the simulator's neighbour rule (usable iff the break
+        is None or more than TOL after ``t``) relies on this to exclude a
+        partner at a touch point, where no positive-duration transfer fits
+        in the window that ends."""
         if n == m:
             return None
         starts, ends = self.interval_bounds(n, m)

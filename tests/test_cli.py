@@ -48,6 +48,11 @@ def make_bounds_instance(tmp_path, *, segs=2, ladder=(0.2, 0.7), horizon=8.0,
     return str(path)
 
 
+def with_profile(**fields):
+    """Sets ``fields`` in the bounds instance's one profile."""
+    return lambda d: {**d, "profiles": [{**d["profiles"][0], **fields}]}
+
+
 # each turns the default bounds instance into one that cannot be built
 MALFORMED_BOUNDS = {
     "missing-keys": lambda d: {"profiles": []},
@@ -63,6 +68,11 @@ MALFORMED_BOUNDS = {
     "bool-slot-len": lambda d: {**d, "slot_len": True},
     "overlapping-encounters": lambda d: {**d, "encounters": {
         **d["encounters"], "pairs": [{"users": [0, 1], "intervals": [[0, 4], [3, 8]]}]}},
+    "zero-ladder-rate": with_profile(ladder=[0.0, 0.5]),
+    "negative-ladder-rate": with_profile(ladder=[-1.0, 0.5]),
+    "nan-ladder-rate": with_profile(ladder=[float("nan")]),
+    "infinite-ladder-rate": with_profile(ladder=[float("inf")]),
+    "nan-weight": with_profile(c_data=float("nan")),
 }
 
 # each makes a run spec that must be rejected before anything runs
@@ -81,6 +91,11 @@ BAD_RUN_SPECS = {
     "zero-slot-length-with-gap": {"slot_len": 0, "compute_gap": True},
     "no-seeds": {"seeds": []},
     "no-lambdas-for-lyapunov": {"lambdas": []},
+    "zero-ladder-rate-with-gap": {"ladder": [0.0, 0.5], "compute_gap": True},
+    "nan-ladder-rate": {"ladder": [float("nan")]},
+    "infinite-buffer-cap": {"buffer_cap": float("inf")},
+    "nan-theta": {"theta": float("nan")},
+    "nan-weight": {"phi_rebuf": float("nan")},
 }
 
 # every scheduler, two lambdas, two seeds and both cooperation modes: 16
@@ -350,6 +365,43 @@ class TestGenTracesCommand:
         out = str(tmp_path / "t.json")
         assert cli.main(["gen-traces", "--cap-lo", "3", "--cap-hi", "1",
                          "--out", out]) == 2
+
+
+class TestOutputPaths:
+    """An output path that cannot be written exits 2 with one stderr line,
+    for every verb that writes."""
+
+    @staticmethod
+    def argv(verb, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        missing = str(tmp_path / "missing" / "x.json")
+        if verb == "run":
+            return ["run", "--spec", write_spec(tmp_path), "--out", str(afile)]
+        if verb == "bounds":
+            return ["bounds", "--spec", make_bounds_instance(tmp_path), "--out", missing]
+        if verb == "gen-traces":
+            return ["gen-traces", "--users", "2", "--horizon", "10",
+                    "--out", str(afile / "x.json")]
+        if verb == "gen-traces-into-directory":
+            (tmp_path / "adir").mkdir()
+            return ["gen-traces", "--users", "2", "--horizon", "10",
+                    "--out", str(tmp_path / "adir")]
+        (tmp_path / "s.csv").write_text(SESSIONS_CSV)
+        (tmp_path / "v.csv").write_text(VIEWING_CSV)
+        return ["ingest", "--sessions", str(tmp_path / "s.csv"),
+                "--viewing", str(tmp_path / "v.csv"), "--out", missing]
+
+    @pytest.mark.parametrize(
+        "verb", ["run", "bounds", "gen-traces", "gen-traces-into-directory", "ingest"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, verb):
+        before = set(os.listdir(tmp_path))
+        argv = self.argv(verb, tmp_path)
+        made = set(os.listdir(tmp_path)) - before
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("cannot ")
+        assert set(os.listdir(tmp_path)) - before == made  # no temporary file left
 
 
 SESSIONS_CSV = """user_id,hotspot_id,login_s,logout_s

@@ -40,6 +40,22 @@ class TestUserProfile:
         with pytest.raises(ValueError):
             make_profile(phi_rebuf=-1.0)
 
+    @pytest.mark.parametrize("ladder", [
+        (0.0, 0.5), (-1.0, 0.5), (math.nan,), (math.inf,), (0.5, math.inf),
+    ])
+    def test_rejects_nonpositive_or_nonfinite_rates(self, ladder):
+        with pytest.raises(ValueError, match="ladder"):
+            make_profile(ladder=ladder)
+
+    @pytest.mark.parametrize("field", [
+        "beta", "buffer_cap", "theta", "phi_qdeg", "phi_rebuf", "c_time",
+        "c_data", "w_time", "w_data", "eps_time", "eps_rate",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_numbers(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            make_profile(**{field: value})
+
     def test_video_user_flag(self):
         assert make_profile(video_segments=5).is_video_user
         assert not make_profile(video_segments=0).is_video_user

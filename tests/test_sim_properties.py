@@ -173,18 +173,24 @@ def test_snapshot_neighbors_at_breakpoints(config, data):
     assert check_neighbors(config) == []
 
 
-def test_query_past_encounter_horizon_raises():
+@pytest.mark.parametrize("ids", [(0,), (0, 1)], ids=["one-user", "two-users"])
+def test_query_past_encounter_horizon_raises(ids):
     """A simulation longer than its encounter trace fails on the first
-    neighbour query past the trace's end, as a direct trace query would."""
+    neighbour query past the trace's end, as a direct trace query would,
+    also when the pair's last window ends before it; a lone user has no
+    partner to ask about and runs to the end."""
     profiles = tuple(
         UserProfile(id=n, beta=2.0, buffer_cap=6.0, ladder=LADDER, video_segments=3)
-        for n in (0, 1)
+        for n in ids
     )
     config = SimConfig(
         horizon=10.0, profiles=profiles,
-        capacity=CapacityTrace.constant([0, 1], 0.0, 10.0),
-        encounters=EncounterTrace(intervals={(0, 1): ((1.0, 5.0),)}, horizon=5.0),
+        capacity=CapacityTrace.constant(list(ids), 0.0, 10.0),
+        encounters=EncounterTrace(intervals={(0, 1): ((1.0, 4.0),)}, horizon=5.0),
     )
+    if len(ids) == 1:
+        assert run_simulation(config).violations == []
+        return
     with pytest.raises(TraceError, match="outside horizon"):
         run_simulation(config)
 
