@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import io
 import json
 import math
 import os
@@ -105,6 +106,8 @@ class ExperimentSpec:
                     raise SpecError(f"lambda must be finite, got {lam}")
             if self.n_users < 1:
                 raise SpecError("need at least one user")
+            if not math.isfinite(self.video_length_s):  # build_profiles converts it to int
+                raise SpecError(f"video_length_s must be finite, got {self.video_length_s}")
             build_profiles(self)
         except (TypeError, ValueError) as exc:
             raise SpecError(str(exc)) from exc
@@ -151,7 +154,7 @@ def build_profiles(spec: ExperimentSpec) -> tuple[UserProfile, ...]:
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with open(tmp, "w", newline="") as fh:
         fh.write(text)
     try:
         os.replace(tmp, path)
@@ -169,6 +172,15 @@ def _write_output(path: str, text: str) -> bool:
         print(f"cannot write {path}: {exc}", file=sys.stderr)
         return False
     return True
+
+
+def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> bool:
+    """``_write_output`` of ``rows`` as CSV text, CRLF line ends, header first."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    return _write_output(path, buf.getvalue())
 
 
 def _cell_traces(spec: ExperimentSpec, seed: int, cooperation: str):
@@ -260,7 +272,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         payload = report.to_dict()
         payload["spec"] = spec.to_dict()
         payload["cooperation"] = mode
-        _atomic_write(os.path.join(out_dir, name), json.dumps(payload, sort_keys=True, indent=2))
+        if not _write_output(os.path.join(out_dir, name),
+                             json.dumps(payload, sort_keys=True, indent=2)):
+            return EXIT_CONFIG
         if mode == modes[0]:
             rows.append({
                 "scheduler": scheduler,
@@ -272,14 +286,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "gap": "" if report.gap is None else report.gap,
             })
 
-    summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[
-            "scheduler", "seed", "lambda", "avg_bitrate_mbps",
-            "welfare", "rebuffer_s", "gap",
-        ])
-        writer.writeheader()
-        writer.writerows(rows)
+    if not _write_csv(os.path.join(out_dir, "summary.csv"), [
+        "scheduler", "seed", "lambda", "avg_bitrate_mbps", "welfare", "rebuffer_s", "gap",
+    ], rows):
+        return EXIT_CONFIG
 
     if spec.compare_cooperation:
         gain_rows = []
@@ -299,12 +309,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "bitrate_gain": bitrate_gain,
                 "welfare_gain": full.welfare - none.welfare,
             })
-        with open(os.path.join(out_dir, "cooperation_gain.csv"), "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=[
-                "scheduler", "seed", "lambda", "bitrate_gain", "welfare_gain",
-            ])
-            writer.writeheader()
-            writer.writerows(gain_rows)
+        if not _write_csv(os.path.join(out_dir, "cooperation_gain.csv"), [
+            "scheduler", "seed", "lambda", "bitrate_gain", "welfare_gain",
+        ], gain_rows):
+            return EXIT_CONFIG
     return EXIT_OK
 
 
@@ -338,6 +346,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         print(f"bad bounds instance: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_path = args.out or "bounds.json"
+    if os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(out_path) or "."):
+        # a solve whose result could not be written is not started
+        print(f"cannot write {out_path}: not a file in an existing directory", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         cert = offline.bound_certificate(
             instance, capacity, encounters, include_middle=include_middle,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
 TOL = 1e-9  # absolute slack of every feasibility and ordering comparison
@@ -68,6 +69,8 @@ class UserProfile:
         for name in weights:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if isinstance(self.video_segments, bool) or not isinstance(self.video_segments, Integral):
+            raise TypeError(f"video_segments must be an integer, got {self.video_segments!r}")
         if self.video_segments < 0:
             raise ValueError("video_segments must be nonnegative")
 
@@ -263,10 +266,9 @@ def eval_rebuf_loss(
     if not received:
         return 0.0, 0.0
     stall = 0.0
-    q = update_buffer(0.0, 0.0, profile.beta)
-    for gap in _reception_gaps(received):
+    # the level before each gap is the one right after the reception it follows
+    for q, gap in zip(buffer_levels(profile, received), _reception_gaps(received)):
         stall += max(0.0, gap - q)
-        q = update_buffer(q, gap, profile.beta)
     return profile.phi_rebuf * stall, stall
 
 
@@ -383,7 +385,7 @@ def validate_sequences(
                     f"transfer ending at {a.t_end} overlaps next start {b.t_start}",
                 ))
         for rec in ordered:
-            volume = rec.rate * profiles[rec.owner].beta if rec.completed else segment_volume(rec, profiles)
+            volume = segment_volume(rec, profiles)
             available = capacity.integrate(uid, rec.t_start, rec.t_end)
             if volume > available + TOL:
                 violations.append(Violation(

@@ -12,7 +12,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -279,6 +279,25 @@ def eval_slotted_welfare(
 # Exact slotted optimum: depth-first branch and bound over segment counts
 # ---------------------------------------------------------------------------
 
+def _unreceived_value(profiles: Sequence[UserProfile]) -> Callable[[Iterable[int]], float]:
+    """Both searches' remaining-value bound, for one solve: given each
+    user's received segment count in ``profiles`` order, the top-rung
+    segment value times the segments not yet received, summed over video
+    users (losses and energies taken as zero); memoised on the counts."""
+    tops = [(i, p.video_segments, model.quality_value(p, p.ladder[-1]) * p.beta)
+            for i, p in enumerate(profiles) if p.is_video_user]
+    memo: dict[tuple[int, ...], float] = {}
+
+    def bound(received: Iterable[int]) -> float:
+        key = tuple(received)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = model.ordered_sum((segs - key[i]) * top for i, segs, top in tops)
+        return value
+
+    return bound
+
+
 @dataclass
 class ExactResult:
     schedule: SlottedSchedule
@@ -314,10 +333,6 @@ def solve_slotted_exact(
         suffix_cap[t] = suffix_cap[t + 1] + slot_density[t] * model.ordered_sum(
             instance.capacity[n][t] for n in range(N)
         )
-    best_seg_value = [
-        max(model.quality_value(p, r) for r in p.ladder) * p.beta if p.is_video_user else 0.0
-        for p in profiles
-    ]
 
     # Each variable's constants, once per solve: (n, m, z, owner, rate,
     # unit_vol, unit_gain) in slot_vars order.
@@ -338,15 +353,7 @@ def solve_slotted_exact(
     received = [0] * N
     stats = {"nodes": 0, "leaves": 0}
     best = {"welfare": -math.inf, "kappa": {}}
-    budget_memo: dict[tuple[int, ...], float] = {}
-
-    def budget_bound(rcv: list[int]) -> float:
-        key = tuple(rcv)
-        bound = budget_memo.get(key)
-        if bound is None:
-            bound = budget_memo[key] = model.ordered_sum(
-                (profiles[m].video_segments - rcv[m]) * best_seg_value[m] for m in range(N))
-        return bound
+    unreceived_value = _unreceived_value(profiles)
 
     def close_slot(t: int, acc: float, q: list[float], last_high: list[float | None]):
         """Charge slot-level losses and advance buffers; recurse or prune."""
@@ -363,7 +370,7 @@ def solve_slotted_exact(
             if prof.is_video_user:
                 if t >= 1:
                     total -= prof.phi_rebuf * max(0.0, L - new_q[m])
-                new_q[m] = max(0.0, new_q[m] - L) + slot_secs_buf[t][m]
+                new_q[m] = max(0.0, new_q[m] - L) + len(rates) * prof.beta
                 if new_q[m] > prof.buffer_cap + TOL:
                     return
         if t + 1 == T:
@@ -372,13 +379,12 @@ def solve_slotted_exact(
                 best["welfare"] = total
                 best["kappa"] = dict(counts)
             return
-        if total + min(suffix_cap[t + 1], budget_bound(received)) <= best["welfare"] + 1e-12:
+        if total + min(suffix_cap[t + 1], unreceived_value(received)) <= best["welfare"] + 1e-12:
             return
         dfs_slot(t + 1, total, new_q, new_high)
 
-    # rates and playback seconds received per [slot][owner]
+    # rates received per [slot][owner]
     slot_rate_buf: list[list[list[float]]] = [[[] for _ in range(N)] for _ in range(T)]
-    slot_secs_buf: list[list[float]] = [[0.0] * N for _ in range(T)]
 
     def dfs_vars(t: int, i: int, acc: float, rem_cap: list[float],
                  q: list[float], last_high: list[float | None]):
@@ -396,7 +402,7 @@ def solve_slotted_exact(
             rem_total = model.ordered_sum(rem_cap)
             optimistic = acc + min(
                 rem_total * slot_density[t] + suffix_cap[t + 1],
-                budget_bound(received),
+                unreceived_value(received),
             )
             if optimistic <= best["welfare"] + 1e-12:
                 return
@@ -410,20 +416,15 @@ def solve_slotted_exact(
                 counts[(t, n, m, z)] = c
                 rem_cap[n] -= unit_vol
                 received[m] += 1
-                slot_secs_buf[t][m] += owner.beta
                 slot_rate_buf[t][m].append(rate)
             dfs_vars(t, i + 1, acc + c * unit_gain, rem_cap, q, last_high)
         if cmax > 0:
             counts.pop((t, n, m, z), None)
             rem_cap[n] += cmax * unit_vol
             received[m] -= cmax
-            slot_secs_buf[t][m] -= cmax * owner.beta
             del slot_rate_buf[t][m][-cmax:]
 
     def dfs_slot(t: int, acc: float, q: list[float], last_high: list[float | None]):
-        # rate lists come back empty from every branch; the seconds may
-        # carry float residue from ``-= cmax * beta``, so start them at 0
-        slot_secs_buf[t] = [0.0] * N
         rem_cap = [instance.capacity[n][t] for n in range(N)]
         dfs_vars(t, 0, acc, rem_cap, q, last_high)
 
@@ -574,10 +575,6 @@ def brute_force_segmented(
     scheduled: dict[int, list[tuple[float, float, int, int]]] = {n: [] for n in ids}
     next_free = {n: 0.0 for n in ids}
     received = {m: 0 for m in ids}
-    best_seg_value = {
-        m: max(model.quality_value(pmap[m], r) for r in pmap[m].ladder) * pmap[m].beta
-        for m in owners
-    }
 
     def leaf(partial: float):
         stats["leaves"] += 1
@@ -608,9 +605,9 @@ def brute_force_segmented(
     # Per-solve tables, freed on return. A move's end time, encounter check
     # and gain depend only on (downloader, start, owner, level), never on
     # the search state; the remaining bound depends only on the received
-    # counts.
+    # counts, kept in ``ids`` order.
     moves_memo: dict[tuple[int, float], tuple[tuple[int, int, float, float], ...]] = {}
-    bound_memo: dict[tuple[int, ...], float] = {}
+    unreceived_value = _unreceived_value([pmap[m] for m in ids])
 
     def moves_from(d: int, start: float) -> tuple[tuple[int, int, float, float], ...]:
         """(owner, level, end, gain) of each transfer ``d`` can run from
@@ -628,14 +625,6 @@ def brute_force_segmented(
                 moves.append((m, z, end, gain))
         return tuple(moves)
 
-    def bound_remaining() -> float:
-        key = tuple(received.values())
-        bound = bound_memo.get(key)
-        if bound is None:
-            bound = bound_memo[key] = model.ordered_sum(
-                (pmap[m].video_segments - received[m]) * best_seg_value[m] for m in owners)
-        return bound
-
     def dfs(active: tuple[int, ...], partial: float):
         stats["nodes"] += 1
         if stats["nodes"] > node_budget:
@@ -646,7 +635,7 @@ def brute_force_segmented(
         if not active:
             leaf(partial)
             return
-        if partial + bound_remaining() <= best["welfare"] + 1e-12:
+        if partial + unreceived_value(received.values()) <= best["welfare"] + 1e-12:
             # even a loss-free completion cannot beat the incumbent
             leaf(partial)
             return

@@ -13,6 +13,8 @@ is refused, with a violation and a re-poll one ``DEFAULT_EPOCH`` later, when
 it names a user that is not a neighbour, a user without video, a level off
 the owner's ladder, a segment outside the owner's video, or a segment that
 is delivered or in flight. A Wait of NaN seconds is refused the same way.
+A re-poll at or past the horizon, after a Wait, a refusal or a transfer's
+end, is never queued.
 
 Scheduler state is kept incrementally rather than rescanned per decision.
 Each owner's smallest free segment moves only when a transfer to it starts
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+import dataclasses
 import heapq
 import json
 import math
@@ -136,8 +139,6 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         heapq.heappush(events, (time, seq, kind, payload))
         seq += 1
 
-    betas = {n: profiles[n].beta for n in ids}
-    max_levels = {n: profiles[n].buffer_cap + TOL for n in ids}
     # Owners, the only users with a nonzero buffer or a nonempty parked or
     # reserved set, are the video users; only they are broadcast. Their
     # ``profiles`` order fixes the drift's summation order.
@@ -163,11 +164,11 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     def committed(n: int) -> float:
         """Buffer content including parked out-of-order segments (checked
         against the cap at arrival and after every delivery)."""
-        return buffers[n] + betas[n] * len(parked[n])
+        return buffers[n] + profiles[n].beta * len(parked[n])
 
     def check_level(n: int, now: float) -> None:
         level = committed(n)
-        if buffers[n] < -TOL or level > max_levels[n]:
+        if buffers[n] < -TOL or level > profiles[n].buffer_cap + TOL:
             violations.append(f"t={now}: buffer of user {n} out of range: {level}")
 
     def taken(u: int, k: int) -> bool:
@@ -234,7 +235,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
                 # broadcast level: committed content plus in-flight
                 # reservations, so concurrent downloaders do not over-fill
                 # one owner's buffer
-                {m: committed(m) + betas[m] * len(reserved[m]) for m in owners},
+                {m: committed(m) + profiles[m].beta * len(reserved[m]) for m in owners},
                 dict(last_rates),
                 dict(next_segs),
             )
@@ -250,11 +251,16 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             throughput_samples=tuple(samples[n]),
         )
 
+    def poll(n: int, at: float) -> None:
+        """User n decides again at ``at`` if that is before the horizon."""
+        if at < horizon:
+            push(at, "epoch", n)
+
     def refuse(n: int, now: float, why: str) -> None:
         """A decision the simulator cannot carry out: a violation, and user
         n decides again one ``DEFAULT_EPOCH`` later."""
         violations.append(f"t={now}: {why}")
-        push(min(now + online.DEFAULT_EPOCH, horizon), "epoch", n)
+        poll(n, now + online.DEFAULT_EPOCH)
 
     def start_download(
         n: int, now: float, decision: online.Download, state: online.SchedulerState
@@ -282,7 +288,6 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         rate = prof_u.ladder[z]
         vol = rate * prof_u.beta
         end = config.capacity.invert(n, now, vol)
-        full_vol = vol
         completed = True
         if end is None or end > horizon:
             end = horizon
@@ -293,7 +298,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
                 end = brk
                 completed = False
                 counters["aborts"] += 1
-        mbit = full_vol if completed else config.capacity.integrate(n, now, end)
+        mbit = vol if completed else config.capacity.integrate(n, now, end)
         record = SegmentRecord(
             downloader=n, owner=u, level=z, rate=rate, seg_index=k,
             t_start=now, t_end=end, delivered=False, completed=completed,
@@ -323,11 +328,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             if not fits_in_buffer(committed(u), prof_u):
                 counters["drops"] += 1
             else:
-                final = SegmentRecord(
-                    downloader=n, owner=u, level=record.level, rate=record.rate,
-                    seg_index=k, t_start=record.t_start, t_end=record.t_end,
-                    delivered=True, completed=True, mbit=record.mbit,
-                )
+                final = dataclasses.replace(record, delivered=True)
                 last_rates[u] = record.rate
                 parked[u].add(k)
                 while play_next[u] in parked[u]:
@@ -341,21 +342,16 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         if not final.delivered and (cur is None or k < cur):
             next_segs[u] = k  # k is free again
         downloads[n].append(final)
-        if now < horizon:
-            push(now, "epoch", n)
+        poll(n, now)
 
     for n in ids:
-        push(0.0, "epoch", n)
+        poll(n, 0.0)
 
     while events:
         time, _, kind, payload = heapq.heappop(events)
-        if time > horizon + TOL:
-            break
-        advance(min(time, horizon))
+        advance(time)
         if kind == "epoch":
             n = payload
-            if time >= horizon:
-                continue
             state = snapshot(n, time)
             decision = scheduler(state, profiles)
             if isinstance(decision, online.Download):
@@ -363,9 +359,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             elif math.isnan(decision.duration):
                 refuse(n, time, f"wait of nan from user {n}")
             else:
-                wake = time + max(decision.duration, 1e-6)
-                if wake < horizon:
-                    push(wake, "epoch", n)
+                poll(n, time + max(decision.duration, 1e-6))
         elif kind == "complete":
             n, record = payload
             finish_download(n, time, record)

@@ -73,6 +73,9 @@ MALFORMED_BOUNDS = {
     "nan-ladder-rate": with_profile(ladder=[float("nan")]),
     "infinite-ladder-rate": with_profile(ladder=[float("inf")]),
     "nan-weight": with_profile(c_data=float("nan")),
+    "float-video-segments": with_profile(video_segments=2.5),
+    "infinite-video-segments": with_profile(video_segments=float("inf")),
+    "bool-video-segments": with_profile(video_segments=True),
 }
 
 # each makes a run spec that must be rejected before anything runs
@@ -85,6 +88,7 @@ BAD_RUN_SPECS = {
     "cap-below-beta": {"buffer_cap": 1},
     "zero-theta": {"theta": 0},
     "negative-video-length": {"video_length_s": -4},
+    "infinite-video-length": {"video_length_s": float("inf")},
     "float-n-users": {"scenario": "multi", "n_users": 2.5},
     "string-lambda": {"lambdas": ["x"]},
     "nan-lambda": {"lambdas": [float("nan")]},
@@ -378,8 +382,16 @@ class TestOutputPaths:
         missing = str(tmp_path / "missing" / "x.json")
         if verb == "run":
             return ["run", "--spec", write_spec(tmp_path), "--out", str(afile)]
+        if verb == "run-summary-is-directory":
+            (tmp_path / "out" / "summary.csv").mkdir(parents=True)
+            return ["run", "--spec", write_spec(tmp_path, seeds=[0]),
+                    "--out", str(tmp_path / "out")]
         if verb == "bounds":
             return ["bounds", "--spec", make_bounds_instance(tmp_path), "--out", missing]
+        if verb == "bounds-into-directory":
+            (tmp_path / "adir").mkdir()
+            return ["bounds", "--spec", make_bounds_instance(tmp_path),
+                    "--out", str(tmp_path / "adir")]
         if verb == "gen-traces":
             return ["gen-traces", "--users", "2", "--horizon", "10",
                     "--out", str(afile / "x.json")]
@@ -392,9 +404,15 @@ class TestOutputPaths:
         return ["ingest", "--sessions", str(tmp_path / "s.csv"),
                 "--viewing", str(tmp_path / "v.csv"), "--out", missing]
 
-    @pytest.mark.parametrize(
-        "verb", ["run", "bounds", "gen-traces", "gen-traces-into-directory", "ingest"])
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, verb):
+    @pytest.mark.parametrize("verb", [
+        "run", "run-summary-is-directory", "bounds", "bounds-into-directory",
+        "gen-traces", "gen-traces-into-directory", "ingest"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, verb):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved although the output cannot be written")
+
+        # an unwritable bounds output is caught before the certificate is solved
+        monkeypatch.setattr(offline, "bound_certificate", no_solve)
         before = set(os.listdir(tmp_path))
         argv = self.argv(verb, tmp_path)
         made = set(os.listdir(tmp_path)) - before
@@ -402,6 +420,8 @@ class TestOutputPaths:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("cannot ")
         assert set(os.listdir(tmp_path)) - before == made  # no temporary file left
+        if verb == "run-summary-is-directory":
+            assert not any(n.endswith(".tmp") for n in os.listdir(tmp_path / "out"))
 
 
 SESSIONS_CSV = """user_id,hotspot_id,login_s,logout_s

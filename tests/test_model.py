@@ -56,6 +56,15 @@ class TestUserProfile:
         with pytest.raises(ValueError, match="finite"):
             make_profile(**{field: value})
 
+    @pytest.mark.parametrize("segs", [2.5, 2.0, math.inf, math.nan, True])
+    def test_rejects_non_integer_video_segments(self, segs):
+        with pytest.raises(TypeError, match="video_segments must be an integer"):
+            make_profile(video_segments=segs)
+
+    def test_rejects_negative_video_segments(self):
+        with pytest.raises(ValueError, match="video_segments"):
+            make_profile(video_segments=-1)
+
     def test_video_user_flag(self):
         assert make_profile(video_segments=5).is_video_user
         assert not make_profile(video_segments=0).is_video_user

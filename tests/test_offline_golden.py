@@ -21,16 +21,16 @@ ENERGY = dict(c_time=0.05, c_data=0.02, w_data=0.01)
 
 
 def build(caps, segs, ladder=(0.2, 0.7), enc_slots=(), buffer_cap=None,
-          enc_window=None, **kw):
+          enc_window=None, beta=2.0, **kw):
     """Users 0..N-1 with per-slot capacities ``caps[n]`` (Mbps) and
-    ``segs[n]`` segments of 2 s; users 0 and 1 meet in ``enc_slots``, or
-    over ``enc_window`` (start, end) when it is given. The buffer cap
-    defaults to the whole video, so it cannot bind."""
+    ``segs[n]`` segments of ``beta`` seconds; users 0 and 1 meet in
+    ``enc_slots``, or over ``enc_window`` (start, end) when it is given.
+    The buffer cap defaults to the whole video, so it cannot bind."""
     n_slots = len(caps[0])
     horizon = n_slots * SLOT
     profiles = tuple(
-        UserProfile(id=n, beta=2.0,
-                    buffer_cap=max(2.0, 2.0 * segs[n]) if buffer_cap is None else buffer_cap,
+        UserProfile(id=n, beta=beta,
+                    buffer_cap=max(beta, beta * segs[n]) if buffer_cap is None else buffer_cap,
                     ladder=ladder, video_segments=segs[n], **{**ENERGY, **kw})
         for n in range(len(caps))
     )
@@ -70,6 +70,12 @@ INSTANCES = {
     # (whole-slot encounters only) falls below the brute force here.
     "helper-window-mid-slot": lambda: build(
         [[0.2, 0.2], [1.0, 1.0]], [2, 0], enc_window=(0.0, 1.0)),
+    # 0.3 s segments, where k * beta and a running sum of beta can differ
+    # in the last bit: all 0.4 Mbit arrive in slot 0, the 0.9 s cap holds
+    # three segments (six at beta/2) of the five, and each later slot
+    # charges a stall
+    "solo-short-segments-cap-binds": lambda: build(
+        [[0.1, 0.0]], [5], beta=0.3, buffer_cap=0.9, phi_rebuf=0.1, phi_qdeg=0.5),
 }
 
 GOLDEN = {
@@ -100,6 +106,10 @@ GOLDEN = {
     'solo-cap-binds': (
         '(2.0315130042486813, 2.0315130042486813, 2.0315130042486813, 2.0315130042486813, 2.0315130042486818)',
         (43, 8, 168, 35, 91, 47, 1472, 751),
+    ),
+    'solo-short-segments-cap-binds': (
+        '(-0.21301859060497616, -0.21301859060497616, 0.049988475318651124, 0.024994237659325562, 0.10934434659257411)',
+        (24, 7, 64, 21, 32, 16, 330, 165),
     ),
     'solo-3slot-rebuf': (
         '(4.446454737610623, 4.446454737610623, 4.646454737610624, 4.6464547376106236, 4.6464547376106236)',
