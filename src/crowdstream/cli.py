@@ -48,7 +48,7 @@ class ExperimentSpec:
     capacity_range: tuple[float, float] = (0.5, 3.0)
     cooperation: str = "full"  # one of traces.ENCOUNTER_MODES
     schedulers: tuple[str, ...] = ("lyapunov", "buffer", "prediction")
-    lambdas: tuple[float, ...] = (100.0,)
+    lambdas: tuple[float, ...] = (online.DEFAULT_LAM,)
     seeds: tuple[int, ...] = tuple(range(10))
     horizon: float = 500.0
     beta: float = 2.0
@@ -61,8 +61,8 @@ class ExperimentSpec:
     c_time: float = 0.05
     c_data: float = 0.02
     w_data: float = 0.01
-    delta_th: float = 0.5
-    gap_th: float = 10.0
+    delta_th: float = online.DEFAULT_DELTA_TH
+    gap_th: float = online.DEFAULT_GAP_TH
     slot_len: float = 5.0
     compute_gap: bool = False
     compare_cooperation: bool = False
@@ -337,9 +337,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             _instance_value("n_slots", raw.get("n_slots"), (int, type(None))),
         )
         exact_budget = _instance_value(
-            "exact_budget", raw.get("exact_budget", 10_000_000), (int,))
+            "exact_budget", raw.get("exact_budget", offline.EXACT_NODE_BUDGET), (int,))
         brute_budget = _instance_value(
-            "brute_budget", raw.get("brute_budget", 2_000_000), (int,))
+            "brute_budget", raw.get("brute_budget", offline.BRUTE_NODE_BUDGET), (int,))
         include_middle = _instance_value(
             "include_middle", raw.get("include_middle", True), (bool,))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

@@ -11,7 +11,7 @@ immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 

@@ -21,16 +21,17 @@ from scipy.optimize import linprog
 from . import model
 from .model import TOL, SegmentRecord, UserProfile, Violation, WelfareBreakdown
 
+EXACT_NODE_BUDGET = 10_000_000  # default node budget of the exact slotted search
+BRUTE_NODE_BUDGET = 2_000_000  # default node budget of the segmented brute force
+
 
 class SolverBudgetError(RuntimeError):
     """Search exhausted its node budget; carries the solver's name and the
-    best incumbent found."""
+    welfare of the best incumbent found (None when there is none)."""
 
-    def __init__(self, message: str, solver: str, incumbent=None,
-                 welfare: float | None = None):
+    def __init__(self, message: str, solver: str, welfare: float | None):
         super().__init__(message)
         self.solver = solver  # "exact" or "brute"
-        self.incumbent = incumbent
         self.welfare = welfare
 
 
@@ -307,13 +308,15 @@ class ExactResult:
 
 
 def solve_slotted_exact(
-    instance: SlottedInstance, node_budget: int = 10_000_000
+    instance: SlottedInstance, node_budget: int = EXACT_NODE_BUDGET
 ) -> ExactResult:
     """Exact slotted optimum by branch and bound over per-slot segment counts.
 
     Counts are enumerated in lexicographic (slot, downloader, owner, level)
     order with ascending values and strict incumbent improvement, so the
-    returned schedule is the lexicographically smallest optimum.
+    returned schedule is the lexicographically smallest optimum. A count is
+    bounded by the downloader's capacity left in the slot, the owner's
+    segments not yet received and the owner's buffer room at the slot's end.
     """
     N, T, L = instance.n_users, instance.n_slots, instance.slot_len
     profiles = instance.profiles
@@ -371,8 +374,6 @@ def solve_slotted_exact(
                 if t >= 1:
                     total -= prof.phi_rebuf * max(0.0, L - new_q[m])
                 new_q[m] = max(0.0, new_q[m] - L) + len(rates) * prof.beta
-                if new_q[m] > prof.buffer_cap + TOL:
-                    return
         if t + 1 == T:
             stats["leaves"] += 1
             if total > best["welfare"]:
@@ -392,8 +393,7 @@ def solve_slotted_exact(
         if stats["nodes"] > node_budget:
             raise SolverBudgetError(
                 f"node budget {node_budget} exhausted", "exact",
-                incumbent=SlottedSchedule(dict(best["kappa"])),
-                welfare=best["welfare"] if best["welfare"] > -math.inf else None,
+                best["welfare"] if best["welfare"] > -math.inf else None,
             )
         if i == len(var_plan[t]):
             close_slot(t, acc, q, last_high)
@@ -411,7 +411,11 @@ def solve_slotted_exact(
             int((rem_cap[n] + TOL) // unit_vol),
             owner.video_segments - received[m],
         )
+        drained, held = max(0.0, q[m] - L), len(slot_rate_buf[t][m])
         for c in range(cmax + 1):
+            if drained + (held + c) * owner.beta > owner.buffer_cap + TOL:
+                cmax = c - 1  # c more would overfill the owner's buffer in slot t
+                break
             if c > 0:
                 counts[(t, n, m, z)] = c
                 rem_cap[n] -= unit_vol
@@ -555,7 +559,7 @@ def brute_force_segmented(
     capacity,
     encounters,
     horizon: float,
-    node_budget: int = 2_000_000,
+    node_budget: int = BRUTE_NODE_BUDGET,
 ) -> BruteForceResult:
     """Exhaustive search over asynchronous segmented schedules.
 
@@ -629,8 +633,7 @@ def brute_force_segmented(
         stats["nodes"] += 1
         if stats["nodes"] > node_budget:
             raise SolverBudgetError(
-                f"node budget {node_budget} exhausted", "brute",
-                incumbent=best["downloads"], welfare=best["welfare"],
+                f"node budget {node_budget} exhausted", "brute", best["welfare"]
             )
         if not active:
             leaf(partial)
@@ -706,8 +709,8 @@ def bound_certificate(
     encounters,
     *,
     include_middle: bool = True,
-    exact_budget: int = 10_000_000,
-    brute_budget: int = 2_000_000,
+    exact_budget: int = EXACT_NODE_BUDGET,
+    brute_budget: int = BRUTE_NODE_BUDGET,
 ) -> BoundCertificate:
     """Run the three bound solvers and certify the sandwich ordering.
 

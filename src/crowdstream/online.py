@@ -17,6 +17,9 @@ from .model import UserProfile, ordered_sum, quality_value
 DEFAULT_EPOCH = 1.0  # re-poll interval when no download is possible (s)
 RESERVOIR_FRAC = 0.25  # buffer-based: share of the cap mapped to the lowest level
 PREDICTION_WINDOW = 5  # prediction-based: throughput samples in the harmonic mean
+DEFAULT_LAM = 100.0  # Lyapunov: weight of the payoff against the drift
+DEFAULT_DELTA_TH = 0.5  # threshold rule: own-buffer share of the cap before helping
+DEFAULT_GAP_TH = 10.0  # threshold rule: buffer lead over the neighbour (s)
 
 
 @dataclass(frozen=True)
@@ -60,13 +63,13 @@ class SchedulerState:
 
 def estimate_download_time(
     state: SchedulerState, profiles: Mapping[int, UserProfile], u: int, z: int
-) -> float | None:
+) -> float:
     """Estimated transfer time of owner u's next segment at level z.
 
-    Returns None when the decider currently has no capacity.
+    Raises ValueError when the decider currently has no capacity.
     """
     if state.capacity <= 0:
-        return None
+        raise ValueError("cannot evaluate a download with zero capacity")
     prof = profiles[u]
     return prof.ladder[z] * prof.beta / state.capacity
 
@@ -85,8 +88,6 @@ def decision_payoff(
     every simulator report, stays as it is; a test ties the two together.
     """
     gamma = estimate_download_time(state, profiles, u, z)
-    if gamma is None:
-        raise ValueError("cannot evaluate a download with zero capacity")
     owner = profiles[u]
     dl = profiles[state.user]
     rate = owner.ladder[z]
@@ -117,8 +118,6 @@ def lyapunov_drift(
     cap), every other video user's as drained only.
     """
     gamma = estimate_download_time(state, profiles, u, z)
-    if gamma is None:
-        raise ValueError("cannot evaluate a download with zero capacity")
     drift = 0.0
     for m, q in state.buffers.items():
         prof = profiles[m]
@@ -130,13 +129,18 @@ def lyapunov_drift(
     return drift
 
 
-def _split_candidates(
+def _ready_or_wait(
     state: SchedulerState, profiles: Mapping[int, UserProfile]
-) -> tuple[list[int], list[float]]:
-    """Owners the decider could serve now, in id order, and by how many
-    seconds each owner blocked only by a full buffer overflows its cap
-    (relevant for the waiting-timer branch). Only neighbours with a next
-    segment are candidates."""
+) -> list[int] | Wait:
+    """Owners the decider can serve now, in id order, or the Wait when there
+    are none.
+
+    Only neighbours with a next segment are candidates. When every candidate
+    is over-full, waits until the least over-full has room for a segment;
+    with no candidate, or no capacity, re-polls after ``DEFAULT_EPOCH``.
+    """
+    if state.capacity <= 0:
+        return Wait(DEFAULT_EPOCH)
     ready: list[int] = []
     overflows: list[float] = []
     next_seg_of, buffers = state.next_seg.get, state.buffers
@@ -152,20 +156,6 @@ def _split_candidates(
             ready.append(u)
         else:
             overflows.append(over)
-    return ready, overflows
-
-
-def _ready_or_wait(
-    state: SchedulerState, profiles: Mapping[int, UserProfile]
-) -> list[int] | Wait:
-    """Owners the decider can serve now, or the Wait when there are none.
-
-    Waits for buffer headroom when every reachable owner is over-full,
-    otherwise (or with no capacity) re-polls after ``DEFAULT_EPOCH``.
-    """
-    if state.capacity <= 0:
-        return Wait(DEFAULT_EPOCH)
-    ready, overflows = _split_candidates(state, profiles)
     if ready:
         return ready
     if overflows:
@@ -174,7 +164,7 @@ def _ready_or_wait(
 
 
 def lyapunov_decide(
-    state: SchedulerState, profiles: Mapping[int, UserProfile], lam: float = 100.0
+    state: SchedulerState, profiles: Mapping[int, UserProfile], lam: float = DEFAULT_LAM
 ) -> Decision:
     """Pick the (owner, level) minimizing drift minus lam * payoff.
 
@@ -209,18 +199,20 @@ def predict_capacity(samples: tuple[float, ...] | list[float], fallback: float) 
 def select_owner(
     state: SchedulerState,
     profiles: Mapping[int, UserProfile],
-    delta_th: float = 0.5,
-    gap_th: float = 10.0,
+    ready: list[int],
+    delta_th: float = DEFAULT_DELTA_TH,
+    gap_th: float = DEFAULT_GAP_TH,
 ) -> int:
-    """Threshold rule deciding whose segment to download next.
+    """Threshold rule choosing, among the non-empty ``ready`` owners of
+    ``_ready_or_wait``, whose segment to download next.
 
     A video-user decider helps the minimum-buffer neighbor only when its own
     buffer is at least ``delta_th`` of its cap and exceeds the neighbor's by
     ``gap_th`` seconds; an idle decider (or one whose video is finished)
-    always helps the minimum-buffer neighbor. Falls back to self.
+    always helps the minimum-buffer neighbor. Falls back to self, or to
+    ``ready[0]`` when the decider itself is not ready.
     """
     n = state.user
-    ready, _ = _split_candidates(state, profiles)
     others = [u for u in ready if u != n]
     if not others:
         return n
@@ -230,7 +222,7 @@ def select_owner(
     q_n = state.buffers[n]
     if q_n >= delta_th * profiles[n].buffer_cap and q_n - state.buffers[u_min] >= gap_th:
         return u_min
-    return n
+    return n if n in ready else ready[0]
 
 
 def _baseline_decide(
@@ -243,17 +235,15 @@ def _baseline_decide(
     ready = _ready_or_wait(state, profiles)
     if isinstance(ready, Wait):
         return ready
-    u = select_owner(state, profiles, delta_th, gap_th)
-    if u not in ready:
-        u = ready[0]
+    u = select_owner(state, profiles, ready, delta_th, gap_th)
     return Download(owner=u, level=pick_level(u), seg_index=state.next_seg[u])
 
 
 def buffer_based_decide(
     state: SchedulerState,
     profiles: Mapping[int, UserProfile],
-    delta_th: float = 0.5,
-    gap_th: float = 10.0,
+    delta_th: float = DEFAULT_DELTA_TH,
+    gap_th: float = DEFAULT_GAP_TH,
 ) -> Decision:
     """Linear buffer-to-bitrate mapping on the owner's buffer level."""
 
@@ -262,8 +252,6 @@ def buffer_based_decide(
         reservoir = RESERVOIR_FRAC * prof.buffer_cap
         span = prof.buffer_cap - reservoir
         top = len(prof.ladder) - 1
-        if top == 0 or span <= 0:
-            return top
         frac = (state.buffers[u] - reservoir) / span
         frac = min(1.0, max(0.0, frac))
         return min(top, int(frac * top))
@@ -274,8 +262,8 @@ def buffer_based_decide(
 def prediction_based_decide(
     state: SchedulerState,
     profiles: Mapping[int, UserProfile],
-    delta_th: float = 0.5,
-    gap_th: float = 10.0,
+    delta_th: float = DEFAULT_DELTA_TH,
+    gap_th: float = DEFAULT_GAP_TH,
 ) -> Decision:
     """Highest bitrate supported by the predicted channel capacity."""
     predicted = predict_capacity(state.throughput_samples, state.capacity)
@@ -302,9 +290,9 @@ def make_scheduler(name: str, **params) -> Callable[[SchedulerState, Mapping[int
     """Scheduler factory: a decide function with ``params`` bound.
 
     Accepted parameters, with the defaults their decide function declares:
-    "lyapunov" takes ``lam`` (100.0); "buffer" and "prediction" take
-    ``delta_th`` (0.5) and ``gap_th`` (10.0). Raises ValueError for an
-    unknown name or parameter.
+    "lyapunov" takes ``lam`` (``DEFAULT_LAM``); "buffer" and "prediction"
+    take ``delta_th`` (``DEFAULT_DELTA_TH``) and ``gap_th``
+    (``DEFAULT_GAP_TH``). Raises ValueError for an unknown name or parameter.
     """
     decide = SCHEDULERS.get(name)
     if decide is None:

@@ -37,7 +37,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from . import model, offline, online
 from .model import TOL, SegmentRecord, UserProfile

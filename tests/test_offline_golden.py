@@ -105,11 +105,11 @@ GOLDEN = {
     ),
     'solo-cap-binds': (
         '(2.0315130042486813, 2.0315130042486813, 2.0315130042486813, 2.0315130042486813, 2.0315130042486818)',
-        (43, 8, 168, 35, 91, 47, 1472, 751),
+        (23, 8, 69, 35, 91, 47, 1472, 751),
     ),
     'solo-short-segments-cap-binds': (
         '(-0.21301859060497616, -0.21301859060497616, 0.049988475318651124, 0.024994237659325562, 0.10934434659257411)',
-        (24, 7, 64, 21, 32, 16, 330, 165),
+        (19, 7, 50, 21, 32, 16, 330, 165),
     ),
     'solo-3slot-rebuf': (
         '(4.446454737610623, 4.446454737610623, 4.646454737610624, 4.6464547376106236, 4.6464547376106236)',

@@ -44,9 +44,10 @@ class TestEstimateDownloadTime:
         state = make_state(profs, capacity=4.0)
         assert estimate_download_time(state, profs, 0, 0) == pytest.approx(0.1)
 
-    def test_zero_capacity_is_none(self):
+    def test_zero_capacity_rejected(self):
         profs = {0: make_profile()}
-        assert estimate_download_time(make_state(profs, capacity=0.0), profs, 0, 1) is None
+        with pytest.raises(ValueError, match="zero capacity"):
+            estimate_download_time(make_state(profs, capacity=0.0), profs, 0, 1)
 
 
 class TestDecisionPayoff:
@@ -199,38 +200,51 @@ class TestPredictCapacity:
         assert predict_capacity((2.0, 0.0), fallback=1.0) == 0.0
 
 
+def pick(state, profs):
+    """``select_owner`` among the ready owners the baselines hand it."""
+    return select_owner(state, profs, online._ready_or_wait(state, profs))
+
+
 class TestSelectOwner:
     def test_comfortable_decider_helps_starved_neighbor(self):
         profs = {0: make_profile(0), 1: make_profile(1)}
         state = make_state(profs, user=0, neighbors=(0, 1), buffers={0: 30.0, 1: 5.0})
-        assert select_owner(state, profs) == 1
+        assert pick(state, profs) == 1
 
     def test_low_own_buffer_serves_self(self):
         profs = {0: make_profile(0), 1: make_profile(1)}
         state = make_state(profs, user=0, neighbors=(0, 1), buffers={0: 10.0, 1: 5.0})
-        assert select_owner(state, profs) == 0
+        assert pick(state, profs) == 0
 
     def test_small_gap_serves_self(self):
         profs = {0: make_profile(0), 1: make_profile(1)}
         state = make_state(profs, user=0, neighbors=(0, 1), buffers={0: 30.0, 1: 25.0})
-        assert select_owner(state, profs) == 0
+        assert pick(state, profs) == 0
 
     def test_idle_decider_always_helps(self):
         profs = {0: make_profile(0, video_segments=0), 1: make_profile(1)}
         state = make_state(profs, user=0, neighbors=(0, 1), buffers={1: 39.0 - 1.0})
         assert 0 not in state.next_seg
-        assert select_owner(state, profs) == 1
+        assert pick(state, profs) == 1
 
     def test_finished_decider_always_helps(self):
         profs = {0: make_profile(0), 1: make_profile(1)}
         state = make_state(profs, user=0, neighbors=(0, 1), buffers={0: 1.0, 1: 5.0},
                            next_seg={0: None, 1: 2})
-        assert select_owner(state, profs) == 1
+        assert pick(state, profs) == 1
 
     def test_no_neighbors_serves_self(self):
         profs = {0: make_profile(0)}
         state = make_state(profs, user=0, neighbors=(0,))
-        assert select_owner(state, profs) == 0
+        assert pick(state, profs) == 0
+
+    def test_full_decider_falls_back_to_first_ready_owner(self):
+        profs = {n: make_profile(n) for n in range(3)}
+        # the decider's 39.5 s cannot take a 2 s segment under its 40 s cap,
+        # and its 9.5 s lead over user 2 is below the 10 s gap threshold
+        state = make_state(profs, user=0, neighbors=(0, 1, 2),
+                           buffers={0: 39.5, 1: 35.0, 2: 30.0})
+        assert pick(state, profs) == 1
 
 
 class TestBufferBased:

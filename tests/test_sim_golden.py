@@ -16,18 +16,23 @@ from crowdstream.sim import SimConfig, run_simulation
 HORIZON = 200.0
 
 
-def coop_config(abort_policy: str) -> SimConfig:
-    """10 users, half of them video users, random encounters, seed 0."""
+BASELINE_PARAMS = {"delta_th": 0.5, "gap_th": 10.0}
+
+
+def coop_config(abort_policy: str, scheduler: str = "lyapunov",
+                seed: int = 0) -> SimConfig:
+    """10 users, half of them video users, random encounters."""
     spec = cli.ExperimentSpec(n_users=10, video_fraction=0.5,
                               capacity_range=(0.0, 0.7), cooperation="trace",
                               horizon=HORIZON)
     profiles = cli.build_profiles(spec)
     ids = [p.id for p in profiles]
+    params = {"lam": 100.0} if scheduler == "lyapunov" else BASELINE_PARAMS
     return SimConfig(
         horizon=HORIZON, profiles=profiles,
-        capacity=traces.synth_capacity(ids, HORIZON, spec.capacity_range, 0),
-        encounters=traces.synth_encounters(ids, HORIZON, 0, mode="trace"),
-        scheduler="lyapunov", scheduler_params={"lam": 100.0}, seed="0",
+        capacity=traces.synth_capacity(ids, HORIZON, spec.capacity_range, seed),
+        encounters=traces.synth_encounters(ids, HORIZON, seed, mode="trace"),
+        scheduler=scheduler, scheduler_params=params, seed=str(seed),
         abort_policy=abort_policy,
     )
 
@@ -39,7 +44,7 @@ def single_config(scheduler: str) -> SimConfig:
         horizon=HORIZON, profiles=cli.build_profiles(spec),
         capacity=traces.synth_capacity([0], HORIZON, spec.capacity_range, 3),
         encounters=traces.EncounterTrace.none(HORIZON), scheduler=scheduler,
-        scheduler_params={"delta_th": 0.5, "gap_th": 10.0}, seed="3",
+        scheduler_params=BASELINE_PARAMS, seed="3",
     )
 
 
@@ -51,6 +56,17 @@ GOLDEN = {
     "coop-complete": (
         lambda: coop_config("complete"),
         "c6b48f780bf93c46a9fdf651386cf56e598a4c9b15ea35dd7b99a82a85fab695",
+    ),
+    # seed 2: the seed-0 buffer report stays the same when a decider whose
+    # own buffer is full downloads for itself instead of for the first
+    # ready owner, so it would not pin that fall-back
+    "coop-buffer": (
+        lambda: coop_config("abort", "buffer", seed=2),
+        "aa79ed0f1a986aad27ed8cee05f585ddd86f41cbd088e43568813bf99b544f45",
+    ),
+    "coop-prediction": (
+        lambda: coop_config("abort", "prediction", seed=2),
+        "7af6557cafd059287767a7d4fe5d05efd66dfad788145b07b861ef9ec9689ccd",
     ),
     "single-buffer": (
         lambda: single_config("buffer"),
