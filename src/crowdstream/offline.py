@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -26,8 +27,9 @@ BRUTE_NODE_BUDGET = 2_000_000  # default node budget of the segmented brute forc
 
 
 class SolverBudgetError(RuntimeError):
-    """Search exhausted its node budget; carries the solver's name and the
-    welfare of the best incumbent found (None when there is none)."""
+    """Search exhausted its node budget or the interpreter's recursion limit;
+    carries the solver's name and the welfare of the best incumbent found
+    (None when there is none)."""
 
     def __init__(self, message: str, solver: str, welfare: float | None):
         super().__init__(message)
@@ -387,14 +389,15 @@ def solve_slotted_exact(
     # rates received per [slot][owner]
     slot_rate_buf: list[list[list[float]]] = [[[] for _ in range(N)] for _ in range(T)]
 
+    def out_of_budget(why: str) -> SolverBudgetError:
+        found = best["welfare"] if best["welfare"] > -math.inf else None
+        return SolverBudgetError(why, "exact", found)
+
     def dfs_vars(t: int, i: int, acc: float, rem_cap: list[float],
                  q: list[float], last_high: list[float | None]):
         stats["nodes"] += 1
         if stats["nodes"] > node_budget:
-            raise SolverBudgetError(
-                f"node budget {node_budget} exhausted", "exact",
-                best["welfare"] if best["welfare"] > -math.inf else None,
-            )
+            raise out_of_budget(f"node budget {node_budget} exhausted")
         if i == len(var_plan[t]):
             close_slot(t, acc, q, last_high)
             return
@@ -434,7 +437,11 @@ def solve_slotted_exact(
 
     if T == 0:
         return ExactResult(SlottedSchedule({}), 0.0, 0, 1)
-    dfs_slot(0, 0.0, [0.0] * N, [None] * N)
+    try:
+        dfs_slot(0, 0.0, [0.0] * N, [None] * N)
+    except RecursionError:
+        # the search nests a call per slot variable
+        raise out_of_budget(f"recursion limit {sys.getrecursionlimit()} exhausted") from None
     return ExactResult(
         SlottedSchedule(best["kappa"]), best["welfare"], stats["nodes"], stats["leaves"]
     )
@@ -663,7 +670,13 @@ def brute_force_segmented(
                 scheduled[d].pop()
         dfs(tuple(n for n in active if n != d), partial)  # retire this downloader
 
-    dfs(tuple(ids), 0.0)
+    try:
+        dfs(tuple(ids), 0.0)
+    except RecursionError:
+        # the search nests a call per scheduled transfer
+        raise SolverBudgetError(
+            f"recursion limit {sys.getrecursionlimit()} exhausted", "brute", best["welfare"]
+        ) from None
     return BruteForceResult(best["welfare"], best["downloads"], stats["nodes"], stats["leaves"])
 
 

@@ -48,13 +48,15 @@ class SchedulerState:
     the decisions made on one unchanged state, so a scheduler must treat
     them as read-only.
     ``throughput_samples`` holds the decider's last ``PREDICTION_WINDOW``
-    samples. ``neighbors`` is in ascending id order, without duplicates.
+    samples. ``neighbors`` holds the decider plus the owners it can
+    download from now, in ascending id order, without duplicates; an
+    encountered helper owns nothing to download and is left out.
     """
 
     user: int
     now: float
     capacity: float  # current cellular rate of the decider, Mbps
-    neighbors: tuple[int, ...]  # encountered users, including the decider, by id
+    neighbors: tuple[int, ...]  # the decider plus the owners in range, by id
     buffers: Mapping[int, float]
     last_rates: Mapping[int, float | None]
     next_seg: Mapping[int, int | None]

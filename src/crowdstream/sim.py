@@ -8,13 +8,15 @@ buffer are dropped (energy still charged), and transfers that lose their
 encounter mid-flight are aborted with pro-rata energy under the default
 abort policy.
 
-Segment owners are the video users, fixed at setup. A scheduler's Download
-is refused, with a violation and a re-poll one ``DEFAULT_EPOCH`` later, when
-it names a user that is not a neighbour, a user without video, a level off
-the owner's ladder, a segment outside the owner's video, or a segment that
-is delivered or in flight. A Wait of NaN seconds is refused the same way.
-A re-poll at or past the horizon, after a Wait, a refusal or a transfer's
-end, is never queued.
+Segment owners are the video users, fixed at setup. A user's neighbours are
+itself plus the owners it can download from now; encounters with helpers,
+which own nothing, are not tracked. A scheduler's Download is refused, with
+a violation and a re-poll one ``DEFAULT_EPOCH`` later, when it names a user
+that is not a neighbour (an encountered helper included), the decider
+without video, a level off the owner's ladder, a segment outside the
+owner's video, or a segment that is delivered or in flight. A Wait of NaN
+seconds is refused the same way. A re-poll at or past the horizon, after a
+Wait, a refusal or a transfer's end, is never queued.
 
 Scheduler state is kept incrementally rather than rescanned per decision.
 Each owner's smallest free segment moves only when a transfer to it starts
@@ -23,10 +25,10 @@ broadcast. The owner broadcast is built on the first decision after a state
 change (a time advance, an accepted transfer or a finished one) and shared,
 read-only, by every decision until the next change; most decisions are
 same-instant wake-ups that see an unchanged state. A user's neighbour set
-is tested again only for the partners with an encounter window starting or
-ending since the user's previous test, by ``EncounterTrace.next_break``, the
-rule the abort policy also asks. One snapshot serves both the decision and
-its welfare estimate.
+is tested again only for the owner partners with an encounter window
+starting or ending since the user's previous test, by
+``EncounterTrace.next_break``, the rule the abort policy also asks. One
+snapshot serves both the decision and its welfare estimate.
 """
 from __future__ import annotations
 
@@ -182,22 +184,25 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     next_segs = {n: 0 for n in owners}
 
     # A user is always its own neighbour. Another user m is a usable
-    # neighbour of n at ``now`` when ``encounters.next_break(n, m, now)`` is
-    # None or more than TOL after ``now``: right at a break the pair is still
-    # "encountered" but no positive-duration transfer fits, so it is
-    # excluded to keep every started transfer strictly progressing. The
-    # answer for m can differ from the one at n's last test only if a start
-    # or end of one of the pair's windows lies in [last test, now + TOL], so
-    # only those partners are tested again. With no mark left, the trace
-    # horizon stands in for the next one, so that a query past it is never
-    # answered from the last test and raises.
+    # neighbour of n at ``now`` when m is an owner and
+    # ``encounters.next_break(n, m, now)`` is None or more than TOL after
+    # ``now``: right at a break the pair is still "encountered" but no
+    # positive-duration transfer fits, so it is excluded to keep every
+    # started transfer strictly progressing. A helper partner owns nothing
+    # to download, so its windows are never marked. The answer for m can
+    # differ from the one at n's last test only if a start or end of one of
+    # the pair's windows lies in [last test, now + TOL], so only those
+    # partners are tested again. With no mark left, the trace horizon stands
+    # in for the next one, so that a query past it is never answered from
+    # the last test and raises.
     encounters = config.encounters
     enc_horizon = encounters.horizon
     marks: dict[int, list[tuple[float, int]]] = {n: [] for n in ids}
     for (a, b), ivs in encounters.intervals.items():
         if a in marks and b in marks:
             for n, m in ((a, b), (b, a)):
-                marks[n].extend((t, m) for iv in ivs for t in iv)
+                if profiles[m].is_video_user:
+                    marks[n].extend((t, m) for iv in ivs for t in iv)
     for pts in marks.values():
         pts.sort()
     last_test = {n: -math.inf for n in ids}

@@ -300,6 +300,33 @@ class TestBoundsCommand:
         assert payload["chain_ok"] is payload["prop1_ok"] is False
         assert capsys.readouterr().err.startswith("exact_half solver budget exhausted")
 
+    def test_recursion_limit_exits_3_with_partial(self, tmp_path, capsys):
+        """The scaling spec at 10 users and a 100 s horizon gives the exact
+        search more slot variables than the recursion limit allows frames;
+        it fails as a budget exhaustion, and the finished LP bound is kept."""
+        spec = ExperimentSpec(n_users=10, video_fraction=0.2, capacity_range=(0.0, 0.7),
+                              cooperation="trace", horizon=100.0)
+        profiles = build_profiles(spec)
+        ids = [p.id for p in profiles]
+        payload = {
+            **traces.traces_to_dict(
+                traces.synth_capacity(ids, spec.horizon, spec.capacity_range, 0),
+                traces.synth_encounters(ids, spec.horizon, 0, mode="trace")),
+            "profiles": [p.to_dict() for p in profiles],
+            "slot_len": 5.0,
+        }
+        inst = tmp_path / "instance.json"
+        inst.write_text(json.dumps(payload))
+        out = str(tmp_path / "bounds.json")
+        assert cli.main(["bounds", "--spec", str(inst), "--out", out]) == 3
+        cert = json.loads(open(out).read())
+        assert cert["partial"] is True
+        assert cert["upper"] > 0
+        assert cert["lower"] is cert["middle"] is None
+        assert cert["solver_stats"]["failed_solver"] == "exact"
+        assert cert["solver_stats"]["error"].startswith("recursion limit")
+        assert capsys.readouterr().err.startswith("exact solver budget exhausted")
+
     def test_without_middle(self, tmp_path):
         inst = make_bounds_instance(tmp_path, include_middle=False)
         out = str(tmp_path / "bounds.json")

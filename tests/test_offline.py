@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -236,6 +237,19 @@ class TestBruteForceSegmented:
         enc = traces.EncounterTrace.none(8.0)
         with pytest.raises(SolverBudgetError) as err:
             brute_force_segmented((prof,), cap, enc, horizon=8.0, node_budget=1)
+        assert err.value.solver == "brute"
+        assert err.value.welfare == 0.0
+
+    def test_recursion_limit_is_a_budget_error(self):
+        """One user with more back-to-back segments than the recursion limit
+        allows frames: the search stops as if out of budget, keeping the
+        empty-schedule incumbent."""
+        segs = sys.getrecursionlimit() + 100
+        prof = make_profile(segs=segs, ladder=(0.2,), buffer_cap=2.0 * segs)
+        cap = traces.CapacityTrace.constant([0], 10.0, 100.0)
+        enc = traces.EncounterTrace.none(100.0)
+        with pytest.raises(SolverBudgetError, match="recursion limit") as err:
+            brute_force_segmented((prof,), cap, enc, horizon=100.0)
         assert err.value.solver == "brute"
         assert err.value.welfare == 0.0
 

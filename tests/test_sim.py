@@ -186,7 +186,7 @@ class TestNeighbors:
             seen.append((state.user, state.now, state.neighbors))
             return online.Wait(1.0)
 
-        profiles = (make_profile(0, video_segments=5), make_profile(1, video_segments=0))
+        profiles = (make_profile(0, video_segments=5), make_profile(1, video_segments=5))
         run_simulation(SimConfig(
             horizon=horizon, profiles=profiles,
             capacity=CapacityTrace.constant([0, 1], 0.0, horizon),
@@ -457,6 +457,32 @@ class TestSchedulerChoiceChecks:
         ]
         assert report.downloads == {0: [], 1: []}
         assert report.aborts == 0
+
+    def test_encountered_helper_is_not_a_neighbour(self):
+        """Neighbours are the decider plus the owners in range: a helper
+        that every user encounters shows up in no other user's
+        ``neighbors``, and a Download naming it is refused as a
+        non-neighbour, with a re-poll one epoch later."""
+        seen = []
+
+        def name_helper(state, profiles):
+            seen.append((state.user, state.now, state.neighbors))
+            if state.user == 2:
+                return online.Download(owner=1, level=0, seg_index=0)
+            return online.Wait(10.0)
+
+        profiles = (make_profile(0, video_segments=3), make_profile(1, video_segments=0),
+                    make_profile(2, video_segments=0))
+        report = run_simulation(SimConfig(
+            horizon=3.0, profiles=profiles,
+            capacity=CapacityTrace.constant([0, 1, 2], 1.0, 3.0),
+            encounters=EncounterTrace.full([0, 1, 2], 3.0), scheduler=name_helper,
+        ))
+        polls = [t for n, t, _ in seen if n == 2]
+        assert polls == [0.0, online.DEFAULT_EPOCH, 2 * online.DEFAULT_EPOCH]
+        assert report.violations == [f"t={t}: owner 1 is not a neighbour of 2" for t in polls]
+        assert {(n, nbrs) for n, _, nbrs in seen} == {(0, (0,)), (1, (0, 1)), (2, (0, 2))}
+        assert report.downloads == {0: [], 1: [], 2: []}
 
 
 class TestReportShape:

@@ -20,9 +20,11 @@ BASELINE_PARAMS = {"delta_th": 0.5, "gap_th": 10.0}
 
 
 def coop_config(abort_policy: str, scheduler: str = "lyapunov",
-                seed: int = 0) -> SimConfig:
-    """10 users, half of them video users, random encounters."""
-    spec = cli.ExperimentSpec(n_users=10, video_fraction=0.5,
+                seed: int = 0, n_users: int = 10,
+                video_fraction: float = 0.5) -> SimConfig:
+    """``n_users`` users, ``video_fraction`` of them video users, random
+    encounters."""
+    spec = cli.ExperimentSpec(n_users=n_users, video_fraction=video_fraction,
                               capacity_range=(0.0, 0.7), cooperation="trace",
                               horizon=HORIZON)
     profiles = cli.build_profiles(spec)
@@ -67,6 +69,12 @@ GOLDEN = {
     "coop-prediction": (
         lambda: coop_config("abort", "prediction", seed=2),
         "7af6557cafd059287767a7d4fe5d05efd66dfad788145b07b861ef9ec9689ccd",
+    ),
+    # helpers are the majority: 4 video users among 20, so most encountered
+    # users own nothing a decision can use
+    "coop-helpers": (
+        lambda: coop_config("abort", n_users=20, video_fraction=0.2),
+        "f24801011030a7450b7b4e1012a891dc4a5ebf6e3b94e6e3f54b4ca8c61bf0c5",
     ),
     "single-buffer": (
         lambda: single_config("buffer"),

@@ -112,15 +112,20 @@ def idle(state, profiles):
 
 def check_neighbors(config, decide=None):
     """Run ``config`` with a scheduler that records every snapshot whose
-    neighbour tuple differs from a fresh scan, and then decides as
-    ``decide`` (by default, as ``config.scheduler``)."""
+    neighbour tuple differs from a fresh scan (the decider plus the owners
+    usable now), and then decides as ``decide`` (by default, as
+    ``config.scheduler``)."""
     ids = sorted(p.id for p in config.profiles)
+    owners = {p.id for p in config.profiles if p.is_video_user}
     enc = config.encounters
     decide = decide or online.make_scheduler(config.scheduler)
     mismatches = []
 
     def checking(state, profiles):
-        want = tuple(m for m in ids if usable_by_scan(enc, state.user, m, state.now))
+        want = tuple(
+            m for m in ids
+            if (m == state.user or m in owners) and usable_by_scan(enc, state.user, m, state.now)
+        )
         if state.neighbors != want:
             mismatches.append((state.user, state.now, state.neighbors, want))
         return decide(state, profiles)
