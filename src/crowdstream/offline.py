@@ -5,6 +5,9 @@ transfers. Its exact optimum lower-bounds the asynchronous optimum; a fluid
 relaxation (continuous volumes, fluctuation and rebuffering charges dropped)
 upper-bounds it. A grid-restricted brute-force search over asynchronous
 segmented schedules provides the middle reference on tiny instances.
+
+numpy and scipy load on the first fluid LP, not with this module, so the
+simulator and the searches never pay for them.
 """
 from __future__ import annotations
 
@@ -13,17 +16,24 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from typing import Mapping, Sequence
 
 from . import model
 from .model import TOL, SegmentRecord, UserProfile, Violation, WelfareBreakdown
 
 EXACT_NODE_BUDGET = 10_000_000  # default node budget of the exact slotted search
 BRUTE_NODE_BUDGET = 2_000_000  # default node budget of the segmented brute force
+
+
+def __getattr__(name: str):
+    # ``linprog`` is imported on first access (PEP 562) and kept as a module
+    # global, so later lookups never come here and a patch set before then
+    # is never overwritten. The LP reads it through the module, to see both.
+    if name == "linprog":
+        from scipy.optimize import linprog
+        globals()["linprog"] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolverBudgetError(RuntimeError):
@@ -282,23 +292,21 @@ def eval_slotted_welfare(
 # Exact slotted optimum: depth-first branch and bound over segment counts
 # ---------------------------------------------------------------------------
 
-def _unreceived_value(profiles: Sequence[UserProfile]) -> Callable[[Iterable[int]], float]:
-    """Both searches' remaining-value bound, for one solve: given each
-    user's received segment count in ``profiles`` order, the top-rung
-    segment value times the segments not yet received, summed over video
-    users (losses and energies taken as zero); memoised on the counts."""
-    tops = [(i, p.video_segments, model.quality_value(p, p.ladder[-1]) * p.beta)
-            for i, p in enumerate(profiles) if p.is_video_user]
-    memo: dict[tuple[int, ...], float] = {}
+class _UnreceivedValue(dict):
+    """Both searches' remaining-value bound, for one solve: indexed by the
+    tuple of each user's received segment count in ``profiles`` order, the
+    top-rung segment value times the segments not yet received, summed over
+    video users (losses and energies taken as zero). A dict, so a count
+    tuple seen before is a lookup without a Python call."""
 
-    def bound(received: Iterable[int]) -> float:
-        key = tuple(received)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = model.ordered_sum((segs - key[i]) * top for i, segs, top in tops)
+    def __init__(self, profiles: Sequence[UserProfile]):
+        super().__init__()
+        self.tops = [(i, p.video_segments, model.quality_value(p, p.ladder[-1]) * p.beta)
+                     for i, p in enumerate(profiles) if p.is_video_user]
+
+    def __missing__(self, key: tuple[int, ...]) -> float:
+        value = self[key] = model.ordered_sum((segs - key[i]) * top for i, segs, top in self.tops)
         return value
-
-    return bound
 
 
 @dataclass
@@ -356,33 +364,38 @@ def solve_slotted_exact(
 
     counts: dict[tuple[int, int, int, int], int] = {}
     received = [0] * N
-    stats = {"nodes": 0, "leaves": 0}
-    best = {"welfare": -math.inf, "kappa": {}}
-    unreceived_value = _unreceived_value(profiles)
+    nodes = leaves = 0
+    best_welfare, best_kappa = -math.inf, {}
+    unreceived_value = _UnreceivedValue(profiles)
+
+    # (user, phi_qdeg, phi_rebuf, beta, is a video user), for close_slot
+    user_losses = [(m, p.phi_qdeg, p.phi_rebuf, p.beta, p.is_video_user)
+                   for m, p in enumerate(profiles)]
 
     def close_slot(t: int, acc: float, q: list[float], last_high: list[float | None]):
         """Charge slot-level losses and advance buffers; recurse or prune."""
+        nonlocal leaves, best_welfare, best_kappa
         new_q = list(q)
         new_high = list(last_high)
         total = acc
-        for m, prof in enumerate(profiles):
-            rates = slot_rate_buf[t][m]
+        slot_rates = slot_rate_buf[t]
+        for m, phi_qdeg, phi_rebuf, beta, video in user_losses:
+            rates = slot_rates[m]
             if rates:
                 lo, hi = min(rates), max(rates)
                 if new_high[m] is not None:
-                    total -= prof.phi_qdeg * max(0.0, new_high[m] - lo)
+                    total -= phi_qdeg * max(0.0, new_high[m] - lo)
                 new_high[m] = hi
-            if prof.is_video_user:
+            if video:
                 if t >= 1:
-                    total -= prof.phi_rebuf * max(0.0, L - new_q[m])
-                new_q[m] = max(0.0, new_q[m] - L) + len(rates) * prof.beta
+                    total -= phi_rebuf * max(0.0, L - new_q[m])
+                new_q[m] = max(0.0, new_q[m] - L) + len(rates) * beta
         if t + 1 == T:
-            stats["leaves"] += 1
-            if total > best["welfare"]:
-                best["welfare"] = total
-                best["kappa"] = dict(counts)
+            leaves += 1
+            if total > best_welfare:
+                best_welfare, best_kappa = total, dict(counts)
             return
-        if total + min(suffix_cap[t + 1], unreceived_value(received)) <= best["welfare"] + 1e-12:
+        if total + min(suffix_cap[t + 1], unreceived_value[tuple(received)]) <= best_welfare + 1e-12:
             return
         dfs_slot(t + 1, total, new_q, new_high)
 
@@ -390,46 +403,49 @@ def solve_slotted_exact(
     slot_rate_buf: list[list[list[float]]] = [[[] for _ in range(N)] for _ in range(T)]
 
     def out_of_budget(why: str) -> SolverBudgetError:
-        found = best["welfare"] if best["welfare"] > -math.inf else None
+        found = best_welfare if best_welfare > -math.inf else None
         return SolverBudgetError(why, "exact", found)
 
     def dfs_vars(t: int, i: int, acc: float, rem_cap: list[float],
                  q: list[float], last_high: list[float | None]):
-        stats["nodes"] += 1
-        if stats["nodes"] > node_budget:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
             raise out_of_budget(f"node budget {node_budget} exhausted")
         if i == len(var_plan[t]):
             close_slot(t, acc, q, last_high)
             return
-        if best["welfare"] > -math.inf:
+        if best_welfare > -math.inf:
             rem_total = model.ordered_sum(rem_cap)
             optimistic = acc + min(
                 rem_total * slot_density[t] + suffix_cap[t + 1],
-                unreceived_value(received),
+                unreceived_value[tuple(received)],
             )
-            if optimistic <= best["welfare"] + 1e-12:
+            if optimistic <= best_welfare + 1e-12:
                 return
         n, m, z, owner, rate, unit_vol, unit_gain = var_plan[t][i]
         cmax = min(
             int((rem_cap[n] + TOL) // unit_vol),
             owner.video_segments - received[m],
         )
-        drained, held = max(0.0, q[m] - L), len(slot_rate_buf[t][m])
+        rates, key = slot_rate_buf[t][m], (t, n, m, z)
+        drained, held = max(0.0, q[m] - L), len(rates)
+        beta, room = owner.beta, owner.buffer_cap + TOL
         for c in range(cmax + 1):
-            if drained + (held + c) * owner.beta > owner.buffer_cap + TOL:
+            if drained + (held + c) * beta > room:
                 cmax = c - 1  # c more would overfill the owner's buffer in slot t
                 break
             if c > 0:
-                counts[(t, n, m, z)] = c
+                counts[key] = c
                 rem_cap[n] -= unit_vol
                 received[m] += 1
-                slot_rate_buf[t][m].append(rate)
+                rates.append(rate)
             dfs_vars(t, i + 1, acc + c * unit_gain, rem_cap, q, last_high)
         if cmax > 0:
-            counts.pop((t, n, m, z), None)
+            counts.pop(key, None)
             rem_cap[n] += cmax * unit_vol
             received[m] -= cmax
-            del slot_rate_buf[t][m][-cmax:]
+            del rates[-cmax:]
 
     def dfs_slot(t: int, acc: float, q: list[float], last_high: list[float | None]):
         rem_cap = [instance.capacity[n][t] for n in range(N)]
@@ -442,9 +458,7 @@ def solve_slotted_exact(
     except RecursionError:
         # the search nests a call per slot variable
         raise out_of_budget(f"recursion limit {sys.getrecursionlimit()} exhausted") from None
-    return ExactResult(
-        SlottedSchedule(best["kappa"]), best["welfare"], stats["nodes"], stats["leaves"]
-    )
+    return ExactResult(SlottedSchedule(best_kappa), best_welfare, nodes, leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +478,9 @@ def solve_slotted_relaxed(instance: SlottedInstance) -> float:
     so its float order, and with it the bound's bits, stay as they are;
     a test ties the two together.
     """
+    import numpy as np
+    from scipy import sparse
+
     N, T, L = instance.n_users, instance.n_slots, instance.slot_len
     profiles = instance.profiles
     xs = [(t, n, m, z) for t, svars in enumerate(_slot_vars(instance))
@@ -542,6 +559,7 @@ def solve_slotted_relaxed(instance: SlottedInstance) -> float:
 
     A_ub = sparse.csr_matrix((vals_ub, (rows_ub, cols_ub)), shape=(len(b_ub), nvars))
     A_eq = sparse.csr_matrix((vals_eq, (rows_eq, cols_eq)), shape=(len(b_eq), nvars))
+    linprog = sys.modules[__name__].linprog  # loads scipy on the first LP
     res = linprog(-obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                   bounds=ordered, method="highs")
     if res.status != 0:
@@ -580,17 +598,17 @@ def brute_force_segmented(
     pts = set(capacity.breakpoints()) | set(encounters.breakpoints())
     grid = sorted(t for t in pts if 0 <= t < horizon)
     owners = [m for m in ids if pmap[m].is_video_user]
-    stats = {"nodes": 0, "leaves": 0}
-    best = {"welfare": 0.0, "downloads": {n: [] for n in ids}}
+    nodes = leaves = 0
+    best_welfare, best_downloads = 0.0, {n: [] for n in ids}
 
     scheduled: dict[int, list[tuple[float, float, int, int]]] = {n: [] for n in ids}
     next_free = {n: 0.0 for n in ids}
-    received = {m: 0 for m in ids}
+    received = [0] * len(ids)  # segments per user, in ``ids`` order
 
     def leaf(partial: float):
-        stats["leaves"] += 1
-        if partial < best["welfare"] - TOL:
-            return  # welfare = partial minus nonnegative losses: cannot win
+        """Evaluate the schedule at a leaf; a better feasible one becomes
+        the incumbent."""
+        nonlocal best_welfare, best_downloads
         downloads: dict[int, list[SegmentRecord]] = {n: [] for n in ids}
         per_owner: dict[int, list[tuple[float, int, float, float, int]]] = {m: [] for m in owners}
         for n in ids:
@@ -598,34 +616,39 @@ def brute_force_segmented(
                 per_owner[m].append((end, n, start, pmap[m].ladder[z], z))
         for m in owners:
             # segments are numbered in arrival order, so this is playback order
-            received = [
+            arrivals = [
                 SegmentRecord(downloader=n, owner=m, level=z, rate=rate, seg_index=k,
                               t_start=start, t_end=end)
                 for k, (end, n, start, rate, z) in enumerate(sorted(per_owner[m]))
             ]
             cap = pmap[m].buffer_cap
-            if any(q > cap + TOL for q in model.buffer_levels(pmap[m], received)):
+            if any(q > cap + TOL for q in model.buffer_levels(pmap[m], arrivals)):
                 return  # infeasible leaf
-            for rec in received:
+            for rec in arrivals:
                 downloads[rec.downloader].append(rec)
         welfare, _ = model.eval_social_welfare(pmap, downloads)
-        if welfare > best["welfare"]:
-            best["welfare"] = welfare
-            best["downloads"] = {n: list(v) for n, v in downloads.items()}
+        if welfare > best_welfare:
+            best_welfare = welfare
+            best_downloads = {n: list(v) for n, v in downloads.items()}
 
     # Per-solve tables, freed on return. A move's end time, encounter check
-    # and gain depend only on (downloader, start, owner, level), never on
-    # the search state; the remaining bound depends only on the received
-    # counts, kept in ``ids`` order.
-    moves_memo: dict[tuple[int, float], tuple[tuple[int, int, float, float], ...]] = {}
-    unreceived_value = _unreceived_value([pmap[m] for m in ids])
+    # and gain depend only on (downloader, start, owner, level), and the
+    # start times only on the downloader's free time, never on the search
+    # state; the remaining bound depends only on the received counts.
+    Move = tuple[int, int, int, int, float, float]
+    moves_memo: dict[tuple[int, float], tuple[Move, ...]] = {}
+    options_memo: dict[tuple[int, float], list[tuple[float, tuple[Move, ...]]]] = {}
+    unreceived_value = _UnreceivedValue([pmap[m] for m in ids])
 
-    def moves_from(d: int, start: float) -> tuple[tuple[int, int, float, float], ...]:
-        """(owner, level, end, gain) of each transfer ``d`` can run from
-        ``start``, by owner, then level."""
+    def moves_from(d: int, start: float) -> tuple[Move, ...]:
+        """(owner, owner's position in ``ids``, owner's segment count, level,
+        end, gain) of each transfer ``d`` can run from ``start``, by owner,
+        then level."""
         moves = []
-        for m in owners:
+        for i, m in enumerate(ids):
             prof_m = pmap[m]
+            if not prof_m.is_video_user:
+                continue
             for z, rate in enumerate(prof_m.ladder):
                 end = capacity.invert(d, start, rate * prof_m.beta)
                 if end is None:
@@ -633,41 +656,55 @@ def brute_force_segmented(
                 if m != d and not encounters.holds(d, m, start, end):
                     continue
                 gain = model.segment_gain(prof_m, pmap[d], rate, end - start, m != d)
-                moves.append((m, z, end, gain))
+                moves.append((m, i, prof_m.video_segments, z, end, gain))
         return tuple(moves)
 
-    def dfs(active: tuple[int, ...], partial: float):
-        stats["nodes"] += 1
-        if stats["nodes"] > node_budget:
-            raise SolverBudgetError(
-                f"node budget {node_budget} exhausted", "brute", best["welfare"]
-            )
-        if not active:
-            leaf(partial)
-            return
-        if partial + unreceived_value(received.values()) <= best["welfare"] + 1e-12:
-            # even a loss-free completion cannot beat the incumbent
-            leaf(partial)
-            return
-        d = min(active, key=lambda n: (next_free[n], n))
-        starts = [next_free[d]] + [g for g in grid if g > next_free[d] + TOL]
+    def options_from(d: int, free: float) -> list[tuple[float, tuple[Move, ...]]]:
+        """(start, moves) for ``d`` free at ``free``: it starts then or at a
+        later grid point, before the horizon, in ascending order."""
+        starts = [free] + [g for g in grid if g > free + TOL]
+        options = []
         for start in starts:
             if start >= horizon - TOL:
                 break
             moves = moves_memo.get((d, start))
             if moves is None:
                 moves = moves_memo[(d, start)] = moves_from(d, start)
-            for m, z, end, gain in moves:
-                if received[m] >= pmap[m].video_segments:
+            options.append((start, moves))
+        return options
+
+    def dfs(active: tuple[int, ...], partial: float):
+        nonlocal nodes, leaves
+        nodes += 1
+        if nodes > node_budget:
+            raise SolverBudgetError(
+                f"node budget {node_budget} exhausted", "brute", best_welfare
+            )
+        if not active or partial + unreceived_value[tuple(received)] <= best_welfare + 1e-12:
+            # a leaf: no downloader is left, or even a loss-free completion
+            # cannot beat the incumbent
+            leaves += 1
+            if partial >= best_welfare - TOL:  # welfare is at most partial
+                leaf(partial)
+            return
+        # earliest free downloader; ``active`` ascends, so ties go to the
+        # smaller id
+        d = min(active, key=next_free.__getitem__)
+        free, plan = next_free[d], scheduled[d]
+        options = options_memo.get((d, free))
+        if options is None:
+            options = options_memo[(d, free)] = options_from(d, free)
+        for start, moves in options:
+            for m, i, segs, z, end, gain in moves:
+                if received[i] >= segs:
                     continue
-                scheduled[d].append((start, end, m, z))
-                old_free = next_free[d]
+                plan.append((start, end, m, z))
                 next_free[d] = end
-                received[m] += 1
+                received[i] += 1
                 dfs(active, partial + gain)
-                received[m] -= 1
-                next_free[d] = old_free
-                scheduled[d].pop()
+                received[i] -= 1
+                plan.pop()
+        next_free[d] = free  # each move set it; only a child reads it
         dfs(tuple(n for n in active if n != d), partial)  # retire this downloader
 
     try:
@@ -675,9 +712,9 @@ def brute_force_segmented(
     except RecursionError:
         # the search nests a call per scheduled transfer
         raise SolverBudgetError(
-            f"recursion limit {sys.getrecursionlimit()} exhausted", "brute", best["welfare"]
+            f"recursion limit {sys.getrecursionlimit()} exhausted", "brute", best_welfare
         ) from None
-    return BruteForceResult(best["welfare"], best["downloads"], stats["nodes"], stats["leaves"])
+    return BruteForceResult(best_welfare, best_downloads, nodes, leaves)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import bisect
 import collections
-import dataclasses
 import heapq
 import json
 import math
@@ -304,11 +303,6 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
                 completed = False
                 counters["aborts"] += 1
         mbit = vol if completed else config.capacity.integrate(n, now, end)
-        record = SegmentRecord(
-            downloader=n, owner=u, level=z, rate=rate, seg_index=k,
-            t_start=now, t_end=end, delivered=False, completed=completed,
-            mbit=mbit,
-        )
         try:
             sw_estimated += online.decision_payoff(state, profiles, u, z)
         except ValueError:
@@ -320,33 +314,39 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             while j < segs and taken(u, j):
                 j += 1
             next_segs[u] = j if j < segs else None
-        push(end, "complete", (n, record))
+        push(end, "complete", (n, u, z, k, now, completed, mbit))
 
-    def finish_download(n: int, now: float, record: SegmentRecord) -> None:
+    def finish_download(now: float, n: int, u: int, z: int, k: int, t_start: float,
+                        completed: bool, mbit: float) -> None:
+        """End the transfer that ``start_download`` pushed; its one record,
+        with the final ``delivered``, is made here."""
         nonlocal broadcast
         broadcast = None
-        u, k = record.owner, record.seg_index
         reserved[u].discard(k)
-        final = record
-        if record.completed:
-            prof_u = profiles[u]
+        prof_u = profiles[u]
+        rate = prof_u.ladder[z]
+        delivered = False
+        if completed:
             if not fits_in_buffer(committed(u), prof_u):
                 counters["drops"] += 1
             else:
-                final = dataclasses.replace(record, delivered=True)
-                last_rates[u] = record.rate
+                delivered = True
+                last_rates[u] = rate
                 parked[u].add(k)
                 while play_next[u] in parked[u]:
                     parked[u].discard(play_next[u])
                     buffers[u] += prof_u.beta
                     play_next[u] += 1
                 check_level(u, now)
-            if record.t_end > record.t_start:
-                samples[n].append(record.mbit / (record.t_end - record.t_start))
+            if now > t_start:
+                samples[n].append(mbit / (now - t_start))
         cur = next_segs[u]
-        if not final.delivered and (cur is None or k < cur):
+        if not delivered and (cur is None or k < cur):
             next_segs[u] = k  # k is free again
-        downloads[n].append(final)
+        downloads[n].append(SegmentRecord(
+            downloader=n, owner=u, level=z, rate=rate, seg_index=k, t_start=t_start,
+            t_end=now, delivered=delivered, completed=completed, mbit=mbit,
+        ))
         poll(n, now)
 
     for n in ids:
@@ -366,8 +366,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             else:
                 poll(n, time + max(decision.duration, 1e-6))
         elif kind == "complete":
-            n, record = payload
-            finish_download(n, time, record)
+            finish_download(time, *payload)
 
     advance(horizon)
     for n in sorted(owners):
