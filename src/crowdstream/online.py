@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .model import UserProfile, ordered_sum, quality_value
 
@@ -37,10 +37,16 @@ class Wait:
 Decision = Download | Wait
 
 
-@dataclass(frozen=True)
-class SchedulerState:
+class SchedulerState(NamedTuple):
     """Snapshot visible to one deciding downloader at one instant.
 
+    An immutable ``NamedTuple``: a scheduler reads it by field name, and
+    the field order, which positional construction and unpacking follow,
+    is part of the interface. The simulator builds one per decision from
+    state it updates only when that state changes.
+
+    ``capacity`` is the decider's cellular rate at ``now``; the simulator
+    holds it from one capacity-trace breakpoint to the next.
     The broadcast ``buffers`` and ``next_seg`` are keyed by the video users,
     the only segment owners; ``last_rates`` holds those with a delivery.
     ``next_seg`` is the smallest segment index neither delivered nor in
@@ -48,9 +54,11 @@ class SchedulerState:
     the decisions made on one unchanged state, so a scheduler must treat
     them as read-only.
     ``throughput_samples`` holds the decider's last ``PREDICTION_WINDOW``
-    samples. ``neighbors`` holds the decider plus the owners it can
-    download from now, in ascending id order, without duplicates; an
-    encountered helper owns nothing to download and is left out.
+    samples, oldest first; the simulator replaces the tuple when a transfer
+    of the decider completes. ``neighbors`` holds the decider plus the
+    owners it can download from now, in ascending id order, without
+    duplicates; an encountered helper owns nothing to download and is left
+    out.
     """
 
     user: int

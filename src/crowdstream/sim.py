@@ -27,13 +27,16 @@ read-only, by every decision until the next change; most decisions are
 same-instant wake-ups that see an unchanged state. A user's neighbour set
 is tested again only for the owner partners with an encounter window
 starting or ending since the user's previous test, by
-``EncounterTrace.next_break``, the rule the abort policy also asks. One
-snapshot serves both the decision and its welfare estimate.
+``EncounterTrace.next_break``, the rule the abort policy also asks. A
+user's capacity rate is held with the time its trace piece ends and asked
+of ``CapacityTrace.piece_at`` again only once a decision reaches that time,
+and its throughput samples are a tuple replaced when one of its transfers
+completes, so a snapshot copies neither. One snapshot serves both the
+decision and its welfare estimate.
 """
 from __future__ import annotations
 
 import bisect
-import collections
 import heapq
 import json
 import math
@@ -42,7 +45,7 @@ from typing import Callable, Mapping
 
 from . import model, offline, online
 from .model import TOL, SegmentRecord, UserProfile
-from .traces import CapacityTrace, EncounterTrace, TraceError
+from .traces import CapacityTrace, EncounterTrace
 
 
 def fits_in_buffer(level: float, profile: UserProfile) -> bool:
@@ -72,6 +75,12 @@ class SimConfig:
             raise ValueError("horizon must be nonnegative")
         if self.horizon > self.capacity.horizon + TOL:
             raise ValueError("horizon exceeds capacity trace horizon")
+        for p in self.profiles:
+            if p.id not in self.capacity.users:
+                raise ValueError(f"capacity trace has no user {p.id}")
+        # a lone user never asks the encounter trace anything
+        if len(self.profiles) > 1 and self.horizon > self.encounters.horizon:
+            raise ValueError("horizon exceeds encounter trace horizon")
         if self.abort_policy not in ABORT_POLICIES:
             raise ValueError(f"unknown abort policy {self.abort_policy!r}")
 
@@ -125,7 +134,13 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     # segment indices of the transfers in flight to each owner; segment k
     # of owner u is delivered iff k < play_next[u] or k in parked[u]
     reserved: dict[int, set[int]] = {n: set() for n in ids}
-    samples = {n: collections.deque(maxlen=online.PREDICTION_WINDOW) for n in ids}
+    # each user's last PREDICTION_WINDOW throughput samples, oldest first;
+    # a completion replaces the tuple, so a snapshot can hand it out as is
+    samples: dict[int, tuple[float, ...]] = {n: () for n in ids}
+    # each user's capacity piece: its rate and the time the rate holds
+    # until; the trace is asked again only once a decision reaches that time
+    capacity = config.capacity
+    pieces = {n: (0.0, -math.inf) for n in ids}
     downloads: dict[int, list[SegmentRecord]] = {n: [] for n in ids}
     violations: list[str] = []
     counters = {"drops": 0, "aborts": 0}
@@ -191,11 +206,9 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     # to download, so its windows are never marked. The answer for m can
     # differ from the one at n's last test only if a start or end of one of
     # the pair's windows lies in [last test, now + TOL], so only those
-    # partners are tested again. With no mark left, the trace horizon stands
-    # in for the next one, so that a query past it is never answered from
-    # the last test and raises.
+    # partners are tested again, and with no mark left no one is. SimConfig
+    # has checked that the encounter trace spans the run.
     encounters = config.encounters
-    enc_horizon = encounters.horizon
     marks: dict[int, list[tuple[float, int]]] = {n: [] for n in ids}
     for (a, b), ivs in encounters.intervals.items():
         if a in marks and b in marks:
@@ -205,15 +218,13 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     for pts in marks.values():
         pts.sort()
     last_test = {n: -math.inf for n in ids}
-    next_mark = {n: -math.inf for n in ids}  # first mark >= last_test, or horizon
+    next_mark = {n: -math.inf for n in ids}  # first mark >= last_test, or inf
     usable: dict[int, set[int]] = {n: set() for n in ids}  # at last_test
     found = {n: (n,) for n in ids}
 
     def neighbors_of(n: int, now: float) -> tuple[int, ...]:
         if now + TOL < next_mark[n]:
             return found[n]
-        if len(ids) > 1 and not 0 <= now <= enc_horizon:
-            raise TraceError(f"time {now} outside horizon [0, {enc_horizon}]")
         pts = marks[n]
         since = bisect.bisect_left(pts, (last_test[n],))
         until = bisect.bisect_right(pts, (now + TOL, math.inf))
@@ -228,7 +239,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
             found[n] = tuple(sorted((n, *use)))
         last_test[n] = now
         i = bisect.bisect_left(pts, (now,))
-        next_mark[n] = pts[i][0] if i < len(pts) else enc_horizon
+        next_mark[n] = pts[i][0] if i < len(pts) else math.inf
         return found[n]
 
     def snapshot(n: int, now: float) -> online.SchedulerState:
@@ -244,15 +255,11 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
                 dict(next_segs),
             )
         levels, rates, nexts = broadcast
+        rate, until = pieces[n]
+        if now >= until:
+            pieces[n] = rate, until = capacity.piece_at(n, now)
         return online.SchedulerState(
-            user=n,
-            now=now,
-            capacity=config.capacity.rate_at(n, now),
-            neighbors=neighbors,
-            buffers=levels,
-            last_rates=rates,
-            next_seg=nexts,
-            throughput_samples=tuple(samples[n]),
+            n, now, rate, neighbors, levels, rates, nexts, samples[n]
         )
 
     def poll(n: int, at: float) -> None:
@@ -291,7 +298,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         prof_u = profiles[u]
         rate = prof_u.ladder[z]
         vol = rate * prof_u.beta
-        end = config.capacity.invert(n, now, vol)
+        end = capacity.invert(n, now, vol)
         completed = True
         if end is None or end > horizon:
             end = horizon
@@ -302,7 +309,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
                 end = brk
                 completed = False
                 counters["aborts"] += 1
-        mbit = vol if completed else config.capacity.integrate(n, now, end)
+        mbit = vol if completed else capacity.integrate(n, now, end)
         try:
             sw_estimated += online.decision_payoff(state, profiles, u, z)
         except ValueError:
@@ -339,7 +346,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
                     play_next[u] += 1
                 check_level(u, now)
             if now > t_start:
-                samples[n].append(mbit / (now - t_start))
+                samples[n] = (*samples[n], mbit / (now - t_start))[-online.PREDICTION_WINDOW:]
         cur = next_segs[u]
         if not delivered and (cur is None or k < cur):
             next_segs[u] = k  # k is free again
@@ -376,7 +383,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     for n in ids:
         for r in downloads[n]:
             if r.delivered:
-                got = config.capacity.integrate(n, r.t_start, r.t_end)
+                got = capacity.integrate(n, r.t_start, r.t_end)
                 if r.rate * profiles[r.owner].beta > got + TOL:
                     violations.append(
                         f"capacity shortfall for segment {(r.owner, r.seg_index)} by user {n}"

@@ -47,10 +47,18 @@ class PiecewiseConstant:
         if t < 0 or t > self.horizon:
             raise TraceError(f"time {t} outside horizon [0, {self.horizon}]")
 
-    def value_at(self, t: float) -> float:
+    def piece_at(self, t: float) -> tuple[float, float]:
+        """``(rate, until)`` of the piece holding ``t``: the last piece
+        starting at or before ``t``, so a breakpoint belongs to the piece
+        it starts. The rate holds on [t, until), where ``until`` is the next
+        breakpoint, or the horizon for the last piece."""
         self._check(t)
         i = bisect.bisect_right(self.times, t) - 1
-        return self.values[i]
+        until = self.times[i + 1] if i + 1 < len(self.times) else self.horizon
+        return self.values[i], until
+
+    def value_at(self, t: float) -> float:
+        return self.piece_at(t)[0]
 
     def integrate(self, t1: float, t2: float) -> float:
         self._check(t1)
@@ -103,6 +111,11 @@ class CapacityTrace:
 
     def rate_at(self, n: int, t: float) -> float:
         return self.users[n].value_at(t)
+
+    def piece_at(self, n: int, t: float) -> tuple[float, float]:
+        """User n's rate at ``t`` and the time it holds until, as
+        ``PiecewiseConstant.piece_at``."""
+        return self.users[n].piece_at(t)
 
     def integrate(self, n: int, t1: float, t2: float) -> float:
         return self.users[n].integrate(t1, t2)

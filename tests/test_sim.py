@@ -68,6 +68,26 @@ class TestSimConfig:
             SimConfig(horizon=10.0, profiles=(make_profile(),), capacity=cap,
                       encounters=EncounterTrace.none(10.0), abort_policy="retry")
 
+    def test_capacity_trace_must_cover_every_user(self):
+        """Refused when built, not with a bare KeyError at user 1's first
+        decision."""
+        cap = CapacityTrace.constant([0], 1.0, 10.0)
+        with pytest.raises(ValueError, match="capacity trace has no user 1"):
+            SimConfig(horizon=10.0, profiles=(make_profile(0), make_profile(1)),
+                      capacity=cap, encounters=EncounterTrace.full([0, 1], 10.0))
+
+    def test_encounter_trace_must_span_the_run(self):
+        """With two users, a 20 s run on a 5 s encounter trace is refused
+        when built, not partway through; a lone user never queries it."""
+        cap = CapacityTrace.constant([0, 1], 1.0, 20.0)
+        short = EncounterTrace.full([0, 1], 5.0)
+        with pytest.raises(ValueError, match="encounter trace horizon"):
+            SimConfig(horizon=20.0, profiles=(make_profile(0), make_profile(1)),
+                      capacity=cap, encounters=short)
+        lone = SimConfig(horizon=20.0, profiles=(make_profile(0),), capacity=cap,
+                         encounters=short)
+        assert run_simulation(lone).violations == []
+
 
 class TestSingleUserRun:
     def test_ample_capacity_plays_everything_at_top_rate(self):

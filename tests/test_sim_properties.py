@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from crowdstream import model, online
 from crowdstream.model import UserProfile
 from crowdstream.sim import TOL, SimConfig, run_simulation
-from crowdstream.traces import CapacityTrace, EncounterTrace, PiecewiseConstant, TraceError
+from crowdstream.traces import CapacityTrace, EncounterTrace, PiecewiseConstant
 
 LADDER = (0.2, 0.4, 0.7, 1.3, 2.3)
 
@@ -178,26 +178,70 @@ def test_snapshot_neighbors_at_breakpoints(config, data):
     assert check_neighbors(config) == []
 
 
+@st.composite
+def grid_capacity(draw, ids, horizon):
+    """Capacity traces with whole-second breakpoints, so that 1 s re-polls
+    from t=0 land exactly on them; one may lie at the horizon, leaving an
+    empty last piece."""
+    rate = st.floats(0.0, 3.0, allow_nan=False)
+    users = {}
+    for n in ids:
+        cuts = draw(st.lists(st.integers(1, int(horizon)), max_size=6))
+        times = sorted({0.0, *map(float, cuts)})
+        users[n] = PiecewiseConstant(tuple(times), tuple(draw(rate) for _ in times), horizon)
+    return CapacityTrace(users=users, horizon=horizon)
+
+
+def repoll(state, profiles):
+    """Only waits one re-poll epoch, so every user decides at every whole
+    second, on each breakpoint and all through the last piece."""
+    return online.Wait(online.DEFAULT_EPOCH)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sim_configs(), st.data())
+def test_snapshot_capacity_matches_trace(config, data):
+    """The capacity rate a snapshot holds until the next breakpoint equals
+    a fresh trace lookup at every decision; the samples are a tuple no
+    longer than the prediction window, and a snapshot is immutable."""
+    ids = sorted(p.id for p in config.profiles)
+    capacity = data.draw(grid_capacity(ids, config.horizon))
+    config = dataclasses.replace(config, capacity=capacity)
+    for decide in (repoll, online.make_scheduler(config.scheduler)):
+        def checking(state, profiles):
+            assert state.capacity == capacity.rate_at(state.user, state.now)
+            assert isinstance(state.throughput_samples, tuple)
+            assert len(state.throughput_samples) <= online.PREDICTION_WINDOW
+            with pytest.raises(AttributeError):
+                state.capacity = 0.0
+            return decide(state, profiles)
+
+        run_simulation(dataclasses.replace(config, scheduler=checking))
+
+
 @pytest.mark.parametrize("ids", [(0,), (0, 1)], ids=["one-user", "two-users"])
 def test_query_past_encounter_horizon_raises(ids):
-    """A simulation longer than its encounter trace fails on the first
-    neighbour query past the trace's end, as a direct trace query would,
-    also when the pair's last window ends before it; a lone user has no
-    partner to ask about and runs to the end."""
+    """A simulation longer than its encounter trace would query the trace
+    past its end, so with two users its config is refused when built,
+    before any decision, also when the pair's last window ends early; a
+    lone user has no partner to ask about and runs to the end."""
     profiles = tuple(
         UserProfile(id=n, beta=2.0, buffer_cap=6.0, ladder=LADDER, video_segments=3)
         for n in ids
     )
-    config = SimConfig(
-        horizon=10.0, profiles=profiles,
-        capacity=CapacityTrace.constant(list(ids), 0.0, 10.0),
-        encounters=EncounterTrace(intervals={(0, 1): ((1.0, 4.0),)}, horizon=5.0),
-    )
+
+    def build():
+        return SimConfig(
+            horizon=10.0, profiles=profiles,
+            capacity=CapacityTrace.constant(list(ids), 0.0, 10.0),
+            encounters=EncounterTrace(intervals={(0, 1): ((1.0, 4.0),)}, horizon=5.0),
+        )
+
     if len(ids) == 1:
-        assert run_simulation(config).violations == []
+        assert run_simulation(build()).violations == []
         return
-    with pytest.raises(TraceError, match="outside horizon"):
-        run_simulation(config)
+    with pytest.raises(ValueError, match="encounter trace horizon"):
+        build()
 
 
 @st.composite

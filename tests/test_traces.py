@@ -17,6 +17,39 @@ class TestPiecewiseConstant:
         assert pw.value_at(5.0) == 3.0
         assert pw.value_at(10.0) == 3.0
 
+    def test_piece_at_is_right_open(self):
+        pw = PiecewiseConstant((0.0, 5.0), (1.0, 3.0), 10.0)
+        assert pw.piece_at(0.0) == (1.0, 5.0)
+        assert pw.piece_at(4.999) == (1.0, 5.0)
+        assert pw.piece_at(5.0) == (3.0, 10.0)
+
+    def test_last_piece_ends_at_horizon(self):
+        pw = PiecewiseConstant((0.0, 5.0), (1.0, 3.0), 10.0)
+        assert pw.piece_at(7.5) == (3.0, 10.0)
+        assert pw.piece_at(10.0) == (3.0, 10.0)
+        # a breakpoint at the horizon starts an empty last piece
+        edge = PiecewiseConstant((0.0, 10.0), (1.0, 3.0), 10.0)
+        assert edge.piece_at(9.0) == (1.0, 10.0)
+        assert edge.piece_at(10.0) == (3.0, 10.0)
+        cap = CapacityTrace(users={2: pw}, horizon=10.0)
+        assert cap.piece_at(2, 6.0) == (3.0, 10.0)
+
+    @pytest.mark.parametrize("t", [-1e-9, -1.0, 10.000001, 11.0])
+    def test_piece_at_outside_horizon_raises(self, t):
+        pw = PiecewiseConstant((0.0, 5.0), (1.0, 3.0), 10.0)
+        with pytest.raises(TraceError, match="outside horizon"):
+            pw.piece_at(t)
+
+    @given(st.lists(st.floats(0.0, 20.0, exclude_min=True), max_size=6, unique=True),
+           st.lists(st.floats(0.0, 20.0), min_size=1, max_size=10))
+    def test_piece_at_agrees_with_value_at_and_a_scan(self, cuts, queries):
+        times = (0.0, *sorted(cuts))
+        pw = PiecewiseConstant(times, tuple(float(i) for i in range(len(times))), 20.0)
+        for t in queries:
+            start = max(i for i, a in enumerate(times) if a <= t)
+            until = min((a for a in times if a > t), default=20.0)
+            assert pw.piece_at(t) == (pw.value_at(t), until) == (float(start), until)
+
     def test_integrate_across_pieces(self):
         pw = PiecewiseConstant((0.0, 5.0), (1.0, 3.0), 10.0)
         assert pw.integrate(4.0, 6.0) == pytest.approx(1.0 + 3.0)
