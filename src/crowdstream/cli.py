@@ -93,8 +93,8 @@ class ExperimentSpec:
             raise SpecError("seed list must be nonempty")
         if "lyapunov" in self.schedulers and not self.lambdas:
             raise SpecError("lambda list must be nonempty when lyapunov is listed")
-        if not self.horizon > 0:
-            raise SpecError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:  # the trace synthesizers loop up to it
+            raise SpecError(f"horizon must be positive and finite, got {self.horizon}")
         if self.compute_gap and not self.slot_len > 0:
             raise SpecError(f"slot_len must be positive, got {self.slot_len}")
         if not self.beta > 0:  # build_profiles divides by it
@@ -152,26 +152,27 @@ def build_profiles(spec: ExperimentSpec) -> tuple[UserProfile, ...]:
     return tuple(out)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    try:
-        os.replace(tmp, path)
-    except OSError:
-        os.remove(tmp)
-        raise
-
-
 def _write_output(path: str, text: str) -> bool:
-    """``_atomic_write``; False, after one stderr line, when ``path`` cannot
-    be written."""
+    """Writes ``text`` to a temporary file renamed to ``path``; False, after
+    one stderr line, when ``path`` cannot be written."""
+    tmp = path + ".tmp"
     try:
-        _atomic_write(path, text)
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            os.replace(tmp, path)
+        except OSError:
+            os.remove(tmp)
+            raise
     except OSError as exc:
         print(f"cannot write {path}: {exc}", file=sys.stderr)
         return False
     return True
+
+
+def _write_json(path: str, obj) -> bool:
+    """``_write_output`` of ``obj`` as JSON, keys sorted, indented by 2."""
+    return _write_output(path, json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> bool:
@@ -272,8 +273,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         payload = report.to_dict()
         payload["spec"] = spec.to_dict()
         payload["cooperation"] = mode
-        if not _write_output(os.path.join(out_dir, name),
-                             json.dumps(payload, sort_keys=True, indent=2)):
+        if not _write_json(os.path.join(out_dir, name), payload):
             return EXIT_CONFIG
         if mode == modes[0]:
             rows.append({
@@ -361,15 +361,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if cert.partial:
         print(f"{cert.solver_stats['failed_solver']} solver budget exhausted; "
               f"partial certificate in {out_path}", file=sys.stderr)
-    if not _write_output(out_path, json.dumps(cert.to_dict(), sort_keys=True, indent=2)):
+    if not _write_json(out_path, cert.to_dict()):
         return EXIT_CONFIG
     return EXIT_PARTIAL if cert.partial else EXIT_OK
 
 
 def cmd_gen_traces(args: argparse.Namespace) -> int:
-    if args.cap_hi < args.cap_lo or args.cap_lo < 0:
-        print(f"bad capacity range [{args.cap_lo}, {args.cap_hi}]", file=sys.stderr)
-        return EXIT_CONFIG
     ids = list(range(args.users))
     try:
         capacity = traces.synth_capacity(
@@ -381,8 +378,8 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
     except traces.TraceError as exc:
         print(f"trace generation failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    text = json.dumps(traces.traces_to_dict(capacity, encounters), sort_keys=True, indent=2)
-    return EXIT_OK if _write_output(args.out, text) else EXIT_CONFIG
+    written = _write_json(args.out, traces.traces_to_dict(capacity, encounters))
+    return EXIT_OK if written else EXIT_CONFIG
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -394,8 +391,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     except (OSError, traces.TraceError) as exc:
         print(f"ingestion failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    text = json.dumps(traces.traces_to_dict(capacity, encounters), sort_keys=True, indent=2)
-    return EXIT_OK if _write_output(args.out, text) else EXIT_CONFIG
+    written = _write_json(args.out, traces.traces_to_dict(capacity, encounters))
+    return EXIT_OK if written else EXIT_CONFIG
 
 
 def build_parser() -> argparse.ArgumentParser:

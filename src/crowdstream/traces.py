@@ -7,20 +7,33 @@ as disjoint closed intervals per unordered user pair; a user always
 
 Also provides CSV ingestion for hotspot session logs and video viewing logs,
 plus seeded synthetic generators standing in for real datasets.
+
+Times, rates and log values must be finite: NaN or infinity raises TraceError.
 """
 from __future__ import annotations
 
 import bisect
 import csv
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import ordered_sum
 
 
 class TraceError(ValueError):
     pass
+
+
+def _check_finite(what: str, values: Iterable[float]) -> None:
+    if not all(map(math.isfinite, values)):
+        raise TraceError(f"{what} must be finite")
+
+
+def _check_time(t: float, horizon: float) -> None:
+    if not 0 <= t <= horizon:
+        raise TraceError(f"time {t} outside horizon [0, {horizon}]")
 
 
 @dataclass(frozen=True)
@@ -32,6 +45,7 @@ class PiecewiseConstant:
     horizon: float
 
     def __post_init__(self) -> None:
+        _check_finite("breakpoints, rates and horizon", (*self.times, *self.values, self.horizon))
         if not self.times or self.times[0] != 0.0:
             raise TraceError("breakpoints must start at 0")
         if len(self.times) != len(self.values):
@@ -42,35 +56,30 @@ class PiecewiseConstant:
             raise TraceError("breakpoints must lie within the horizon")
         if any(v < 0 for v in self.values):
             raise TraceError("rates must be nonnegative")
-
-    def _check(self, t: float) -> None:
-        if t < 0 or t > self.horizon:
-            raise TraceError(f"time {t} outside horizon [0, {self.horizon}]")
+        object.__setattr__(self, "_ends", (*self.times[1:], self.horizon))
 
     def piece_at(self, t: float) -> tuple[float, float]:
         """``(rate, until)`` of the piece holding ``t``: the last piece
         starting at or before ``t``, so a breakpoint belongs to the piece
         it starts. The rate holds on [t, until), where ``until`` is the next
         breakpoint, or the horizon for the last piece."""
-        self._check(t)
+        _check_time(t, self.horizon)
         i = bisect.bisect_right(self.times, t) - 1
-        until = self.times[i + 1] if i + 1 < len(self.times) else self.horizon
-        return self.values[i], until
+        return self.values[i], self._ends[i]
 
     def value_at(self, t: float) -> float:
         return self.piece_at(t)[0]
 
     def integrate(self, t1: float, t2: float) -> float:
-        self._check(t1)
-        self._check(t2)
+        _check_time(t1, self.horizon)
+        _check_time(t2, self.horizon)
         if t2 < t1:
             raise TraceError(f"empty interval reversed: [{t1}, {t2}]")
         total = 0.0
         i = bisect.bisect_right(self.times, t1) - 1
         t = t1
         while t < t2:
-            piece_end = self.times[i + 1] if i + 1 < len(self.times) else self.horizon
-            seg_end = min(piece_end, t2)
+            seg_end = min(self._ends[i], t2)
             total += self.values[i] * (seg_end - t)
             t = seg_end
             i += 1
@@ -82,7 +91,7 @@ class PiecewiseConstant:
         Returns None when the remaining capacity before the horizon is
         insufficient.
         """
-        self._check(start)
+        _check_time(start, self.horizon)
         if volume < 0:
             raise TraceError("volume must be nonnegative")
         if volume == 0:
@@ -91,13 +100,12 @@ class PiecewiseConstant:
         i = bisect.bisect_right(self.times, start) - 1
         t = start
         while t < self.horizon:
-            piece_end = self.times[i + 1] if i + 1 < len(self.times) else self.horizon
             rate = self.values[i]
-            chunk = rate * (piece_end - t)
+            chunk = rate * (self._ends[i] - t)
             if rate > 0 and chunk >= remaining - 1e-12:
                 return min(self.horizon, t + remaining / rate)
             remaining -= chunk
-            t = piece_end
+            t = self._ends[i]
             i += 1
         return None
 
@@ -174,11 +182,12 @@ class EncounterTrace:
     horizon: float
 
     def __post_init__(self) -> None:
+        _check_finite("encounter horizon", (self.horizon,))
         for (n, m), ivs in self.intervals.items():
             if n >= m:
                 raise TraceError(f"pair keys must be ordered (n < m), got ({n}, {m})")
             for a, b in ivs:
-                if a > b or a < 0 or b > self.horizon:
+                if not 0 <= a <= b <= self.horizon:
                     raise TraceError(f"bad encounter interval [{a}, {b}] for pair ({n}, {m})")
             for (_, b), (a, _) in zip(ivs, ivs[1:]):
                 if b > a:  # touching intervals (b == a) are allowed
@@ -198,22 +207,16 @@ class EncounterTrace:
         intervals touch at ``t``, that is the one ending there."""
         return self._bounds.get((min(n, m), max(n, m)), ((), ()))
 
-    def _check(self, t: float) -> None:
-        if t < 0 or t > self.horizon:
-            raise TraceError(f"time {t} outside horizon [0, {self.horizon}]")
-
     def encountered(self, n: int, m: int, t: float) -> bool:
-        self._check(t)
-        if n == m:
-            return True
-        starts, ends = self.interval_bounds(n, m)
-        i = bisect.bisect_left(ends, t)
-        return i < len(ends) and starts[i] <= t
+        """``holds`` on [t, t]: windows are in start order and may only touch,
+        so the last window starting by ``t``, the one ``holds`` tests,
+        contains ``t`` whenever any window does."""
+        return self.holds(n, m, t, t)
 
     def holds(self, n: int, m: int, t1: float, t2: float) -> bool:
         """True iff the pair is encountered throughout [t1, t2]."""
-        self._check(t1)
-        self._check(t2)
+        _check_time(t1, self.horizon)
+        _check_time(t2, self.horizon)
         if n == m:
             return True
         # the last interval starting by t1 reaches furthest among those
@@ -291,6 +294,7 @@ class SessionLogRecord:
     out_bytes: int = 0
 
     def __post_init__(self) -> None:
+        _check_finite("session times", (self.login_time, self.logout_time))
         if self.logout_time < self.login_time:
             raise TraceError("session logout precedes login")
 
@@ -305,6 +309,7 @@ class ViewingLogRecord:
     download_time: float
 
     def __post_init__(self) -> None:
+        _check_finite("viewing values", (self.seg_length, self.bitrate, self.download_time))
         if self.seg_length <= 0 or self.bitrate <= 0:
             raise TraceError("segment length and bitrate must be positive")
         if self.download_time <= 0:
@@ -315,42 +320,37 @@ class ViewingLogRecord:
         return self.bitrate * self.seg_length / self.download_time
 
 
-def read_sessions_csv(path) -> list[SessionLogRecord]:
+def _read_csv(path, kind: str, parse: Callable[[dict], object]) -> list:
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(csv.DictReader(fh), start=2):
             try:
-                records.append(SessionLogRecord(
-                    user_id=int(row["user_id"]),
-                    hotspot_id=row["hotspot_id"],
-                    login_time=float(row["login_s"]),
-                    logout_time=float(row["logout_s"]),
-                    in_bytes=int(row.get("in_bytes") or 0),
-                    out_bytes=int(row.get("out_bytes") or 0),
-                ))
-            except (KeyError, ValueError, TraceError) as exc:
-                raise TraceError(f"{path}:{lineno}: bad session record: {exc}") from exc
+                records.append(parse(row))
+            except (KeyError, ValueError) as exc:  # TraceError is a ValueError
+                raise TraceError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
     return records
+
+
+def read_sessions_csv(path) -> list[SessionLogRecord]:
+    return _read_csv(path, "session", lambda row: SessionLogRecord(
+        user_id=int(row["user_id"]),
+        hotspot_id=row["hotspot_id"],
+        login_time=float(row["login_s"]),
+        logout_time=float(row["logout_s"]),
+        in_bytes=int(row.get("in_bytes") or 0),
+        out_bytes=int(row.get("out_bytes") or 0),
+    ))
 
 
 def read_viewing_csv(path) -> list[ViewingLogRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                records.append(ViewingLogRecord(
-                    user_id=int(row["user_id"]),
-                    video_id=row["video_id"],
-                    seg_index=int(row["seg_index"]),
-                    seg_length=float(row["seg_len_s"]),
-                    bitrate=float(row["bitrate_mbps"]),
-                    download_time=float(row["download_s"]),
-                ))
-            except (KeyError, ValueError, TraceError) as exc:
-                raise TraceError(f"{path}:{lineno}: bad viewing record: {exc}") from exc
-    return records
+    return _read_csv(path, "viewing", lambda row: ViewingLogRecord(
+        user_id=int(row["user_id"]),
+        video_id=row["video_id"],
+        seg_index=int(row["seg_index"]),
+        seg_length=float(row["seg_len_s"]),
+        bitrate=float(row["bitrate_mbps"]),
+        download_time=float(row["download_s"]),
+    ))
 
 
 def encounters_from_sessions(
@@ -426,6 +426,7 @@ def synth_capacity(
     rates jittered around it for exponentially distributed durations, so the
     per-user time-average stays near the drawn mean.
     """
+    _check_finite("horizon", (horizon,))  # the hold loop runs until it
     lo, hi = mean_range
     if lo < 0 or hi < lo:
         raise TraceError(f"bad mean capacity range [{lo}, {hi}]")
@@ -453,6 +454,7 @@ def synth_encounters(
 
     ``mode`` is one of ``ENCOUNTER_MODES``.
     """
+    _check_finite("horizon", (horizon,))  # the ON/OFF loop runs until it
     if mode not in ENCOUNTER_MODES:
         raise TraceError(f"unknown encounter mode {mode!r}")
     if mode == "full":

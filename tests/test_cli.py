@@ -76,6 +76,10 @@ MALFORMED_BOUNDS = {
     "float-video-segments": with_profile(video_segments=2.5),
     "infinite-video-segments": with_profile(video_segments=float("inf")),
     "bool-video-segments": with_profile(video_segments=True),
+    "nan-capacity-rate": lambda d: {**d, "capacity": {
+        **d["capacity"], "users": {"0": {"times": [0.0], "rates": [float("nan")]}}}},
+    "nan-encounter-end": lambda d: {**d, "encounters": {
+        **d["encounters"], "pairs": [{"users": [0, 1], "intervals": [[0, float("nan")]]}]}},
 }
 
 # each makes a run spec that must be rejected before anything runs
@@ -462,20 +466,37 @@ VIEWING_CSV = """user_id,video_id,seg_index,seg_len_s,bitrate_mbps,download_s
 """
 
 
+def run_module(argv, timeout=60):
+    """``python -m crowdstream.cli`` with ``argv`` in a subprocess that
+    turns a RuntimeWarning into an error."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "crowdstream.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_without_runtime_warning(self, tmp_path):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = tmp_path / "t.json"
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "crowdstream.cli",
-             "gen-traces", "--users", "2", "--horizon", "10", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_module(["gen-traces", "--users", "2", "--horizon", "10", "--out", str(out)])
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert out.exists()
+
+    @pytest.mark.parametrize("verb", ["gen-traces", "run"])
+    def test_infinite_horizon_exits_2(self, tmp_path, verb):
+        out = tmp_path / "out"
+        argv = (["gen-traces", "--horizon", "inf", "--out", str(out)] if verb == "gen-traces"
+                else ["run", "--spec", write_spec(tmp_path, horizon=float("inf"))])
+        # a synthesizer that loops toward an infinite horizon grows its
+        # lists without bound, so the timeout is kept short
+        proc = run_module(argv, timeout=10)
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
 
 
 class TestIngestCommand:
@@ -499,6 +520,21 @@ class TestIngestCommand:
         assert cli.main(["ingest", "--sessions", str(sessions),
                          "--viewing", str(viewing),
                          "--out", str(tmp_path / "t.json")]) == 2
+
+    @pytest.mark.parametrize("sessions_row, viewing_row", [
+        ("2,ap1,nan,10", "2,v3,0,2.0,0.7,4.0"),
+        ("2,ap1,0,10", "2,v3,0,2.0,nan,4.0"),
+    ], ids=["nan-session", "nan-viewing"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, sessions_row, viewing_row):
+        sessions = tmp_path / "sessions.csv"
+        viewing = tmp_path / "viewing.csv"
+        sessions.write_text(SESSIONS_CSV + sessions_row + "\n")
+        viewing.write_text(VIEWING_CSV + viewing_row + "\n")
+        out = tmp_path / "t.json"
+        assert cli.main(["ingest", "--sessions", str(sessions),
+                         "--viewing", str(viewing), "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["ingest", "--sessions", str(tmp_path / "a.csv"),

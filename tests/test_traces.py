@@ -34,7 +34,7 @@ class TestPiecewiseConstant:
         cap = CapacityTrace(users={2: pw}, horizon=10.0)
         assert cap.piece_at(2, 6.0) == (3.0, 10.0)
 
-    @pytest.mark.parametrize("t", [-1e-9, -1.0, 10.000001, 11.0])
+    @pytest.mark.parametrize("t", [-1e-9, -1.0, 10.000001, 11.0, float("nan")])
     def test_piece_at_outside_horizon_raises(self, t):
         pw = PiecewiseConstant((0.0, 5.0), (1.0, 3.0), 10.0)
         with pytest.raises(TraceError, match="outside horizon"):
@@ -84,6 +84,17 @@ class TestPiecewiseConstant:
         with pytest.raises(TraceError):
             PiecewiseConstant((0.0,), (-1.0,), 10.0)
 
+    @pytest.mark.parametrize("times, values, horizon", [
+        ((0.0,), (float("nan"),), 10.0),
+        ((0.0,), (float("inf"),), 10.0),
+        ((0.0, float("nan")), (1.0, 1.0), 10.0),
+        ((0.0,), (1.0,), float("inf")),
+        ((0.0,), (1.0,), float("nan")),
+    ], ids=["nan-rate", "inf-rate", "nan-breakpoint", "inf-horizon", "nan-horizon"])
+    def test_rejects_non_finite(self, times, values, horizon):
+        with pytest.raises(TraceError, match="must be finite"):
+            PiecewiseConstant(times, values, horizon)
+
     def test_rejects_out_of_horizon_queries(self):
         pw = PiecewiseConstant((0.0,), (1.0,), 10.0)
         with pytest.raises(TraceError):
@@ -106,6 +117,28 @@ class TestPiecewiseConstant:
         end = pw.invert(start, volume)
         assert end is not None
         assert pw.integrate(start, end) == pytest.approx(volume, abs=1e-9)
+
+    @given(st.sets(st.integers(1, 20), max_size=6), st.lists(st.integers(0, 3), min_size=7),
+           st.integers(0, 20), st.integers(0, 20), st.integers(0, 40))
+    def test_integrate_and_invert_match_a_scan(self, cuts, rate_steps, i, j, k):
+        """Breakpoints and rates on a half grid, so every integral is exact:
+        zero-rate pieces, and a breakpoint at the horizon, come up often."""
+        times = (0.0, *sorted(c / 2 for c in cuts))
+        rates = tuple(r / 2 for r in rate_steps[:len(times)])
+        pieces = list(zip(times, (*times[1:], 10.0), rates))
+        pw = PiecewiseConstant(times, rates, 10.0)
+        t1, t2 = sorted((i / 2, j / 2))
+        assert pw.integrate(t1, t2) == sum(
+            r * (min(e, t2) - max(a, t1)) for a, e, r in pieces if min(e, t2) > max(a, t1))
+        volume, done, want = k / 4, 0.0, None if k else t1
+        for a, e, r in pieces:
+            lo = max(a, t1)
+            if want is None and r > 0 and e > lo and done + r * (e - lo) >= volume:
+                want = lo + (volume - done) / r
+            done += r * max(0.0, e - lo)
+        got = pw.invert(t1, volume)
+        assert (got is None) == (want is None)
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 class TestCapacityTrace:
@@ -152,6 +185,16 @@ class TestEncounterTrace:
         full = EncounterTrace.full([0, 1, 2], 10.0)
         assert full.holds(0, 2, 0.0, 10.0)
         assert not EncounterTrace.none(10.0).encountered(0, 1, 0.0)
+
+    @pytest.mark.parametrize("ivs, horizon", [
+        (((float("nan"), 2.0),), 10.0),
+        (((1.0, float("nan")),), 10.0),
+        (((1.0, 2.0),), float("inf")),
+        (((1.0, 2.0),), float("nan")),
+    ], ids=["nan-start", "nan-end", "inf-horizon", "nan-horizon"])
+    def test_rejects_non_finite(self, ivs, horizon):
+        with pytest.raises(TraceError):
+            EncounterTrace(intervals={(0, 1): ivs}, horizon=horizon)
 
     def test_rejects_unordered_pair_key(self):
         with pytest.raises(TraceError):
@@ -206,6 +249,18 @@ class TestEncounterTrace:
         want = t1 if not containing else (None if containing[0] >= 10.0 else containing[0])
         assert enc.next_break(0, 1, t1) == want
 
+    @given(st.lists(st.integers(0, 20), max_size=10), st.lists(st.booleans(), min_size=10),
+           st.integers(0, 20))
+    def test_encountered_is_holds_on_a_point(self, cuts, keep, i):
+        """Kept windows run between consecutive cut points, so neighbouring
+        ones touch and a repeated cut gives a zero-length one."""
+        pts = sorted(c / 2 for c in cuts)
+        ivs = tuple(iv for iv, kept in zip(zip(pts, pts[1:]), keep) if kept)
+        enc = EncounterTrace(intervals={(0, 1): ivs} if ivs else {}, horizon=10.0)
+        t = i / 2
+        assert enc.encountered(0, 1, t) == enc.holds(0, 1, t, t) == any(
+            a <= t <= b for a, b in ivs)
+
 
 SESSIONS_CSV = """user_id,hotspot_id,login_s,logout_s
 0,ap1,0,10
@@ -234,6 +289,19 @@ class TestIngestion:
         p.write_text("user_id,hotspot_id,login_s,logout_s\n0,ap1,zzz,10\n")
         with pytest.raises(TraceError, match="bad.csv:2"):
             traces.read_sessions_csv(p)
+
+    @pytest.mark.parametrize("read, text, where", [
+        (traces.read_viewing_csv, VIEWING_CSV + "1,v2,1,2.0,zzz,4.0\n", ":5: bad viewing record"),
+        (traces.read_viewing_csv, VIEWING_CSV + "1,v2,1,2.0,nan,4.0\n", ":5: bad viewing record"),
+        (traces.read_viewing_csv, VIEWING_CSV + "1,v2,1,2.0,0.7,inf\n", ":5: bad viewing record"),
+        (traces.read_sessions_csv, SESSIONS_CSV + "3,ap1,nan,10\n", ":6: bad session record"),
+        (traces.read_sessions_csv, SESSIONS_CSV + "3,ap1,0,inf\n", ":6: bad session record"),
+    ], ids=["viewing-unparsed", "viewing-nan", "viewing-inf", "session-nan", "session-inf"])
+    def test_bad_row_names_kind_and_line(self, tmp_path, read, text, where):
+        p = tmp_path / "log.csv"
+        p.write_text(text)
+        with pytest.raises(TraceError, match=where):
+            read(p)
 
     def test_overlap_rule(self, tmp_path):
         p = tmp_path / "sessions.csv"
