@@ -17,13 +17,17 @@ LP failed, which happens before any search: nothing is written).
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
+import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from . import offline, online, sim, traces
@@ -34,6 +38,10 @@ DEFAULT_LADDER = (0.2, 0.4, 0.7, 1.3, 2.3)
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
+
+# encoder chunks joined into one write: the text held at a time is one
+# batch, not the whole document
+JSON_BATCH_CHUNKS = 8192
 
 
 class SpecError(ValueError):
@@ -152,17 +160,20 @@ def build_profiles(spec: ExperimentSpec) -> tuple[UserProfile, ...]:
     return tuple(out)
 
 
-def _write_output(path: str, text: str) -> bool:
-    """Writes ``text`` to a temporary file renamed to ``path``; False, after
-    one stderr line, when ``path`` cannot be written."""
+def _write_output(path: str, parts: Iterable[str]) -> bool:
+    """Writes the strings of ``parts``, in order, to a temporary file renamed
+    to ``path``; False, after one stderr line, when ``path`` cannot be
+    written. Whatever raises while ``parts`` is written (an object the JSON
+    encoder rejects) removes the temporary file and propagates."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
         try:
+            with open(tmp, "w", newline="") as fh:
+                fh.writelines(parts)
             os.replace(tmp, path)
-        except OSError:
-            os.remove(tmp)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
             raise
     except OSError as exc:
         print(f"cannot write {path}: {exc}", file=sys.stderr)
@@ -171,8 +182,12 @@ def _write_output(path: str, text: str) -> bool:
 
 
 def _write_json(path: str, obj) -> bool:
-    """``_write_output`` of ``obj`` as JSON, keys sorted, indented by 2."""
-    return _write_output(path, json.dumps(obj, sort_keys=True, indent=2))
+    """``_write_output`` of ``obj`` as JSON, keys sorted, indented by 2: the
+    bytes of ``json.dumps(obj, sort_keys=True, indent=2)``, encoded and
+    written ``JSON_BATCH_CHUNKS`` encoder chunks at a time."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    batches = iter(lambda: "".join(itertools.islice(chunks, JSON_BATCH_CHUNKS)), "")
+    return _write_output(path, batches)
 
 
 def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> bool:
@@ -181,7 +196,7 @@ def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> bool:
     writer = csv.DictWriter(buf, fieldnames=fieldnames)
     writer.writeheader()
     writer.writerows(rows)
-    return _write_output(path, buf.getvalue())
+    return _write_output(path, [buf.getvalue()])
 
 
 def _cell_traces(spec: ExperimentSpec, seed: int, cooperation: str):
@@ -216,17 +231,36 @@ def _run_cell(spec: ExperimentSpec, scheduler: str, lam: float | None,
     return sim.run_simulation(config)
 
 
-def _run_tasks(tasks: list[tuple], jobs: int) -> list:
-    """Results of ``fn(*args)`` for each ``(fn, *args)`` task, in task order;
-    with ``jobs > 1`` the tasks run in a process pool."""
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(*task) for task in tasks]
-            return [fut.result() for fut in futures]
-    return [fn(*args) for fn, *args in tasks]
+def _run_tasks(tasks: list[tuple], jobs: int) -> Iterator:
+    """Yields ``fn(*args)`` for each ``(fn, *args)`` task, in task order.
+    With ``jobs <= 1`` each task runs when its result is asked for. With
+    ``jobs > 1`` the tasks run in a process pool, at most ``2 * jobs`` in
+    flight, and each future is dropped once its result is taken. Closing the
+    generator early cancels the tasks not yet started and waits for the
+    running ones, so no worker process outlives it."""
+    if jobs <= 1:
+        for fn, *args in tasks:
+            yield fn(*args)
+        return
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+    try:
+        in_flight = collections.deque()
+        for task in tasks:
+            if len(in_flight) == 2 * jobs:
+                yield in_flight.popleft().result()
+            in_flight.append(pool.submit(*task))
+        while in_flight:
+            yield in_flight.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """Runs the spec's cells, fluid bounds first when ``compute_gap`` is
+    set, and writes each cell's report as soon as it finishes; only the
+    scalars the CSVs need are kept, so one report is alive at a time with
+    ``--jobs 1`` (about ``2 * jobs`` otherwise). A report that cannot be
+    written exits 2 before any later cell runs."""
     try:
         spec = ExperimentSpec.from_file(args.spec)
     except (OSError, json.JSONDecodeError, SpecError, TypeError, ValueError) as exc:
@@ -253,38 +287,41 @@ def cmd_run(args: argparse.Namespace) -> int:
     # one fluid bound per (seed, mode), shared by every scheduler and lambda
     bound_keys = list(dict.fromkeys(
         (seed, mode) for _, _, seed, mode in cells)) if spec.compute_gap else []
-    outputs = _run_tasks(
+    results = _run_tasks(
         [(_fluid_upper, spec, *key) for key in bound_keys]
         + [(_run_cell, spec, *cell) for cell in cells],
         args.jobs,
     )
-    uppers = dict(zip(bound_keys, outputs))
-    reports = dict(zip(cells, outputs[len(bound_keys):]))
-    if spec.compute_gap:
-        for (_, _, seed, mode), report in reports.items():
-            report.gap = sim.relative_gap(uppers[seed, mode], report.sw_estimated)
-
     rows = []
-    for cell in cells:
-        scheduler, lam, seed, mode = cell
-        report = reports[cell]
-        lam_tag = "" if lam is None else f"{lam:g}"
-        name = f"report_{scheduler}{('_lam' + lam_tag) if lam_tag else ''}_{mode}_{seed}.json"
-        payload = report.to_dict()
-        payload["spec"] = spec.to_dict()
-        payload["cooperation"] = mode
-        if not _write_json(os.path.join(out_dir, name), payload):
-            return EXIT_CONFIG
-        if mode == modes[0]:
-            rows.append({
-                "scheduler": scheduler,
-                "seed": seed,
-                "lambda": lam_tag,
-                "avg_bitrate_mbps": report.avg_bitrate_mbps,
-                "welfare": report.welfare,
-                "rebuffer_s": report.rebuffer_s,
-                "gap": "" if report.gap is None else report.gap,
-            })
+    scalars = {}  # cell -> (avg_bitrate_mbps, welfare), for cooperation_gain.csv
+    try:
+        uppers = {key: next(results) for key in bound_keys}
+        for cell in cells:
+            scheduler, lam, seed, mode = cell
+            report = next(results)
+            if spec.compute_gap:
+                report.gap = sim.relative_gap(uppers[seed, mode], report.sw_estimated)
+            lam_tag = "" if lam is None else f"{lam:g}"
+            name = f"report_{scheduler}{('_lam' + lam_tag) if lam_tag else ''}_{mode}_{seed}.json"
+            payload = report.to_dict()
+            payload["spec"] = spec.to_dict()
+            payload["cooperation"] = mode
+            if not _write_json(os.path.join(out_dir, name), payload):
+                return EXIT_CONFIG
+            if mode == modes[0]:
+                rows.append({
+                    "scheduler": scheduler,
+                    "seed": seed,
+                    "lambda": lam_tag,
+                    "avg_bitrate_mbps": report.avg_bitrate_mbps,
+                    "welfare": report.welfare,
+                    "rebuffer_s": report.rebuffer_s,
+                    "gap": "" if report.gap is None else report.gap,
+                })
+            scalars[cell] = (report.avg_bitrate_mbps, report.welfare)
+            del report, payload  # gone before the next cell runs
+    finally:
+        results.close()
 
     if not _write_csv(os.path.join(out_dir, "summary.csv"), [
         "scheduler", "seed", "lambda", "avg_bitrate_mbps", "welfare", "rebuffer_s", "gap",
@@ -296,18 +333,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         for scheduler, lam, seed, mode in cells:
             if mode != "full":
                 continue
-            full = reports[(scheduler, lam, seed, "full")]
-            none = reports[(scheduler, lam, seed, "none")]
+            full_bitrate, full_welfare = scalars[scheduler, lam, seed, "full"]
+            none_bitrate, none_welfare = scalars[scheduler, lam, seed, "none"]
             bitrate_gain = (
-                (full.avg_bitrate_mbps - none.avg_bitrate_mbps) / none.avg_bitrate_mbps
-                if none.avg_bitrate_mbps > 0 else ""
+                (full_bitrate - none_bitrate) / none_bitrate if none_bitrate > 0 else ""
             )
             gain_rows.append({
                 "scheduler": scheduler,
                 "seed": seed,
                 "lambda": "" if lam is None else f"{lam:g}",
                 "bitrate_gain": bitrate_gain,
-                "welfare_gain": full.welfare - none.welfare,
+                "welfare_gain": full_welfare - none_welfare,
             })
         if not _write_csv(os.path.join(out_dir, "cooperation_gain.csv"), [
             "scheduler", "seed", "lambda", "bitrate_gain", "welfare_gain",

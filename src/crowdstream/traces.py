@@ -356,9 +356,13 @@ def read_viewing_csv(path) -> list[ViewingLogRecord]:
 def encounters_from_sessions(
     records: Sequence[SessionLogRecord], horizon: float | None = None
 ) -> EncounterTrace:
-    """Two users are encountered while their sessions overlap at one hotspot."""
+    """Two users are encountered while their sessions overlap at one hotspot:
+    both ends of each overlap are clipped to [0, horizon], and an overlap
+    left with no length is dropped."""
     if horizon is None:
         horizon = max((r.logout_time for r in records), default=0.0)
+    elif not horizon > 0:
+        raise TraceError(f"horizon must be positive, got {horizon}")
     by_hotspot: dict[str, list[SessionLogRecord]] = {}
     for rec in records:
         by_hotspot.setdefault(rec.hotspot_id, []).append(rec)
@@ -368,11 +372,11 @@ def encounters_from_sessions(
             for b in sessions[i + 1:]:
                 if a.user_id == b.user_id:
                     continue
-                lo = max(a.login_time, b.login_time)
-                hi = min(a.logout_time, b.logout_time)
+                lo = max(a.login_time, b.login_time, 0.0)
+                hi = min(a.logout_time, b.logout_time, horizon)
                 if lo < hi:
                     key = (min(a.user_id, b.user_id), max(a.user_id, b.user_id))
-                    raw.setdefault(key, []).append((lo, min(hi, horizon)))
+                    raw.setdefault(key, []).append((lo, hi))
     pairs = {key: _merge_intervals(ivs) for key, ivs in raw.items()}
     return EncounterTrace(intervals=pairs, horizon=horizon)
 

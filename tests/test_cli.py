@@ -1,12 +1,16 @@
 import collections
 import csv
+import gc
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import weakref
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from crowdstream import cli, offline, sim, traces
 from crowdstream.cli import ExperimentSpec, SpecError, build_profiles
@@ -247,6 +251,71 @@ class TestRunCommand:
             outputs[jobs] = {n: (out / n).read_bytes() for n in sorted(os.listdir(out))}
         assert "cooperation_gain.csv" in outputs["1"]
         assert outputs["1"] == outputs["2"]
+
+    def test_at_most_one_report_alive(self, tmp_path, monkeypatch):
+        reports = []
+        run_simulation = sim.run_simulation
+
+        def tracked(config):
+            gc.collect()
+            assert [ref() for ref in reports] == [None] * len(reports)
+            report = run_simulation(config)
+            reports.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr(sim, "run_simulation", tracked)
+        spec_path = write_spec(tmp_path, schedulers=["lyapunov", "buffer"], seeds=[0, 1, 2])
+        assert cli.main(["run", "--spec", spec_path, "--jobs", "1"]) == 0
+        assert len(reports) == 6
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_write_stops_run(self, tmp_path, capsys, monkeypatch, jobs):
+        cells = []
+        run_cell = cli._run_cell
+
+        def counted(*args):
+            cells.append(args[1:])
+            return run_cell(*args)
+
+        if jobs == "1":  # a pool pickles tasks by name, so only this run counts
+            monkeypatch.setattr(cli, "_run_cell", counted)
+        spec_path = write_spec(tmp_path, seeds=list(range(6)))
+        out = tmp_path / "out"
+        (out / "report_lyapunov_lam100_full_1.json").mkdir(parents=True)
+        assert cli.main(["run", "--spec", spec_path, "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("cannot write ")
+        assert sorted(os.listdir(out)) == [
+            "report_lyapunov_lam100_full_0.json", "report_lyapunov_lam100_full_1.json"]
+        assert len(cells) <= 2
+        assert multiprocessing.active_children() == []
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+class TestWriteJson:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+    @given(obj=JSON_VALUES)
+    @example(obj={"b\u00e4r \u2713": ["\u65e5\u672c", "\U0001f600"], "": {}, "a": [[], {}]})
+    @example(obj=list(range(2 * cli.JSON_BATCH_CHUNKS)))  # longer than one batch
+    @example(obj={str(i): {"x": [i, None]} for i in range(cli.JSON_BATCH_CHUNKS)})
+    def test_writes_bytes_of_json_dumps(self, tmp_path, obj):
+        path = tmp_path / "x.json"
+        assert cli._write_json(str(path), obj)
+        assert path.read_bytes() == json.dumps(obj, sort_keys=True, indent=2).encode()
+        assert os.listdir(tmp_path) == ["x.json"]
+
+    def test_rejected_payload_leaves_no_file(self, tmp_path):
+        # the first batch is written before the encoder reaches the object
+        payload = [*range(2 * cli.JSON_BATCH_CHUNKS), object()]
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._write_json(str(tmp_path / "x.json"), payload)
+        assert os.listdir(tmp_path) == []
 
 
 class TestBoundsCommand:
@@ -534,6 +603,34 @@ class TestIngestCommand:
         assert cli.main(["ingest", "--sessions", str(sessions),
                          "--viewing", str(viewing), "--out", str(out)]) == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon, pairs", [
+        ("5", []),  # the overlap starts after the horizon
+        ("8", [{"intervals": [[6.0, 8.0]], "users": [0, 1]}]),
+    ])
+    def test_horizon_clips_overlaps(self, tmp_path, horizon, pairs):
+        sessions = tmp_path / "sessions.csv"
+        viewing = tmp_path / "viewing.csv"
+        sessions.write_text("user_id,hotspot_id,login_s,logout_s\n0,ap1,0,10\n1,ap1,6,20\n")
+        viewing.write_text(VIEWING_CSV)
+        out = tmp_path / "t.json"
+        assert cli.main(["ingest", "--sessions", str(sessions), "--viewing", str(viewing),
+                         "--horizon", horizon, "--out", str(out)]) == 0
+        encounters = json.loads(out.read_text())["encounters"]
+        assert encounters == {"horizon": float(horizon), "pairs": pairs}
+
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    def test_non_positive_horizon_exits_2(self, tmp_path, capsys, horizon):
+        sessions = tmp_path / "sessions.csv"
+        viewing = tmp_path / "viewing.csv"
+        sessions.write_text(SESSIONS_CSV)
+        viewing.write_text(VIEWING_CSV)
+        out = tmp_path / "t.json"
+        assert cli.main(["ingest", "--sessions", str(sessions), "--viewing", str(viewing),
+                         "--horizon", horizon, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ingestion failed: horizon must be positive, got {float(horizon)}\n"
         assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):

@@ -315,6 +315,40 @@ class TestIngestion:
         # users 0 and 2 never share a hotspot
         assert not enc.encountered(0, 2, 5.0)
 
+    @pytest.mark.parametrize("horizon, intervals", [
+        (30.0, {(0, 1): ((6.0, 10.0),), (1, 2): ((25.0, 28.0),)}),
+        (8.0, {(0, 1): ((6.0, 8.0),)}),
+        (6.0, {}),  # [6, 6] has no length
+        (5.0, {}),  # the overlap starts after the horizon
+        (26.0, {(0, 1): ((6.0, 10.0),), (1, 2): ((25.0, 26.0),)}),
+    ])
+    def test_overlap_clipped_to_horizon(self, horizon, intervals):
+        records = [
+            traces.SessionLogRecord(0, "ap1", 0.0, 10.0),
+            traces.SessionLogRecord(1, "ap1", 6.0, 20.0),
+            traces.SessionLogRecord(2, "ap2", 0.0, 30.0),
+            traces.SessionLogRecord(1, "ap2", 25.0, 28.0),
+        ]
+        enc = traces.encounters_from_sessions(records, horizon=horizon)
+        assert enc.horizon == horizon
+        assert dict(enc.intervals) == intervals
+
+    def test_overlap_before_time_zero_clipped(self):
+        records = [
+            traces.SessionLogRecord(0, "ap1", -8.0, -2.0),
+            traces.SessionLogRecord(1, "ap1", -6.0, 4.0),
+            traces.SessionLogRecord(2, "ap1", -4.0, 3.0),
+        ]
+        enc = traces.encounters_from_sessions(records, horizon=10.0)
+        assert dict(enc.intervals) == {(1, 2): ((0.0, 3.0),)}
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan")])
+    def test_non_positive_horizon_rejected(self, horizon):
+        records = [traces.SessionLogRecord(0, "ap1", 0.0, 10.0),
+                   traces.SessionLogRecord(1, "ap1", 6.0, 20.0)]
+        with pytest.raises(TraceError, match="horizon must be positive"):
+            traces.encounters_from_sessions(records, horizon=horizon)
+
     def test_viewing_throughput_pieces(self, tmp_path):
         p = tmp_path / "viewing.csv"
         p.write_text(VIEWING_CSV)
