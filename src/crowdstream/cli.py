@@ -424,6 +424,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         viewing = traces.read_viewing_csv(args.viewing)
         encounters = traces.encounters_from_sessions(sessions, horizon=args.horizon)
         capacity = traces.capacity_from_viewing_log(viewing, horizon=encounters.horizon)
+        unsampled = sorted({r.user_id for r in sessions} - capacity.users.keys())
+        if unsampled:
+            raise traces.TraceError(f"{args.sessions}: users {unsampled} have sessions "
+                                    f"but no viewing samples in {args.viewing}")
     except (OSError, traces.TraceError) as exc:
         print(f"ingestion failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,8 +6,8 @@ relaxation (continuous volumes, fluctuation and rebuffering charges dropped)
 upper-bounds it. A grid-restricted brute-force search over asynchronous
 segmented schedules provides the middle reference on tiny instances.
 
-numpy and scipy load on the first fluid LP, not with this module, so the
-simulator and the searches never pay for them.
+scipy (and with it numpy) loads on the first fluid LP, not with this
+module, so the simulator and the searches never pay for it.
 """
 from __future__ import annotations
 
@@ -147,17 +147,24 @@ def _slot_vars(instance: SlottedInstance) -> list[list[tuple[int, int, int]]]:
 def _slot_totals(
     instance: SlottedInstance, schedule: SlottedSchedule
 ) -> tuple[list[list[float]], list[list[float]]]:
-    """Mbit downloaded per [downloader][slot] and playback seconds received
-    per [owner][slot], in one pass over the schedule."""
-    N, T = instance.n_users, instance.n_slots
+    """Mbit downloaded per [downloader][slot] and each owner's buffer level
+    in seconds at the end of each slot, per [owner][slot]: the buffer drains
+    one slot length, then gains the playback seconds received in the slot."""
+    N, T, L = instance.n_users, instance.n_slots, instance.slot_len
     mbit = [[0.0] * T for _ in range(N)]
     segs = [[0] * T for _ in range(N)]
     for (t, n, m, z), c in schedule.kappa.items():
         owner = instance.profiles[m]
         mbit[n][t] += c * owner.ladder[z] * owner.beta
         segs[m][t] += c
-    secs = [[p.beta * c for c in row] for p, row in zip(instance.profiles, segs)]
-    return mbit, secs
+    levels = []
+    for p, row in zip(instance.profiles, segs):
+        q, qs = 0.0, []
+        for c in row:
+            q = max(0.0, q - L) + p.beta * c
+            qs.append(q)
+        levels.append(qs)
+    return mbit, levels
 
 
 def check_slotted_feasibility(
@@ -200,7 +207,7 @@ def check_slotted_feasibility(
                 "duplicate", m,
                 f"user {m} receives {received[m]} segments but video has {prof.video_segments}",
             ))
-    mbit, secs = _slot_totals(instance, schedule)
+    mbit, levels = _slot_totals(instance, schedule)
     for n in range(instance.n_users):
         for t in range(instance.n_slots):
             x = mbit[n][t]
@@ -210,9 +217,7 @@ def check_slotted_feasibility(
                     f"slot {t}: {x} Mbit exceeds capacity {instance.capacity[n][t]}",
                 ))
     for m, prof in enumerate(instance.profiles):
-        q = 0.0
-        for t in range(instance.n_slots):
-            q = max(0.0, q - instance.slot_len) + secs[m][t]
+        for t, q in enumerate(levels[m]):
             if q > prof.buffer_cap + TOL:
                 violations.append(Violation(
                     "buffer", m, f"slot {t}: buffer {q} exceeds cap {prof.buffer_cap}"
@@ -240,7 +245,7 @@ def eval_slotted_welfare(
     cell = [0.0] * N
     wifi = [0.0] * N
     play = [0.0] * N
-    mbit, secs = _slot_totals(instance, schedule)
+    mbit, levels = _slot_totals(instance, schedule)
     for (t, n, m, z), c in schedule.kappa.items():
         if c <= 0:
             continue
@@ -272,11 +277,8 @@ def eval_slotted_welfare(
         rebuf = 0.0
         stall = 0.0
         if prof.is_video_user:
-            q = 0.0
-            for t in range(T):
-                if t >= 1:
-                    stall += max(0.0, L - q)
-                q = max(0.0, q - L) + secs[m][t]
+            for q in levels[m][:-1]:  # the level each later slot starts from
+                stall += max(0.0, L - q)
             rebuf = prof.phi_rebuf * stall
         bd = WelfareBreakdown(
             value=value[m], qdeg_loss=qdeg, rebuf_loss=rebuf,
@@ -465,6 +467,72 @@ def solve_slotted_exact(
 # Fluid relaxation upper bound (linear program)
 # ---------------------------------------------------------------------------
 
+def _fluid_lp(instance: SlottedInstance) -> tuple | None:
+    """The fluid relaxation as plain Python data, or None when no flow can
+    carry data: ``(cost, ub, eq, bounds)``, with the welfare per unit of
+    each variable, and ``ub`` (A x <= b) and ``eq`` (A x == b) each as
+    ``(rows, cols, vals, b)``, COO triplets plus right-hand sides.
+
+    Columns are the flows (Mbit per ``_slot_vars`` triple, in that order),
+    then playback seconds p and end-of-slot buffer seconds q per (video
+    user, slot) pair. Rows are each downloader's slot capacity, then per
+    video user and slot the buffer balance q(t) = q(t-1) - p(t) + playback
+    seconds received and p(t) <= q(t-1), then the user's video budget.
+    """
+    N, T, L = instance.n_users, instance.n_slots, instance.slot_len
+    profiles = instance.profiles
+    cost: list[float] = []
+    by_slot_dl: dict[tuple[int, int], list[int]] = {}
+    into: dict[tuple[int, int], list[tuple[int, float]]] = {}  # (owner, slot) -> (flow, rate)
+    for t, svars in enumerate(_slot_vars(instance)):
+        for n, m, z in svars:
+            owner, dl = profiles[m], profiles[n]
+            rate = owner.ladder[z]
+            by_slot_dl.setdefault((n, t), []).append(len(cost))
+            into.setdefault((m, t), []).append((len(cost), rate))
+            cost.append(
+                model.quality_value(owner, rate) / rate
+                - dl.c_time * L / instance.capacity[n][t]
+                - dl.c_data
+                - (dl.w_data if m != n else 0.0)
+                - (owner.eps_time / rate + owner.eps_rate)
+            )
+    if not cost:
+        return None
+    ub, eq = ([], [], [], []), ([], [], [], [])
+
+    def add(A, entries, rhs):
+        rows, cols, vals, b = A
+        r = len(b)
+        for c, v in entries:
+            rows.append(r); cols.append(c); vals.append(v)
+        b.append(rhs)
+
+    for (n, t), js in sorted(by_slot_dl.items()):
+        add(ub, [(j, 1.0) for j in js], instance.capacity[n][t])
+    # the i-th (video user, slot) pair has p in column P + i and q in Q + i
+    pairs = [(m, t) for m in range(N) if profiles[m].is_video_user for t in range(T)]
+    P = len(cost)
+    Q = P + len(pairs)
+    budget: list[tuple[int, float]] = []
+    for i, (m, t) in enumerate(pairs):
+        flows = into.get((m, t), ())
+        entries = [(Q + i, 1.0), (P + i, 1.0)]
+        if t > 0:
+            entries.append((Q + i - 1, -1.0))
+            add(ub, [(P + i, 1.0), (Q + i - 1, -1.0)], 0.0)
+        add(eq, entries + [(j, -1.0 / rate) for j, rate in flows], 0.0)
+        budget += [(j, 1.0 / rate) for j, rate in flows]
+        if t == T - 1 and budget:
+            add(ub, budget, profiles[m].video_segments * profiles[m].beta)
+            budget = []
+    # flows >= 0; p in [0, L], 0 in the first slot since nothing has
+    # arrived yet; q in [0, cap]
+    bounds = ([(0.0, None)] * P + [(0.0, 0.0 if t == 0 else L) for m, t in pairs]
+              + [(0.0, profiles[m].buffer_cap) for m, t in pairs])
+    return cost + [0.0] * (2 * len(pairs)), ub, eq, bounds
+
+
 def solve_slotted_relaxed(instance: SlottedInstance) -> float:
     """Certified welfare upper bound from the fluid relaxation.
 
@@ -478,90 +546,17 @@ def solve_slotted_relaxed(instance: SlottedInstance) -> float:
     so its float order, and with it the bound's bits, stay as they are;
     a test ties the two together.
     """
-    import numpy as np
+    lp = _fluid_lp(instance)
+    if lp is None:
+        return 0.0  # the solver's optimum would read -0.0
     from scipy import sparse
 
-    N, T, L = instance.n_users, instance.n_slots, instance.slot_len
-    profiles = instance.profiles
-    xs = [(t, n, m, z) for t, svars in enumerate(_slot_vars(instance))
-          for n, m, z in svars]
-    if not xs:
-        return 0.0
-    video = [m for m in range(N) if profiles[m].is_video_user]
-    nx = len(xs)
-    np_idx = {(m, t): nx + i for i, (m, t) in
-              enumerate((m, t) for m in video for t in range(T))}
-    nq_idx = {(m, t): nx + len(np_idx) + i for i, (m, t) in
-              enumerate((m, t) for m in video for t in range(T))}
-    nvars = nx + 2 * len(np_idx)
-
-    obj = np.zeros(nvars)
-    for j, (t, n, m, z) in enumerate(xs):
-        owner, dl = profiles[m], profiles[n]
-        rate = owner.ladder[z]
-        obj[j] = (
-            model.quality_value(owner, rate) / rate
-            - dl.c_time * L / instance.capacity[n][t]
-            - dl.c_data
-            - (dl.w_data if m != n else 0.0)
-            - (owner.eps_time / rate + owner.eps_rate)
-        )
-
-    rows_ub, cols_ub, vals_ub, b_ub = [], [], [], []
-    rows_eq, cols_eq, vals_eq, b_eq = [], [], [], []
-
-    def add_ub(entries, rhs):
-        r = len(b_ub)
-        for c, v in entries:
-            rows_ub.append(r); cols_ub.append(c); vals_ub.append(v)
-        b_ub.append(rhs)
-
-    def add_eq(entries, rhs):
-        r = len(b_eq)
-        for c, v in entries:
-            rows_eq.append(r); cols_eq.append(c); vals_eq.append(v)
-        b_eq.append(rhs)
-
-    by_slot_dl: dict[tuple[int, int], list[int]] = {}
-    by_slot_owner: dict[tuple[int, int], list[int]] = {}
-    by_owner: dict[int, list[int]] = {}
-    for j, (t, n, m, z) in enumerate(xs):
-        by_slot_dl.setdefault((n, t), []).append(j)
-        by_slot_owner.setdefault((m, t), []).append(j)
-        by_owner.setdefault(m, []).append(j)
-
-    for (n, t), js in sorted(by_slot_dl.items()):
-        add_ub([(j, 1.0) for j in js], instance.capacity[n][t])
-    for m in video:
-        prof = profiles[m]
-        for t in range(T):
-            # buffer dynamics: q(t) = q(t-1) - p(t) + playback seconds received
-            entries = [(nq_idx[(m, t)], 1.0), (np_idx[(m, t)], 1.0)]
-            if t > 0:
-                entries.append((nq_idx[(m, t - 1)], -1.0))
-            for j in by_slot_owner.get((m, t), ()):
-                entries.append((j, -1.0 / profiles[m].ladder[xs[j][3]]))
-            add_eq(entries, 0.0)
-            if t > 0:
-                add_ub([(np_idx[(m, t)], 1.0), (nq_idx[(m, t - 1)], -1.0)], 0.0)
-        js = by_owner.get(m, ())
-        if js:
-            add_ub([(j, 1.0 / profiles[m].ladder[xs[j][3]]) for j in js],
-                   prof.video_segments * prof.beta)
-
-    # variable bounds: x >= 0, playback p in [0, L] (0 in the first slot
-    # since nothing has arrived yet), buffer q in [0, cap]
-    ordered: list[tuple[float, float | None]] = [(0.0, None)] * nvars
-    for (m, t), j in np_idx.items():
-        ordered[j] = (0.0, 0.0 if t == 0 else L)
-    for (m, t), j in nq_idx.items():
-        ordered[j] = (0.0, profiles[m].buffer_cap)
-
-    A_ub = sparse.csr_matrix((vals_ub, (rows_ub, cols_ub)), shape=(len(b_ub), nvars))
-    A_eq = sparse.csr_matrix((vals_eq, (rows_eq, cols_eq)), shape=(len(b_eq), nvars))
+    cost, ub, eq, bounds = lp
+    A_ub, A_eq = (sparse.csr_matrix((vals, (rows, cols)), shape=(len(b), len(cost)))
+                  for rows, cols, vals, b in (ub, eq))
     linprog = sys.modules[__name__].linprog  # loads scipy on the first LP
-    res = linprog(-obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=ordered, method="highs")
+    res = linprog([-c for c in cost], A_ub=A_ub, b_ub=ub[3], A_eq=A_eq, b_eq=eq[3],
+                  bounds=bounds, method="highs")
     if res.status != 0:
         raise RuntimeError(f"relaxation LP failed: {res.message}")
     return float(-res.fun)

@@ -358,9 +358,13 @@ def encounters_from_sessions(
 ) -> EncounterTrace:
     """Two users are encountered while their sessions overlap at one hotspot:
     both ends of each overlap are clipped to [0, horizon], and an overlap
-    left with no length is dropped."""
+    left with no length is dropped. The horizon, by default the last
+    logout, must be positive."""
     if horizon is None:
         horizon = max((r.logout_time for r in records), default=0.0)
+        if not horizon > 0:
+            raise TraceError("the session log has no logout after time 0, so it "
+                             "gives no horizon; set one with --horizon")
     elif not horizon > 0:
         raise TraceError(f"horizon must be positive, got {horizon}")
     by_hotspot: dict[str, list[SessionLogRecord]] = {}

@@ -633,6 +633,31 @@ class TestIngestCommand:
         assert err == f"ingestion failed: horizon must be positive, got {float(horizon)}\n"
         assert not out.exists()
 
+    def test_session_log_without_horizon_exits_2(self, tmp_path, capsys):
+        sessions = tmp_path / "sessions.csv"
+        viewing = tmp_path / "viewing.csv"
+        sessions.write_text("user_id,hotspot_id,login_s,logout_s\n")
+        viewing.write_text(VIEWING_CSV)
+        out = tmp_path / "t.json"
+        assert cli.main(["ingest", "--sessions", str(sessions), "--viewing", str(viewing),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "session log" in err and "--horizon" in err
+        assert not out.exists()
+
+    def test_session_users_without_viewing_samples_exit_2(self, tmp_path, capsys):
+        sessions = tmp_path / "sessions.csv"
+        viewing = tmp_path / "viewing.csv"
+        sessions.write_text("user_id,hotspot_id,login_s,logout_s\n0,ap1,0,10\n1,ap1,6,20\n")
+        viewing.write_text("user_id,video_id,seg_index,seg_len_s,bitrate_mbps,download_s\n"
+                           "0,v1,0,2.0,1.3,2.0\n")
+        out = tmp_path / "t.json"
+        assert cli.main(["ingest", "--sessions", str(sessions), "--viewing", str(viewing),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{sessions}: users [1] have sessions but no viewing samples" in err
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["ingest", "--sessions", str(tmp_path / "a.csv"),
                          "--viewing", str(tmp_path / "b.csv"),

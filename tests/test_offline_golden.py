@@ -3,16 +3,19 @@
 For each fixed tiny instance the test pins ``repr`` of the five welfare
 figures of a bound certificate (exact slotted optimum at beta and beta/2,
 brute-force segmented optimum at beta and beta/2, fluid upper bound) and
-the node and leaf counts of the exact and brute-force searches. A change
-here means a solver's arithmetic or search order changed, not just its
+the node and leaf counts of the exact and brute-force searches. One
+many-user instance pins the fluid LP's size and ``repr`` of its bound. A
+change here means a solver's arithmetic or search order changed, not just its
 speed.
 """
 import pytest
 
+from crowdstream import traces
+from crowdstream.cli import ExperimentSpec, build_profiles
 from crowdstream.model import UserProfile
 from crowdstream.offline import (
-    SlottedInstance, brute_force_segmented, solve_slotted_exact,
-    solve_slotted_relaxed,
+    SlottedInstance, _fluid_lp, _slot_vars, brute_force_segmented,
+    solve_slotted_exact, solve_slotted_relaxed,
 )
 from crowdstream.traces import CapacityTrace, EncounterTrace, PiecewiseConstant
 
@@ -158,3 +161,23 @@ def test_searches_keep_no_tables_between_solves():
     assert again == first
     upper = solve_slotted_relaxed(SlottedInstance.from_traces(*a[:3], SLOT))
     assert pins(again, upper) == GOLDEN[name]
+
+
+def test_fluid_bound_golden_on_a_many_user_instance():
+    """The scaling spec at 10 users, 200 s, 5 s slots and seed 0: 40 slots
+    and 2,135 flows, 1,735 of them between two users. The LP's shape and
+    ``upper`` are pinned; the tiny instances above have at most two users
+    and three slots."""
+    spec = ExperimentSpec(n_users=10, video_fraction=0.2, capacity_range=(0.0, 0.7),
+                          cooperation="trace", horizon=200.0)
+    profiles = build_profiles(spec)
+    ids = [p.id for p in profiles]
+    inst = SlottedInstance.from_traces(
+        profiles, traces.synth_capacity(ids, spec.horizon, spec.capacity_range, 0),
+        traces.synth_encounters(ids, spec.horizon, 0, mode="trace"), 5.0)
+    flows = [(n, m) for svars in _slot_vars(inst) for n, m, z in svars]
+    assert (inst.n_slots, len(flows), sum(n != m for n, m in flows)) == (40, 2135, 1735)
+    cost, ub, eq, bounds = _fluid_lp(inst)
+    assert (len(cost), len(bounds)) == (2295, 2295)
+    assert [(len(b), len(vals)) for rows, cols, vals, b in (ub, eq)] == [(392, 4426), (80, 2373)]
+    assert repr(solve_slotted_relaxed(inst)) == "219.55409877988805"

@@ -349,6 +349,13 @@ class TestIngestion:
         with pytest.raises(TraceError, match="horizon must be positive"):
             traces.encounters_from_sessions(records, horizon=horizon)
 
+    @pytest.mark.parametrize("records", [
+        [], [traces.SessionLogRecord(0, "ap1", -5.0, 0.0)],
+    ], ids=["no-sessions", "no-logout-after-0"])
+    def test_derived_horizon_must_be_positive(self, records):
+        with pytest.raises(TraceError, match="session log .* gives no horizon"):
+            traces.encounters_from_sessions(records)
+
     def test_viewing_throughput_pieces(self, tmp_path):
         p = tmp_path / "viewing.csv"
         p.write_text(VIEWING_CSV)
