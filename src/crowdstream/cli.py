@@ -95,7 +95,7 @@ class ExperimentSpec:
         if self.abort_policy not in sim.ABORT_POLICIES:
             raise SpecError(f"unknown abort policy {self.abort_policy!r}")
         lo, hi = self.capacity_range
-        if lo < 0 or hi < lo:
+        if not 0 <= lo <= hi < math.inf:  # NaN fails every comparison
             raise SpecError(f"bad capacity range [{lo}, {hi}]")
         if not self.seeds:
             raise SpecError("seed list must be nonempty")
@@ -103,12 +103,14 @@ class ExperimentSpec:
             raise SpecError("lambda list must be nonempty when lyapunov is listed")
         if not 0 < self.horizon < math.inf:  # the trace synthesizers loop up to it
             raise SpecError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.compute_gap and not self.slot_len > 0:
-            raise SpecError(f"slot_len must be positive, got {self.slot_len}")
+        if self.compute_gap and not 0 < self.slot_len < math.inf:
+            raise SpecError(f"slot_len must be positive and finite, got {self.slot_len}")
         if not self.beta > 0:  # build_profiles divides by it
             raise SpecError(f"beta must be positive, got {self.beta}")
         try:
             _instance_value("n_users", self.n_users, (int,))
+            for seed in self.seeds:  # report file names print them
+                _instance_value("seed", seed, (int,))
             for lam in self.lambdas:
                 if not math.isfinite(_instance_value("lambda", lam, (int, float))):
                     raise SpecError(f"lambda must be finite, got {lam}")
@@ -257,10 +259,11 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> Iterator:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Runs the spec's cells, fluid bounds first when ``compute_gap`` is
-    set, and writes each cell's report as soon as it finishes; only the
-    scalars the CSVs need are kept, so one report is alive at a time with
-    ``--jobs 1`` (about ``2 * jobs`` otherwise). A report that cannot be
-    written exits 2 before any later cell runs."""
+    set, and writes each cell's report as soon as it finishes; only the CSV
+    rows are kept, plus a "full" cell's bitrate and welfare until its "none"
+    cell, so one report is alive at a time with ``--jobs 1`` (about
+    ``2 * jobs`` otherwise). A report that cannot be written exits 2 before
+    any later cell runs."""
     try:
         spec = ExperimentSpec.from_file(args.spec)
     except (OSError, json.JSONDecodeError, SpecError, TypeError, ValueError) as exc:
@@ -273,6 +276,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"cannot create output directory {out_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # with compare_cooperation each "full" cell comes right before its
+    # "none" cell, so a cooperation_gain.csv row is due when "none" arrives
     cells: list[tuple[str, float | None, int, str]] = []
     modes = [spec.cooperation]
     if spec.compare_cooperation:
@@ -292,12 +297,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         + [(_run_cell, spec, *cell) for cell in cells],
         args.jobs,
     )
-    rows = []
-    scalars = {}  # cell -> (avg_bitrate_mbps, welfare), for cooperation_gain.csv
+    rows, gain_rows = [], []
     try:
         uppers = {key: next(results) for key in bound_keys}
-        for cell in cells:
-            scheduler, lam, seed, mode = cell
+        for scheduler, lam, seed, mode in cells:
             report = next(results)
             if spec.compute_gap:
                 report.gap = sim.relative_gap(uppers[seed, mode], report.sw_estimated)
@@ -318,7 +321,19 @@ def cmd_run(args: argparse.Namespace) -> int:
                     "rebuffer_s": report.rebuffer_s,
                     "gap": "" if report.gap is None else report.gap,
                 })
-            scalars[cell] = (report.avg_bitrate_mbps, report.welfare)
+            if spec.compare_cooperation and mode == "full":
+                full_bitrate, full_welfare = report.avg_bitrate_mbps, report.welfare
+            elif spec.compare_cooperation:  # the "none" cell of the pair
+                none_bitrate = report.avg_bitrate_mbps
+                gain_rows.append({
+                    "scheduler": scheduler,
+                    "seed": seed,
+                    "lambda": lam_tag,
+                    "bitrate_gain": (
+                        (full_bitrate - none_bitrate) / none_bitrate if none_bitrate > 0 else ""
+                    ),
+                    "welfare_gain": full_welfare - report.welfare,
+                })
             del report, payload  # gone before the next cell runs
     finally:
         results.close()
@@ -327,28 +342,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         "scheduler", "seed", "lambda", "avg_bitrate_mbps", "welfare", "rebuffer_s", "gap",
     ], rows):
         return EXIT_CONFIG
-
-    if spec.compare_cooperation:
-        gain_rows = []
-        for scheduler, lam, seed, mode in cells:
-            if mode != "full":
-                continue
-            full_bitrate, full_welfare = scalars[scheduler, lam, seed, "full"]
-            none_bitrate, none_welfare = scalars[scheduler, lam, seed, "none"]
-            bitrate_gain = (
-                (full_bitrate - none_bitrate) / none_bitrate if none_bitrate > 0 else ""
-            )
-            gain_rows.append({
-                "scheduler": scheduler,
-                "seed": seed,
-                "lambda": "" if lam is None else f"{lam:g}",
-                "bitrate_gain": bitrate_gain,
-                "welfare_gain": full_welfare - none_welfare,
-            })
-        if not _write_csv(os.path.join(out_dir, "cooperation_gain.csv"), [
-            "scheduler", "seed", "lambda", "bitrate_gain", "welfare_gain",
-        ], gain_rows):
-            return EXIT_CONFIG
+    if spec.compare_cooperation and not _write_csv(
+        os.path.join(out_dir, "cooperation_gain.csv"),
+        ["scheduler", "seed", "lambda", "bitrate_gain", "welfare_gain"], gain_rows,
+    ):
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 TOL = 1e-9  # absolute slack of every feasibility and ordering comparison
 
@@ -205,18 +205,6 @@ def segment_gain(
     )
 
 
-def eval_value(profile: UserProfile, received: Sequence[SegmentRecord]) -> float:
-    return ordered_sum(quality_value(profile, rec.rate) * profile.beta for rec in received)
-
-
-def eval_qdeg_loss(profile: UserProfile, received: Sequence[SegmentRecord]) -> float:
-    """Loss from bitrate downswitches between consecutively played segments."""
-    loss = 0.0
-    for prev, cur in zip(received, received[1:]):
-        loss += profile.phi_qdeg * max(0.0, prev.rate - cur.rate)
-    return loss
-
-
 def update_buffer(prev_q: float, gap: float, beta: float) -> float:
     """Buffer after a reception: drain ``gap`` seconds of playback, add one segment."""
     if gap < 0:
@@ -228,82 +216,30 @@ def update_buffer(prev_q: float, gap: float, beta: float) -> float:
     return max(0.0, prev_q - gap) + beta
 
 
-def _reception_gaps(received: Sequence[SegmentRecord]) -> list[float]:
-    # Playback is in order, so segment k becomes usable only once every
-    # earlier segment has arrived: its effective reception time is the
-    # prefix maximum of arrival times. Out-of-order arrivals (possible
-    # under cooperation) therefore yield a zero gap.
-    gaps = []
-    avail = received[0].t_end
-    for cur in received[1:]:
-        t = max(avail, cur.t_end)
-        gaps.append(t - avail)
-        avail = t
-    return gaps
+def _trajectory(
+    profile: UserProfile, received: Sequence[SegmentRecord]
+) -> Iterator[tuple[SegmentRecord, float, float]]:
+    """Each reception of a receiving sequence in playback order, with the
+    playback gap since the reception before (zero for the first) and the
+    buffer level right after it, starting from an empty buffer.
+
+    Playback is in order, so segment k becomes usable only once every
+    earlier segment has arrived: its effective reception time is the prefix
+    maximum of arrival times. Out-of-order arrivals (possible under
+    cooperation) therefore yield a zero gap.
+    """
+    q, avail = 0.0, received[0].t_end if received else 0.0
+    for rec in received:
+        t = max(avail, rec.t_end)
+        gap, avail = t - avail, t
+        q = update_buffer(q, gap, profile.beta)
+        yield rec, gap, q
 
 
 def buffer_levels(profile: UserProfile, received: Sequence[SegmentRecord]) -> list[float]:
     """Buffer level (seconds) right after each reception of a receiving
     sequence in playback order, starting from an empty buffer."""
-    if not received:
-        return []
-    q = update_buffer(0.0, 0.0, profile.beta)
-    levels = [q]
-    for gap in _reception_gaps(received):
-        q = update_buffer(q, gap, profile.beta)
-        levels.append(q)
-    return levels
-
-
-def eval_rebuf_loss(
-    profile: UserProfile, received: Sequence[SegmentRecord]
-) -> tuple[float, float]:
-    """Rebuffering loss and total stall seconds over a receiving sequence.
-
-    Startup is not penalized: the buffer starts empty and charges begin with
-    the second reception.
-    """
-    if not received:
-        return 0.0, 0.0
-    stall = 0.0
-    # the level before each gap is the one right after the reception it follows
-    for q, gap in zip(buffer_levels(profile, received), _reception_gaps(received)):
-        stall += max(0.0, gap - q)
-    return profile.phi_rebuf * stall, stall
-
-
-def eval_cell_energy(
-    profile: UserProfile,
-    downloads: Sequence[SegmentRecord],
-    profiles: Mapping[int, UserProfile],
-) -> float:
-    total = 0.0
-    for rec in downloads:
-        total += profile.c_time * rec.duration
-        total += profile.c_data * segment_volume(rec, profiles)
-    return total
-
-
-def eval_wifi_energy(
-    profile: UserProfile,
-    downloads: Sequence[SegmentRecord],
-    profiles: Mapping[int, UserProfile],
-) -> float:
-    # The time term is negligible (multiplied by zero); aborted transfers are
-    # never exchanged over WiFi, so only completed cross-user segments count.
-    total = 0.0
-    for rec in downloads:
-        if rec.owner != rec.downloader and rec.completed:
-            total += profile.w_data * segment_volume(rec, profiles)
-    return total
-
-
-def eval_play_energy(profile: UserProfile, received: Sequence[SegmentRecord]) -> float:
-    total = 0.0
-    for rec in received:
-        total += profile.eps_time * profile.beta
-        total += profile.eps_rate * rec.rate * profile.beta
-    return total
+    return [q for _, _, q in _trajectory(profile, received)]
 
 
 def receiving_sequences(
@@ -332,15 +268,34 @@ def user_breakdown(
     received: Sequence[SegmentRecord],
     profiles: Mapping[int, UserProfile],
 ) -> WelfareBreakdown:
-    rebuf_loss, stall = eval_rebuf_loss(profile, received)
+    """One user's payoff terms, reading each sequence once. ``received``
+    (delivered segments in playback order) gives the value, the downswitch
+    loss, the playback energy and the stalls; startup is not penalized, so
+    charges begin with the second reception. ``downloads`` gives the cellular
+    energy, truncated transfers pro rata, and the WiFi energy of completed
+    transfers of others' segments (aborted ones never cross WiFi), by volume
+    only: its time term is negligible and taken as zero."""
+    beta = profile.beta
+    value, qdeg, stall, play = 0, 0.0, 0.0, 0.0
+    for k, (rec, gap, q) in enumerate(_trajectory(profile, received)):
+        value += quality_value(profile, rec.rate) * beta
+        if k:  # the gap runs from the reception before, which left prev_q
+            qdeg += profile.phi_qdeg * max(0.0, prev.rate - rec.rate)
+            stall += max(0.0, gap - prev_q)
+        play += profile.eps_time * beta
+        play += profile.eps_rate * rec.rate * beta
+        prev, prev_q = rec, q
+    cell = wifi = 0.0
+    for rec in downloads:
+        volume = segment_volume(rec, profiles)
+        cell += profile.c_time * rec.duration
+        cell += profile.c_data * volume
+        if rec.owner != rec.downloader and rec.completed:
+            wifi += profile.w_data * volume
     return WelfareBreakdown(
-        value=eval_value(profile, received),
-        qdeg_loss=eval_qdeg_loss(profile, received),
-        rebuf_loss=rebuf_loss,
-        cell_energy=eval_cell_energy(profile, downloads, profiles),
-        wifi_energy=eval_wifi_energy(profile, downloads, profiles),
-        play_energy=eval_play_energy(profile, received),
-        rebuffer_s=stall,
+        value=value, qdeg_loss=qdeg,
+        rebuf_loss=profile.phi_rebuf * stall if received else 0.0,  # even if phi is -0.0
+        cell_energy=cell, wifi_energy=wifi, play_energy=play, rebuffer_s=stall,
     )
 
 

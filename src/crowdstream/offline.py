@@ -144,39 +144,15 @@ def _slot_vars(instance: SlottedInstance) -> list[list[tuple[int, int, int]]]:
     ]
 
 
-def _slot_totals(
+def _slotted_walk(
     instance: SlottedInstance, schedule: SlottedSchedule
-) -> tuple[list[list[float]], list[list[float]]]:
-    """Mbit downloaded per [downloader][slot] and each owner's buffer level
-    in seconds at the end of each slot, per [owner][slot]: the buffer drains
-    one slot length, then gains the playback seconds received in the slot."""
+) -> tuple[list[Violation], list[list[float]], list[list[float]]]:
+    """``check_slotted_feasibility``'s violations, the Mbit downloaded per
+    [downloader][slot], and each owner's buffer level in seconds at the end
+    of each slot, per [owner][slot]: the buffer drains one slot length, then
+    gains the playback seconds received in the slot. Both tables are empty
+    when a key or count is malformed."""
     N, T, L = instance.n_users, instance.n_slots, instance.slot_len
-    mbit = [[0.0] * T for _ in range(N)]
-    segs = [[0] * T for _ in range(N)]
-    for (t, n, m, z), c in schedule.kappa.items():
-        owner = instance.profiles[m]
-        mbit[n][t] += c * owner.ladder[z] * owner.beta
-        segs[m][t] += c
-    levels = []
-    for p, row in zip(instance.profiles, segs):
-        q, qs = 0.0, []
-        for c in row:
-            q = max(0.0, q - L) + p.beta * c
-            qs.append(q)
-        levels.append(qs)
-    return mbit, levels
-
-
-def check_slotted_feasibility(
-    instance: SlottedInstance, schedule: SlottedSchedule
-) -> list[Violation]:
-    """Violations of a slotted schedule; an empty list means feasible.
-
-    A key naming a slot, user or level the instance lacks, or a count that
-    is not a whole number, is reported alone, as a ``"segment"``
-    violation, before any other check reads the schedule.
-    """
-    N, T = instance.n_users, instance.n_slots
     violations: list[Violation] = []
     for key, c in schedule.kappa.items():
         t, n, m, z = key
@@ -191,8 +167,9 @@ def check_slotted_feasibility(
                 "segment", n, f"count {c!r} at key {key} is not a whole number of segments"
             ))
     if violations:
-        return violations
-    received = [0] * N
+        return violations, [], []
+    mbit = [[0.0] * T for _ in range(N)]
+    segs = [[0] * T for _ in range(N)]
     for (t, n, m, z), c in schedule.kappa.items():
         if c < 0:
             violations.append(Violation("capacity", n, f"negative count at slot {t}"))
@@ -200,29 +177,46 @@ def check_slotted_feasibility(
             violations.append(Violation(
                 "encounter", n, f"users {n} and {m} not encountered for all of slot {t}"
             ))
-        received[m] += c
+        owner = instance.profiles[m]
+        mbit[n][t] += c * owner.ladder[z] * owner.beta
+        segs[m][t] += c
     for m, prof in enumerate(instance.profiles):
-        if received[m] > prof.video_segments:
+        if (received := sum(segs[m])) > prof.video_segments:
             violations.append(Violation(
                 "duplicate", m,
-                f"user {m} receives {received[m]} segments but video has {prof.video_segments}",
+                f"user {m} receives {received} segments but video has {prof.video_segments}",
             ))
-    mbit, levels = _slot_totals(instance, schedule)
-    for n in range(instance.n_users):
-        for t in range(instance.n_slots):
-            x = mbit[n][t]
-            if x > instance.capacity[n][t] + TOL:
+    for n in range(N):
+        for t in range(T):
+            if mbit[n][t] > instance.capacity[n][t] + TOL:
                 violations.append(Violation(
                     "capacity", n,
-                    f"slot {t}: {x} Mbit exceeds capacity {instance.capacity[n][t]}",
+                    f"slot {t}: {mbit[n][t]} Mbit exceeds capacity {instance.capacity[n][t]}",
                 ))
+    levels = []
     for m, prof in enumerate(instance.profiles):
-        for t, q in enumerate(levels[m]):
+        q, qs = 0.0, []
+        for t, c in enumerate(segs[m]):
+            q = max(0.0, q - L) + prof.beta * c
+            qs.append(q)
             if q > prof.buffer_cap + TOL:
                 violations.append(Violation(
                     "buffer", m, f"slot {t}: buffer {q} exceeds cap {prof.buffer_cap}"
                 ))
-    return violations
+        levels.append(qs)
+    return violations, mbit, levels
+
+
+def check_slotted_feasibility(
+    instance: SlottedInstance, schedule: SlottedSchedule
+) -> list[Violation]:
+    """Violations of a slotted schedule; an empty list means feasible.
+
+    A key naming a slot, user or level the instance lacks, or a count that
+    is not a whole number, is reported alone, as a ``"segment"``
+    violation, before any other check reads the schedule.
+    """
+    return _slotted_walk(instance, schedule)[0]
 
 
 def eval_slotted_welfare(
@@ -235,7 +229,7 @@ def eval_slotted_welfare(
     an empty slot carries the previous high bitrate forward. Rebuffering is
     charged per slot from the second slot on, only for video users.
     """
-    violations = check_slotted_feasibility(instance, schedule)
+    violations, mbit, levels = _slotted_walk(instance, schedule)
     if violations:
         raise ValueError("infeasible slotted schedule: "
                          + "; ".join(f"{v.kind}: {v.detail}" for v in violations))
@@ -245,7 +239,6 @@ def eval_slotted_welfare(
     cell = [0.0] * N
     wifi = [0.0] * N
     play = [0.0] * N
-    mbit, levels = _slot_totals(instance, schedule)
     for (t, n, m, z), c in schedule.kappa.items():
         if c <= 0:
             continue
@@ -332,37 +325,31 @@ def solve_slotted_exact(
     """
     N, T, L = instance.n_users, instance.n_slots, instance.slot_len
     profiles = instance.profiles
-    slot_vars = _slot_vars(instance)
-
-    # Optimistic value per Mbit achievable in each slot (losses and energy
-    # treated as zero keeps the bound admissible).
-    slot_density = []
-    for t in range(T):
-        best = 0.0
-        for n, m, z in slot_vars[t]:
-            rate = profiles[m].ladder[z]
-            best = max(best, model.quality_value(profiles[m], rate) / rate)
-        slot_density.append(best)
-    suffix_cap = [0.0] * (T + 1)
-    for t in range(T - 1, -1, -1):
-        suffix_cap[t] = suffix_cap[t + 1] + slot_density[t] * model.ordered_sum(
-            instance.capacity[n][t] for n in range(N)
-        )
 
     # Each variable's constants, once per solve: (n, m, z, owner, rate,
-    # unit_vol, unit_gain) in slot_vars order.
+    # unit_vol, unit_gain) in _slot_vars order. Alongside, the optimistic
+    # value per Mbit achievable in each slot (losses and energy treated as
+    # zero keeps the bound admissible).
     var_plan: list[list[tuple]] = []
-    for t in range(T):
-        row = []
-        for n, m, z in slot_vars[t]:
+    slot_density = []
+    for t, svars in enumerate(_slot_vars(instance)):
+        row, best = [], 0.0
+        for n, m, z in svars:
             owner = profiles[m]
             rate = owner.ladder[z]
+            best = max(best, model.quality_value(owner, rate) / rate)
             unit_vol = rate * owner.beta
             unit_gain = model.segment_gain(
                 owner, profiles[n], rate, unit_vol / instance.capacity[n][t] * L, m != n
             )
             row.append((n, m, z, owner, rate, unit_vol, unit_gain))
         var_plan.append(row)
+        slot_density.append(best)
+    suffix_cap = [0.0] * (T + 1)
+    for t in range(T - 1, -1, -1):
+        suffix_cap[t] = suffix_cap[t + 1] + slot_density[t] * model.ordered_sum(
+            instance.capacity[n][t] for n in range(N)
+        )
 
     counts: dict[tuple[int, int, int, int], int] = {}
     received = [0] * N
@@ -584,9 +571,10 @@ def brute_force_segmented(
     """Exhaustive search over asynchronous segmented schedules.
 
     Start times are restricted to the trace breakpoints plus each
-    downloader's previous completion time, and every transfer runs at full
-    link capacity. The result is a welfare lower bound certificate for the
-    asynchronous optimum.
+    downloader's previous completion time, every transfer runs at full link
+    capacity, and it ends by ``horizon`` (within ``TOL``), as the slotted
+    solvers' transfers do. The result is a welfare lower bound certificate
+    for the asynchronous optimum.
     """
     pmap = model.profile_map(profiles)
     ids = sorted(pmap)
@@ -646,7 +634,7 @@ def brute_force_segmented(
                 continue
             for z, rate in enumerate(prof_m.ladder):
                 end = capacity.invert(d, start, rate * prof_m.beta)
-                if end is None:
+                if end is None or end > horizon + TOL:
                     continue
                 if m != d and not encounters.holds(d, m, start, end):
                     continue

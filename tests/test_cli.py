@@ -108,6 +108,11 @@ BAD_RUN_SPECS = {
     "infinite-buffer-cap": {"buffer_cap": float("inf")},
     "nan-theta": {"theta": float("nan")},
     "nan-weight": {"phi_rebuf": float("nan")},
+    "infinite-capacity-range": {"capacity_range": [0, float("inf")]},
+    "nan-capacity-range": {"capacity_range": [float("nan"), 1]},
+    "infinite-slot-length-with-gap": {"slot_len": float("inf"), "compute_gap": True},
+    "float-seed": {"seeds": [1.5]},
+    "bool-seed": {"seeds": [True]},
 }
 
 # every scheduler, two lambdas, two seeds and both cooperation modes: 16

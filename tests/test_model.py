@@ -95,32 +95,38 @@ class TestQualityValue:
         assert model.quality_value(p, lo) <= model.quality_value(p, hi)
 
 
+def breakdown(profile, received=(), downloads=(), profiles=None):
+    """``model.user_breakdown`` of one user, alone unless ``profiles`` is given."""
+    return model.user_breakdown(profile, downloads, received, profiles or {profile.id: profile})
+
+
 class TestEvalValue:
     def test_empty(self):
-        assert model.eval_value(make_profile(), []) == 0.0
+        got = breakdown(make_profile()).value
+        assert got == 0 and type(got) is int  # as an empty ordered_sum
 
     def test_single_segment(self):
-        got = model.eval_value(make_profile(), [rec(2.3, 1.0)])
+        got = breakdown(make_profile(), [rec(2.3, 1.0)]).value
         assert got == pytest.approx(2 * math.log(3.3))
 
     def test_two_segments(self):
-        got = model.eval_value(make_profile(), [rec(0.7, 1.0), rec(0.7, 2.0, 1)])
+        got = breakdown(make_profile(), [rec(0.7, 1.0), rec(0.7, 2.0, 1)]).value
         assert got == pytest.approx(4 * math.log(1.7))
 
 
 class TestQdegLoss:
     def test_upgrade_is_free(self):
         p = make_profile(phi_qdeg=3.0)
-        assert model.eval_qdeg_loss(p, [rec(1.3, 1.0), rec(2.3, 2.0, 1)]) == 0.0
+        assert breakdown(p, [rec(1.3, 1.0), rec(2.3, 2.0, 1)]).qdeg_loss == 0.0
 
     def test_single_downswitch(self):
         p = make_profile(phi_qdeg=1.0)
-        assert model.eval_qdeg_loss(p, [rec(2.3, 1.0), rec(1.3, 2.0, 1)]) == pytest.approx(1.0)
+        assert breakdown(p, [rec(2.3, 1.0), rec(1.3, 2.0, 1)]).qdeg_loss == pytest.approx(1.0)
 
     def test_down_then_up(self):
         p = make_profile(phi_qdeg=2.0)
         seq = [rec(2.3, 1.0), rec(0.7, 2.0, 1), rec(1.3, 3.0, 2)]
-        assert model.eval_qdeg_loss(p, seq) == pytest.approx(3.2)
+        assert breakdown(p, seq).qdeg_loss == pytest.approx(3.2)
 
 
 class TestUpdateBuffer:
@@ -156,34 +162,40 @@ class TestBufferLevels:
         assert model.buffer_levels(make_profile(), []) == []
 
 
+def rebuf(profile, received):
+    """Rebuffering loss and stall seconds of ``received``."""
+    b = breakdown(profile, received)
+    return b.rebuf_loss, b.rebuffer_s
+
+
 class TestRebufLoss:
     def test_no_stall(self):
         p = make_profile(phi_rebuf=1.0)
         seq = [rec(0.7, 0.0), rec(0.7, 1.0, 1), rec(0.7, 2.0, 2)]
-        assert model.eval_rebuf_loss(p, seq) == (0.0, 0.0)
+        assert rebuf(p, seq) == (0.0, 0.0)
 
     def test_single_stall(self):
         # first arrival leaves q=2; next arrives 3 s later -> 1 s stall
         p = make_profile(phi_rebuf=1.0)
         seq = [rec(0.7, 0.0), rec(0.7, 3.0, 1)]
-        assert model.eval_rebuf_loss(p, seq) == (pytest.approx(1.0), pytest.approx(1.0))
+        assert rebuf(p, seq) == (pytest.approx(1.0), pytest.approx(1.0))
 
     def test_two_stalls_scaled(self):
         p = make_profile(phi_rebuf=2.0)
         seq = [rec(0.7, 0.0), rec(0.7, 2.5, 1), rec(0.7, 6.0, 2)]
-        loss, stall = model.eval_rebuf_loss(p, seq)
+        loss, stall = rebuf(p, seq)
         assert loss == pytest.approx(4.0)
         assert stall == pytest.approx(2.0)
 
     def test_startup_free(self):
         p = make_profile(phi_rebuf=5.0)
-        assert model.eval_rebuf_loss(p, [rec(0.7, 100.0)]) == (0.0, 0.0)
+        assert rebuf(p, [rec(0.7, 100.0)]) == (0.0, 0.0)
 
     def test_out_of_order_arrivals_use_prefix_max(self):
         # segment 1 arrives after segment 2: playback of both waits for it
         p = make_profile(phi_rebuf=1.0)
         seq = [rec(0.7, 0.0), rec(0.7, 10.0, 1), rec(0.7, 4.0, 2)]
-        loss, stall = model.eval_rebuf_loss(p, seq)
+        loss, stall = rebuf(p, seq)
         assert stall == pytest.approx(8.0)  # single 8 s wait before segment 1
         assert loss == pytest.approx(8.0)
 
@@ -193,35 +205,35 @@ class TestEnergies:
         p = make_profile(c_time=0.1, c_data=0.05)
         profiles = {0: p}
         d = [rec(1.3, 2.0, t_start=0.0)]
-        assert model.eval_cell_energy(p, d, profiles) == pytest.approx(0.33)
+        assert breakdown(p, downloads=d, profiles=profiles).cell_energy == pytest.approx(0.33)
 
     def test_cell_energy_zero_factors(self):
         p = make_profile()
-        assert model.eval_cell_energy(p, [rec(1.3, 2.0)], {0: p}) == 0.0
+        assert breakdown(p, downloads=[rec(1.3, 2.0)]).cell_energy == 0.0
 
     def test_wifi_only_for_others(self):
         p = make_profile(w_data=0.5)
         profiles = {0: p, 1: make_profile(id=1)}
         own = [rec(1.3, 1.0, owner=0, downloader=0)]
         cross = [rec(1.3, 1.0, owner=1, downloader=0)]
-        assert model.eval_wifi_energy(p, own, profiles) == 0.0
-        assert model.eval_wifi_energy(p, cross, profiles) == pytest.approx(0.5 * 2.6)
+        assert breakdown(p, downloads=own, profiles=profiles).wifi_energy == 0.0
+        assert breakdown(p, downloads=cross, profiles=profiles).wifi_energy == pytest.approx(0.5 * 2.6)
 
     def test_wifi_skips_aborted_transfers(self):
         p = make_profile(w_data=0.5)
         profiles = {0: p, 1: make_profile(id=1)}
         aborted = [rec(1.3, 1.0, owner=1, completed=False, delivered=False, mbit=1.0)]
-        assert model.eval_wifi_energy(p, aborted, profiles) == 0.0
+        assert breakdown(p, downloads=aborted, profiles=profiles).wifi_energy == 0.0
 
     def test_play_energy(self):
         p = make_profile(eps_time=0.1, eps_rate=0.2)
-        got = model.eval_play_energy(p, [rec(1.3, 1.0)])
+        got = breakdown(p, [rec(1.3, 1.0)]).play_energy
         assert got == pytest.approx(0.1 * 2 + 0.2 * 1.3 * 2)
 
     def test_truncated_transfer_charged_pro_rata(self):
         p = make_profile(c_data=1.0)
         r = rec(1.3, 2.0, completed=False, delivered=False, mbit=0.9)
-        assert model.eval_cell_energy(p, [r], {0: p}) == pytest.approx(0.9)
+        assert breakdown(p, downloads=[r]).cell_energy == pytest.approx(0.9)
 
 
 class TestReceivingSequences:

@@ -61,6 +61,21 @@ class TestEvalSlottedWelfare:
         _, bds = eval_slotted_welfare(inst, sched)
         assert bds[0].qdeg_loss == pytest.approx(0.5)  # 0.7 -> (gap) -> 0.2
 
+    def test_reads_the_schedule_at_most_three_times(self):
+        """The key check, the feasibility walk and the welfare pass each
+        read the counts once."""
+        class Counted(dict):
+            reads = 0
+
+            def items(self):
+                self.reads += 1
+                return super().items()
+
+        inst = one_user_instance([8.0, 8.0], c_time=0.05)
+        kappa = Counted({(0, 0, 0, 1): 1, (1, 0, 0, 0): 1})
+        eval_slotted_welfare(inst, SlottedSchedule(kappa))
+        assert kappa.reads <= 3
+
     def test_infeasible_schedule_rejected(self):
         inst = one_user_instance([1.0, 1.0])
         sched = SlottedSchedule({(0, 0, 0, 1): 1})  # needs 1.4 Mbit in a 1 Mbit slot
@@ -275,6 +290,19 @@ class TestBruteForceSegmented:
         enc = traces.EncounterTrace.none(8.0)
         res = brute_force_segmented((prof,), cap, enc, horizon=8.0)
         assert model.validate_sequences({0: prof}, cap, enc, res.downloads) == []
+
+    def test_transfers_end_by_the_horizon(self):
+        """A 10 s trace gives two 4 s slots. The brute force stops at 8 s,
+        as the slotted solvers do; a segment over [7, 9] s would lift
+        ``middle`` above ``upper``."""
+        prof = make_profile(segs=6, ladder=(0.5, 1.0), buffer_cap=8.0)
+        cap = traces.CapacityTrace.constant([0], 1.0, 10.0)
+        enc = traces.EncounterTrace.none(10.0)
+        res = brute_force_segmented((prof,), cap, enc, horizon=8.0)
+        assert len(res.downloads[0]) == 6
+        assert max(r.t_end for r in res.downloads[0]) <= 8.0
+        cert = bound_certificate(SlottedInstance.from_traces((prof,), cap, enc, 4.0), cap, enc)
+        assert cert.chain_ok and cert.lower <= cert.middle <= cert.upper + 1e-9
 
     def test_buffer_cap_delays_second_segment(self):
         # a 2 s buffer holds one segment, so a second segment arriving back
