@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import typing
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -95,52 +96,72 @@ class ExperimentSpec:
         if self.abort_policy not in sim.ABORT_POLICIES:
             raise SpecError(f"unknown abort policy {self.abort_policy!r}")
         lo, hi = self.capacity_range
-        if not 0 <= lo <= hi < math.inf:  # NaN fails every comparison
+        if not 0 <= lo <= hi:
             raise SpecError(f"bad capacity range [{lo}, {hi}]")
         if not self.seeds:
             raise SpecError("seed list must be nonempty")
         if "lyapunov" in self.schedulers and not self.lambdas:
             raise SpecError("lambda list must be nonempty when lyapunov is listed")
-        if not 0 < self.horizon < math.inf:  # the trace synthesizers loop up to it
-            raise SpecError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.compute_gap and not 0 < self.slot_len < math.inf:
-            raise SpecError(f"slot_len must be positive and finite, got {self.slot_len}")
+        for keys in (self.schedulers, self.seeds, [f"{lam:g}" for lam in self.lambdas]):
+            if len(set(keys)) < len(keys):  # a report's file name prints one of each
+                raise SpecError(f"repeated entry in {list(keys)}: two cells would share a report")
+        if not self.horizon > 0:  # the trace synthesizers loop up to it
+            raise SpecError(f"horizon must be positive, got {self.horizon}")
+        if self.compute_gap and not self.slot_len > 0:
+            raise SpecError(f"slot_len must be positive, got {self.slot_len}")
         if not self.beta > 0:  # build_profiles divides by it
             raise SpecError(f"beta must be positive, got {self.beta}")
+        if not (self.delta_th >= 0 and self.gap_th >= 0):
+            raise SpecError(f"delta_th {self.delta_th} and gap_th {self.gap_th} must be >= 0")
+        if self.n_users < 1:
+            raise SpecError("need at least one user")
         try:
-            _instance_value("n_users", self.n_users, (int,))
-            for seed in self.seeds:  # report file names print them
-                _instance_value("seed", seed, (int,))
-            for lam in self.lambdas:
-                if not math.isfinite(_instance_value("lambda", lam, (int, float))):
-                    raise SpecError(f"lambda must be finite, got {lam}")
-            if self.n_users < 1:
-                raise SpecError("need at least one user")
-            if not math.isfinite(self.video_length_s):  # build_profiles converts it to int
-                raise SpecError(f"video_length_s must be finite, got {self.video_length_s}")
             build_profiles(self)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int(video_length_s / beta)
             raise SpecError(str(exc)) from exc
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentSpec":
-        with open(path) as fh:
-            raw = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise SpecError(f"unknown spec fields: {sorted(unknown)}")
-        for tup in ("capacity_range", "schedulers", "lambdas", "seeds", "ladder"):
-            if tup in raw:
-                raw[tup] = tuple(raw[tup])
-        return cls(**raw)
+        return cls(**_load_fields(path, typing.get_type_hints(cls)))
 
     def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        for k, v in d.items():
-            if isinstance(v, tuple):
-                d[k] = list(v)
-        return d
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
+
+
+# a bounds instance's fields and their JSON types
+BOUNDS_FIELDS = {"profiles": tuple[dict, ...], "capacity": dict, "encounters": dict,
+                 "slot_len": float, "n_slots": int | None, "exact_budget": int,
+                 "brute_budget": int, "include_middle": bool}
+
+
+def _has_type(value, kind) -> bool:
+    """Whether JSON ``value`` has type ``kind``, converting nothing: a bool is no
+    number, an int is a float, a number is finite, list items have the item type."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if args:  # a union, such as int | None
+        return any(_has_type(value, k) for k in args)
+    if kind is float:
+        return _has_type(value, int) or isinstance(value, float) and math.isfinite(value)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _load_fields(path: str, fields: dict) -> dict:
+    """The JSON object in file ``path``, each list made a tuple. Refuses a key
+    that ``fields`` does not name, and a value without the JSON type that
+    ``fields`` gives its key (``_has_type``)."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise SpecError(f"expected a JSON object, got {raw!r}")
+    for key, value in raw.items():
+        if key not in fields:
+            raise SpecError(f"unknown field {key!r}")
+        if not _has_type(value, kind := fields[key]):
+            name = kind.__name__ if type(kind) is type else kind
+            raise SpecError(f"{key} must be {name} (numbers finite, not bools), got {value!r}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
 
 
 def build_profiles(spec: ExperimentSpec) -> tuple[UserProfile, ...]:
@@ -236,15 +257,15 @@ def _run_cell(spec: ExperimentSpec, scheduler: str, lam: float | None,
 def _run_tasks(tasks: list[tuple], jobs: int) -> Iterator:
     """Yields ``fn(*args)`` for each ``(fn, *args)`` task, in task order.
     With ``jobs <= 1`` each task runs when its result is asked for. With
-    ``jobs > 1`` the tasks run in a process pool, at most ``2 * jobs`` in
-    flight, and each future is dropped once its result is taken. Closing the
-    generator early cancels the tasks not yet started and waits for the
-    running ones, so no worker process outlives it."""
+    ``jobs > 1`` they run in a pool of ``min(jobs, len(tasks))`` processes,
+    at most ``2 * jobs`` in flight, each future dropped once its result is
+    taken. Closing the generator early cancels the tasks not yet started and
+    waits for the running ones, so no worker process outlives it."""
     if jobs <= 1:
         for fn, *args in tasks:
             yield fn(*args)
         return
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
     try:
         in_flight = collections.deque()
         for task in tasks:
@@ -350,32 +371,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _instance_value(key: str, value, types: tuple[type, ...]):
-    """``value`` if it has one of ``types``; otherwise TypeError, never a
-    conversion. A JSON bool passes only where ``bool`` is listed, although
-    Python counts it as an int."""
-    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-        raise TypeError(f"{key} must be {names}, got {value!r}")
-    return value
-
-
 def cmd_bounds(args: argparse.Namespace) -> int:
     try:
-        with open(args.spec) as fh:
-            raw = json.load(fh)
+        raw = _load_fields(args.spec, BOUNDS_FIELDS)
         capacity, encounters = traces.traces_from_dict(raw)
         instance = offline.SlottedInstance.from_traces(
             [UserProfile.from_dict(p) for p in raw["profiles"]], capacity, encounters,
-            float(_instance_value("slot_len", raw["slot_len"], (int, float))),
-            _instance_value("n_slots", raw.get("n_slots"), (int, type(None))),
+            float(raw["slot_len"]), raw.get("n_slots"),
         )
-        exact_budget = _instance_value(
-            "exact_budget", raw.get("exact_budget", offline.EXACT_NODE_BUDGET), (int,))
-        brute_budget = _instance_value(
-            "brute_budget", raw.get("brute_budget", offline.BRUTE_NODE_BUDGET), (int,))
-        include_middle = _instance_value(
-            "include_middle", raw.get("include_middle", True), (bool,))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"bad bounds instance: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -386,8 +389,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     try:
         cert = offline.bound_certificate(
-            instance, capacity, encounters, include_middle=include_middle,
-            exact_budget=exact_budget, brute_budget=brute_budget,
+            instance, capacity, encounters, include_middle=raw.get("include_middle", True),
+            exact_budget=raw.get("exact_budget", offline.EXACT_NODE_BUDGET),
+            brute_budget=raw.get("brute_budget", offline.BRUTE_NODE_BUDGET),
         )
     except RuntimeError as exc:
         print(f"no certificate written: {exc}", file=sys.stderr)

@@ -236,6 +236,11 @@ def _trajectory(
         yield rec, gap, q
 
 
+def exceeds_cap(level: float, profile: UserProfile) -> bool:
+    """The buffer-cap rule: ``level`` seconds overfill ``profile``'s buffer."""
+    return level > profile.buffer_cap + TOL
+
+
 def buffer_levels(profile: UserProfile, received: Sequence[SegmentRecord]) -> list[float]:
     """Buffer level (seconds) right after each reception of a receiving
     sequence in playback order, starting from an empty buffer."""
@@ -368,6 +373,6 @@ def validate_sequences(
     for uid, recs in received.items():
         cap = profiles[uid].buffer_cap
         for q in buffer_levels(profiles[uid], recs):
-            if q > cap + TOL:
+            if exceeds_cap(q, profiles[uid]):
                 violations.append(Violation("buffer", uid, f"buffer {q} exceeds cap {cap}"))
     return violations

@@ -199,7 +199,7 @@ def _slotted_walk(
         for t, c in enumerate(segs[m]):
             q = max(0.0, q - L) + prof.beta * c
             qs.append(q)
-            if q > prof.buffer_cap + TOL:
+            if model.exceeds_cap(q, prof):
                 violations.append(Violation(
                     "buffer", m, f"slot {t}: buffer {q} exceeds cap {prof.buffer_cap}"
                 ))
@@ -419,9 +419,9 @@ def solve_slotted_exact(
         )
         rates, key = slot_rate_buf[t][m], (t, n, m, z)
         drained, held = max(0.0, q[m] - L), len(rates)
-        beta, room = owner.beta, owner.buffer_cap + TOL
+        beta = owner.beta
         for c in range(cmax + 1):
-            if drained + (held + c) * beta > room:
+            if model.exceeds_cap(drained + (held + c) * beta, owner):
                 cmax = c - 1  # c more would overfill the owner's buffer in slot t
                 break
             if c > 0:
@@ -604,8 +604,7 @@ def brute_force_segmented(
                               t_start=start, t_end=end)
                 for k, (end, n, start, rate, z) in enumerate(sorted(per_owner[m]))
             ]
-            cap = pmap[m].buffer_cap
-            if any(q > cap + TOL for q in model.buffer_levels(pmap[m], arrivals)):
+            if any(model.exceeds_cap(q, pmap[m]) for q in model.buffer_levels(pmap[m], arrivals)):
                 return  # infeasible leaf
             for rec in arrivals:
                 downloads[rec.downloader].append(rec)

@@ -48,12 +48,6 @@ from .model import TOL, SegmentRecord, UserProfile
 from .traces import CapacityTrace, EncounterTrace
 
 
-def fits_in_buffer(level: float, profile: UserProfile) -> bool:
-    """Drop rule: a completed segment is delivered only if it fits on top of
-    the owner's committed buffer level; otherwise it is dropped."""
-    return level + profile.beta <= profile.buffer_cap + TOL
-
-
 ABORT_POLICIES = ("abort", "complete")
 
 SchedulerFn = Callable[[online.SchedulerState, Mapping[int, UserProfile]], online.Decision]
@@ -184,7 +178,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
 
     def check_level(n: int, now: float) -> None:
         level = committed(n)
-        if buffers[n] < -TOL or level > profiles[n].buffer_cap + TOL:
+        if buffers[n] < -TOL or model.exceeds_cap(level, profiles[n]):
             violations.append(f"t={now}: buffer of user {n} out of range: {level}")
 
     def taken(u: int, k: int) -> bool:
@@ -334,7 +328,8 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         rate = prof_u.ladder[z]
         delivered = False
         if completed:
-            if not fits_in_buffer(committed(u), prof_u):
+            # drop rule: a segment that would overfill the committed level
+            if model.exceeds_cap(committed(u) + prof_u.beta, prof_u):
                 counters["drops"] += 1
             else:
                 delivered = True

@@ -67,9 +67,6 @@ class PiecewiseConstant:
         i = bisect.bisect_right(self.times, t) - 1
         return self.values[i], self._ends[i]
 
-    def value_at(self, t: float) -> float:
-        return self.piece_at(t)[0]
-
     def integrate(self, t1: float, t2: float) -> float:
         _check_time(t1, self.horizon)
         _check_time(t2, self.horizon)
@@ -118,7 +115,7 @@ class CapacityTrace:
     horizon: float
 
     def rate_at(self, n: int, t: float) -> float:
-        return self.users[n].value_at(t)
+        return self.users[n].piece_at(t)[0]
 
     def piece_at(self, n: int, t: float) -> tuple[float, float]:
         """User n's rate at ``t`` and the time it holds until, as

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import csv
 import gc
 import json
@@ -84,6 +85,8 @@ MALFORMED_BOUNDS = {
         **d["capacity"], "users": {"0": {"times": [0.0], "rates": [float("nan")]}}}},
     "nan-encounter-end": lambda d: {**d, "encounters": {
         **d["encounters"], "pairs": [{"users": [0, 1], "intervals": [[0, float("nan")]]}]}},
+    "unknown-key": lambda d: {**d, "exact_budgte": 10},
+    "infinite-slot-length": lambda d: {**d, "slot_len": float("inf")},
 }
 
 # each makes a run spec that must be rejected before anything runs
@@ -113,6 +116,19 @@ BAD_RUN_SPECS = {
     "infinite-slot-length-with-gap": {"slot_len": float("inf"), "compute_gap": True},
     "float-seed": {"seeds": [1.5]},
     "bool-seed": {"seeds": [True]},
+    "nan-delta-th": {"delta_th": float("nan")},
+    "infinite-gap-th": {"gap_th": float("inf")},
+    "negative-gap-th": {"gap_th": -5},
+    "negative-delta-th": {"delta_th": -0.5},
+    "string-compute-gap": {"compute_gap": "no"},
+    "int-compare-cooperation": {"compare_cooperation": 1},
+    "int-out-dir": {"out_dir": 5},
+    "infinite-slot-length-without-gap": {"slot_len": float("inf")},
+    "bool-horizon": {"horizon": True},
+    "repeated-seed": {"seeds": [0, 0]},
+    "repeated-scheduler": {"schedulers": ["lyapunov", "lyapunov"]},
+    "same-lambda-tag": {"lambdas": [100, 100.0000001]},
+    "overflowing-segment-count": {"video_length_s": 1e308, "beta": 1e-300},
 }
 
 # every scheduler, two lambdas, two seeds and both cooperation modes: 16
@@ -272,6 +288,30 @@ class TestRunCommand:
         spec_path = write_spec(tmp_path, schedulers=["lyapunov", "buffer"], seeds=[0, 1, 2])
         assert cli.main(["run", "--spec", spec_path, "--jobs", "1"]) == 0
         assert len(reports) == 6
+
+    def test_pool_starts_no_more_workers_than_tasks(self, tmp_path, monkeypatch):
+        """A pool forks all its workers at its first submit, so it is asked
+        for no more than there are tasks. The pool here is a fake that
+        records its size and runs each task inline."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        spec_path = write_spec(tmp_path)  # one scheduler, one lambda, two seeds
+        assert cli.main(["run", "--spec", spec_path, "--jobs", "64"]) == 0
+        assert sizes == [2]
+        assert len(os.listdir(tmp_path / "out")) == 3
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_write_stops_run(self, tmp_path, capsys, monkeypatch, jobs):
@@ -453,7 +493,8 @@ class TestBoundsCommand:
         path.write_text(json.dumps(MALFORMED_BOUNDS[case](payload)))
         out = tmp_path / "bounds.json"
         assert cli.main(["bounds", "--spec", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("bad bounds instance")
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("bad bounds instance: ")
         assert not out.exists()
 
 

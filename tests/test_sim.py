@@ -1,5 +1,6 @@
 import copy
 import re
+import sys
 
 import pytest
 
@@ -249,7 +250,15 @@ class TestDrops:
     def test_injected_breach_is_reported(self, monkeypatch):
         """With the drop rule switched off, a delivery past the cap is
         reported when it happens."""
-        monkeypatch.setattr(sim, "fits_in_buffer", lambda level, profile: True)
+        exceeds_cap = model.exceeds_cap
+
+        def drop_rule_off(level, profile):
+            # the drop rule is the one cap test made in finish_download
+            if sys._getframe(1).f_code.co_name == "finish_download":
+                return False
+            return exceeds_cap(level, profile)
+
+        monkeypatch.setattr(model, "exceeds_cap", drop_rule_off)
 
         def greedy(state, profiles):
             seg = state.next_seg.get(0)

@@ -12,10 +12,10 @@ from crowdstream.traces import (
 class TestPiecewiseConstant:
     def test_value_at_picks_piece(self):
         pw = PiecewiseConstant((0.0, 5.0), (1.0, 3.0), 10.0)
-        assert pw.value_at(0.0) == 1.0
-        assert pw.value_at(4.999) == 1.0
-        assert pw.value_at(5.0) == 3.0
-        assert pw.value_at(10.0) == 3.0
+        assert pw.piece_at(0.0)[0] == 1.0
+        assert pw.piece_at(4.999)[0] == 1.0
+        assert pw.piece_at(5.0)[0] == 3.0
+        assert pw.piece_at(10.0)[0] == 3.0
 
     def test_piece_at_is_right_open(self):
         pw = PiecewiseConstant((0.0, 5.0), (1.0, 3.0), 10.0)
@@ -42,13 +42,13 @@ class TestPiecewiseConstant:
 
     @given(st.lists(st.floats(0.0, 20.0, exclude_min=True), max_size=6, unique=True),
            st.lists(st.floats(0.0, 20.0), min_size=1, max_size=10))
-    def test_piece_at_agrees_with_value_at_and_a_scan(self, cuts, queries):
+    def test_piece_at_agrees_with_a_scan(self, cuts, queries):
         times = (0.0, *sorted(cuts))
         pw = PiecewiseConstant(times, tuple(float(i) for i in range(len(times))), 20.0)
         for t in queries:
             start = max(i for i, a in enumerate(times) if a <= t)
             until = min((a for a in times if a > t), default=20.0)
-            assert pw.piece_at(t) == (pw.value_at(t), until) == (float(start), until)
+            assert pw.piece_at(t) == (float(start), until)
 
     def test_integrate_across_pieces(self):
         pw = PiecewiseConstant((0.0, 5.0), (1.0, 3.0), 10.0)
@@ -98,7 +98,7 @@ class TestPiecewiseConstant:
     def test_rejects_out_of_horizon_queries(self):
         pw = PiecewiseConstant((0.0,), (1.0,), 10.0)
         with pytest.raises(TraceError):
-            pw.value_at(11.0)
+            pw.piece_at(11.0)
         with pytest.raises(TraceError):
             pw.integrate(-1.0, 2.0)
 
