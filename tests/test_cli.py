@@ -476,7 +476,8 @@ class TestBoundsCommand:
         assert calls == {"lp": 1, "instance": 1}
 
     def test_lp_failure_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(offline, "linprog", lambda *a, **kw: SimpleNamespace(
+        import scipy.optimize
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **kw: SimpleNamespace(
             status=2, message="The problem is infeasible.", fun=None))
         inst = make_bounds_instance(tmp_path)
         out = tmp_path / "bounds.json"
@@ -485,6 +486,20 @@ class TestBoundsCommand:
         assert len(err.splitlines()) == 1
         assert "relaxation LP failed" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_highs_writes_nothing_to_stdout(self, tmp_path, capfd):
+        # capfd reads file descriptor 1 itself, where HiGHS's C++ log would go
+        prof = UserProfile(id=0, beta=2.0, buffer_cap=4.0, ladder=(0.2, 0.7),
+                           c_time=0.05, c_data=0.02, video_segments=2)
+        instance = offline.SlottedInstance.from_traces(
+            (prof,), traces.CapacityTrace.constant([0], 1.0, 8.0),
+            traces.EncounterTrace.none(8.0), 4.0)
+        assert offline.solve_slotted_relaxed(instance) > 0
+        out = tmp_path / "bounds.json"
+        assert cli.main(["bounds", "--spec", make_bounds_instance(tmp_path),
+                         "--out", str(out)]) == 0
+        assert out.exists()
+        assert capfd.readouterr().out == ""
 
     @pytest.mark.parametrize("case", list(MALFORMED_BOUNDS))
     def test_malformed_instance_exits_2(self, tmp_path, capsys, case):

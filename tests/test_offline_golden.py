@@ -10,11 +10,11 @@ speed.
 """
 import pytest
 
-from crowdstream import traces
+from crowdstream import cli, traces
 from crowdstream.cli import ExperimentSpec, build_profiles
 from crowdstream.model import UserProfile
 from crowdstream.offline import (
-    SlottedInstance, _fluid_lp, _slot_vars, brute_force_segmented,
+    SlottedInstance, _fluid_lp, _slot_vars, _solve_lp, brute_force_segmented,
     solve_slotted_exact, solve_slotted_relaxed,
 )
 from crowdstream.traces import CapacityTrace, EncounterTrace, PiecewiseConstant
@@ -181,3 +181,38 @@ def test_fluid_bound_golden_on_a_many_user_instance():
     assert (len(cost), len(bounds)) == (2295, 2295)
     assert [(len(b), len(vals)) for rows, cols, vals, b in (ub, eq)] == [(392, 4426), (80, 2373)]
     assert repr(solve_slotted_relaxed(inst)) == "219.55409877988805"
+
+
+def linprog_optimum(lp):
+    """The reference optimum: ``scipy.optimize.linprog`` with HiGHS on the
+    same rows, passed as one ``<=`` and one ``==`` CSR matrix."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    cost, ub, eq, bounds = lp
+    A_ub, A_eq = (sparse.csr_matrix((vals, (rows, cols)), shape=(len(b), len(cost)))
+                  for rows, cols, vals, b in (ub, eq))
+    res = linprog([-c for c in cost], A_ub=A_ub, b_ub=ub[3], A_eq=A_eq, b_eq=eq[3],
+                  bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(-res.fun)
+
+
+def test_milp_solve_keeps_every_linprog_bit():
+    """``_solve_lp`` hands HiGHS the matrix that ``linprog`` did, so both give
+    ``repr``-equal optima: on the tiny generator's seeds 0-519, on every
+    golden instance, and on a 100-slot single-user instance at low and at
+    high capacity."""
+    from test_acceptance import tiny_instance
+
+    lps = [_fluid_lp(SlottedInstance.from_traces(*tiny_instance(seed)[:3], SLOT))
+           for seed in range(520)]
+    lps += [_fluid_lp(SlottedInstance.from_traces(*f()[:3], SLOT)) for f in INSTANCES.values()]
+    for capacity_range in ((0.0, 0.7), (2.5, 5.0)):
+        spec = ExperimentSpec(scenario="single", capacity_range=capacity_range)
+        inst = SlottedInstance.from_traces(*cli._cell_traces(spec, 0, "full"), spec.slot_len)
+        assert inst.n_slots == 100
+        lps.append(_fluid_lp(inst))
+    lps = [lp for lp in lps if lp is not None]
+    assert len(lps) == 492
+    assert [repr(_solve_lp(lp)) for lp in lps] == [repr(linprog_optimum(lp)) for lp in lps]
