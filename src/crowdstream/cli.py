@@ -109,6 +109,9 @@ class ExperimentSpec:
             raise SpecError(f"horizon must be positive, got {self.horizon}")
         if self.compute_gap and not self.slot_len > 0:
             raise SpecError(f"slot_len must be positive, got {self.slot_len}")
+        if self.compute_gap and self.horizon // self.slot_len > offline.MAX_SLOTS:
+            raise SpecError(f"{self.horizon // self.slot_len!r} slots exceed the limit "
+                            f"of {offline.MAX_SLOTS} slots")
         if not self.beta > 0:  # build_profiles divides by it
             raise SpecError(f"beta must be positive, got {self.beta}")
         if not (self.delta_th >= 0 and self.gap_th >= 0):

@@ -307,12 +307,19 @@ def user_breakdown(
 def eval_social_welfare(
     profiles: Mapping[int, UserProfile],
     all_downloads: Mapping[int, Sequence[SegmentRecord]],
+    received: Mapping[int, Sequence[SegmentRecord]] | None = None,
 ) -> tuple[float, dict[int, WelfareBreakdown]]:
-    """Aggregate payoff of all users plus the per-user breakdowns."""
-    received = receiving_sequences(profiles, all_downloads)
+    """Aggregate payoff of all users plus the per-user breakdowns.
+
+    ``received`` holds each user's delivered segments in playback order, as
+    ``receiving_sequences`` groups them (a user it omits received none). A
+    caller that already holds them passes them, and they are not grouped
+    again; by default they are grouped from ``all_downloads``."""
+    if received is None:
+        received = receiving_sequences(profiles, all_downloads)
     breakdowns = {
         uid: user_breakdown(
-            profiles[uid], all_downloads.get(uid, ()), received[uid], profiles
+            profiles[uid], all_downloads.get(uid, ()), received.get(uid, ()), profiles
         )
         for uid in sorted(profiles)
     }

@@ -25,6 +25,7 @@ from .model import TOL, SegmentRecord, UserProfile, Violation, WelfareBreakdown
 
 EXACT_NODE_BUDGET = 10_000_000  # default node budget of the exact slotted search
 BRUTE_NODE_BUDGET = 2_000_000  # default node budget of the segmented brute force
+MAX_SLOTS = 10_000  # most slots a slotted instance may have
 
 
 def __getattr__(name: str):
@@ -93,11 +94,17 @@ class SlottedInstance:
         slot_len: float,
         n_slots: int | None = None,
     ) -> "SlottedInstance":
+        """The instance of ``n_slots`` slots of ``slot_len`` seconds, by
+        default as many as fit in the capacity trace's horizon. More than
+        ``MAX_SLOTS`` slots raise ``ValueError`` before any slot is built."""
         profiles = tuple(profiles)
         if slot_len <= 0:
             raise ValueError("slot length must be positive")
+        count = capacity.horizon // slot_len if n_slots is None else n_slots
+        if count > MAX_SLOTS:  # an inf count, too, which int() cannot take
+            raise ValueError(f"{count!r} slots exceed the limit of {MAX_SLOTS} slots")
         if n_slots is None:
-            n_slots = int(capacity.horizon // slot_len)
+            n_slots = int(count)
         cap = tuple(
             tuple(capacity.integrate(p.id, t * slot_len, (t + 1) * slot_len)
                   for t in range(n_slots))
@@ -325,6 +332,11 @@ def solve_slotted_exact(
     returned schedule is the lexicographically smallest optimum. A count is
     bounded by the downloader's capacity left in the slot, the owner's
     segments not yet received and the owner's buffer room at the slot's end.
+
+    A node prunes when its optimistic welfare cannot beat the incumbent. A
+    node that inherits its parent's state, the count-0 child and the first
+    variable of each later slot, inherits that check's pass and skips it;
+    it is still counted as a node.
     """
     N, T, L = instance.n_users, instance.n_slots, instance.slot_len
     profiles = instance.profiles
@@ -399,7 +411,9 @@ def solve_slotted_exact(
         return SolverBudgetError(why, "exact", found)
 
     def dfs_vars(t: int, i: int, acc: float, rem_cap: list[float],
-                 q: list[float], last_high: list[float | None]):
+                 q: list[float], last_high: list[float | None], moved: bool):
+        """``moved`` is False when the last bound check saw this state and
+        incumbent; repeating that check would only pass again."""
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
@@ -407,7 +421,7 @@ def solve_slotted_exact(
         if i == len(var_plan[t]):
             close_slot(t, acc, q, last_high)
             return
-        if best_welfare > -math.inf:
+        if moved and best_welfare > -math.inf:
             rem_total = model.ordered_sum(rem_cap)
             optimistic = acc + min(
                 rem_total * slot_density[t] + suffix_cap[t + 1],
@@ -432,7 +446,8 @@ def solve_slotted_exact(
                 rem_cap[n] -= unit_vol
                 received[m] += 1
                 rates.append(rate)
-            dfs_vars(t, i + 1, acc + c * unit_gain, rem_cap, q, last_high)
+            # the c = 0 child holds this node's state, checked above
+            dfs_vars(t, i + 1, acc + c * unit_gain, rem_cap, q, last_high, c > 0)
         if cmax > 0:
             counts.pop(key, None)
             rem_cap[n] += cmax * unit_vol
@@ -440,8 +455,13 @@ def solve_slotted_exact(
             del rates[-cmax:]
 
     def dfs_slot(t: int, acc: float, q: list[float], last_high: list[float | None]):
+        # Slot t's first variable skips its bound check: from close_slot
+        # (t >= 1) that check is close_slot's own, bit for bit, since
+        # suffix_cap[t] = suffix_cap[t + 1] + slot_density[t] * the slot's
+        # capacity sum, the same operands in another order, and IEEE + and *
+        # commute; at t = 0 there is no incumbent yet.
         rem_cap = [instance.capacity[n][t] for n in range(N)]
-        dfs_vars(t, 0, acc, rem_cap, q, last_high)
+        dfs_vars(t, 0, acc, rem_cap, q, last_high, False)
 
     if T == 0:
         return ExactResult(SlottedSchedule({}), 0.0, 0, 1)
@@ -599,62 +619,71 @@ def brute_force_segmented(
     capacity, and it ends by ``horizon`` (within ``TOL``), as the slotted
     solvers' transfers do. The result is a welfare lower bound certificate
     for the asynchronous optimum.
+
+    Each leaf values its schedule with ``model.eval_social_welfare``,
+    passing each owner's receiving sequence, which the search keeps as it
+    places transfers, so the evaluator does not regroup the records. Each
+    record is made once per solve.
     """
     pmap = model.profile_map(profiles)
     ids = sorted(pmap)
     pts = set(capacity.breakpoints()) | set(encounters.breakpoints())
     grid = sorted(t for t in pts if 0 <= t < horizon)
-    owners = [m for m in ids if pmap[m].is_video_user]
+    owners = [(i, m) for i, m in enumerate(ids) if pmap[m].is_video_user]
     nodes = leaves = 0
     best_welfare, best_downloads = 0.0, {n: [] for n in ids}
 
-    scheduled: dict[int, list[tuple[float, float, int, int]]] = {n: [] for n in ids}
     next_free = {n: 0.0 for n in ids}
     received = [0] * len(ids)  # segments per user, in ``ids`` order
-
-    def leaf(partial: float):
-        """Evaluate the schedule at a leaf; a better feasible one becomes
-        the incumbent."""
-        nonlocal best_welfare, best_downloads
-        downloads: dict[int, list[SegmentRecord]] = {n: [] for n in ids}
-        per_owner: dict[int, list[tuple[float, int, float, float, int]]] = {m: [] for m in owners}
-        for n in ids:
-            for start, end, m, z in scheduled[n]:
-                per_owner[m].append((end, n, start, pmap[m].ladder[z], z))
-        for m in owners:
-            # segments are numbered in arrival order, so this is playback order
-            arrivals = [
-                SegmentRecord(downloader=n, owner=m, level=z, rate=rate, seg_index=k,
-                              t_start=start, t_end=end)
-                for k, (end, n, start, rate, z) in enumerate(sorted(per_owner[m]))
-            ]
-            if any(model.exceeds_cap(q, pmap[m]) for q in model.buffer_levels(pmap[m], arrivals)):
-                return  # infeasible leaf
-            for rec in arrivals:
-                downloads[rec.downloader].append(rec)
-        welfare, _ = model.eval_social_welfare(pmap, downloads)
-        if welfare > best_welfare:
-            best_welfare = welfare
-            best_downloads = {n: list(v) for n, v in downloads.items()}
+    # (end, downloader, start, owner, level) of each transfer placed so far,
+    # per owner in ``ids`` order
+    arrived: list[list[tuple[float, int, float, int, int]]] = [[] for _ in ids]
 
     # Per-solve tables, freed on return. A move's end time, encounter check
     # and gain depend only on (downloader, start, owner, level), and the
     # start times only on the downloader's free time, never on the search
-    # state; the remaining bound depends only on the received counts.
-    Move = tuple[int, int, int, int, float, float]
+    # state; the remaining bound depends only on the received counts, and a
+    # leaf's record only on its transfer and its place in playback order.
+    Move = tuple[int, int, float, float, tuple[float, int, float, int, int]]
     moves_memo: dict[tuple[int, float], tuple[Move, ...]] = {}
-    options_memo: dict[tuple[int, float], list[tuple[float, tuple[Move, ...]]]] = {}
+    options_memo: dict[tuple[int, float], tuple[Move, ...]] = {}
     unreceived_value = _UnreceivedValue([pmap[m] for m in ids])
+    records: dict[tuple[int, tuple], SegmentRecord] = {}
+
+    def leaf(partial: float):
+        """Evaluate the schedule at a leaf; a better feasible one becomes
+        the incumbent. Each owner's transfers, sorted, are its receiving
+        sequence: segments are numbered in arrival order, which is then
+        playback order, so ``eval_social_welfare`` need not group them."""
+        nonlocal best_welfare, best_downloads
+        downloads: dict[int, list[SegmentRecord]] = {n: [] for n in ids}
+        sequences: dict[int, list[SegmentRecord]] = {}
+        for i, m in owners:
+            seq = []
+            for k, arrival in enumerate(sorted(arrived[i])):
+                rec = records.get((k, arrival))
+                if rec is None:
+                    end, n, start, _, z = arrival
+                    rec = records[k, arrival] = SegmentRecord(
+                        downloader=n, owner=m, level=z, rate=pmap[m].ladder[z], seg_index=k,
+                        t_start=start, t_end=end)
+                seq.append(rec)
+            if any(model.exceeds_cap(q, pmap[m]) for q in model.buffer_levels(pmap[m], seq)):
+                return  # infeasible leaf
+            for rec in seq:
+                downloads[rec.downloader].append(rec)
+            sequences[m] = seq
+        welfare, _ = model.eval_social_welfare(pmap, downloads, sequences)
+        if welfare > best_welfare:
+            best_welfare, best_downloads = welfare, downloads
 
     def moves_from(d: int, start: float) -> tuple[Move, ...]:
-        """(owner, owner's position in ``ids``, owner's segment count, level,
-        end, gain) of each transfer ``d`` can run from ``start``, by owner,
-        then level."""
+        """(owner's position in ``ids``, owner's segment count, end, gain,
+        arrival) of each transfer ``d`` can run from ``start``, by owner,
+        then level; the arrival is the tuple ``arrived`` holds."""
         moves = []
-        for i, m in enumerate(ids):
+        for i, m in owners:
             prof_m = pmap[m]
-            if not prof_m.is_video_user:
-                continue
             for z, rate in enumerate(prof_m.ladder):
                 end = capacity.invert(d, start, rate * prof_m.beta)
                 if end is None or end > horizon + TOL:
@@ -662,21 +691,21 @@ def brute_force_segmented(
                 if m != d and not encounters.holds(d, m, start, end):
                     continue
                 gain = model.segment_gain(prof_m, pmap[d], rate, end - start, m != d)
-                moves.append((m, i, prof_m.video_segments, z, end, gain))
+                moves.append((i, prof_m.video_segments, end, gain, (end, d, start, m, z)))
         return tuple(moves)
 
-    def options_from(d: int, free: float) -> list[tuple[float, tuple[Move, ...]]]:
-        """(start, moves) for ``d`` free at ``free``: it starts then or at a
-        later grid point, before the horizon, in ascending order."""
+    def options_from(d: int, free: float) -> tuple[Move, ...]:
+        """The moves of ``d`` free at ``free``: it starts then or at a later
+        grid point, before the horizon, in ascending order of start."""
         starts = [free] + [g for g in grid if g > free + TOL]
-        options = []
+        options: tuple[Move, ...] = ()
         for start in starts:
             if start >= horizon - TOL:
                 break
             moves = moves_memo.get((d, start))
             if moves is None:
                 moves = moves_memo[(d, start)] = moves_from(d, start)
-            options.append((start, moves))
+            options += moves
         return options
 
     def dfs(active: tuple[int, ...], partial: float):
@@ -696,20 +725,19 @@ def brute_force_segmented(
         # earliest free downloader; ``active`` ascends, so ties go to the
         # smaller id
         d = min(active, key=next_free.__getitem__)
-        free, plan = next_free[d], scheduled[d]
+        free = next_free[d]
         options = options_memo.get((d, free))
         if options is None:
             options = options_memo[(d, free)] = options_from(d, free)
-        for start, moves in options:
-            for m, i, segs, z, end, gain in moves:
-                if received[i] >= segs:
-                    continue
-                plan.append((start, end, m, z))
-                next_free[d] = end
-                received[i] += 1
-                dfs(active, partial + gain)
-                received[i] -= 1
-                plan.pop()
+        for i, segs, end, gain, arrival in options:
+            if received[i] >= segs:
+                continue
+            arrived[i].append(arrival)
+            next_free[d] = end
+            received[i] += 1
+            dfs(active, partial + gain)
+            received[i] -= 1
+            arrived[i].pop()
         next_free[d] = free  # each move set it; only a child reads it
         dfs(tuple(n for n in active if n != d), partial)  # retire this downloader
 

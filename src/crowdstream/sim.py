@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -103,9 +102,6 @@ class ExperimentReport:
                 for n, recs in sorted(self.downloads.items())
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def run_simulation(config: SimConfig) -> ExperimentReport:

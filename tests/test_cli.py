@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import weakref
 from types import SimpleNamespace
 
@@ -159,6 +160,14 @@ class TestExperimentSpec:
     def test_bad_capacity_range_rejected(self):
         with pytest.raises(SpecError, match="capacity range"):
             ExperimentSpec(capacity_range=(3.0, 1.0))
+
+    def test_gap_slot_count_above_limit_rejected(self):
+        """``compute_gap`` builds a slotted instance per cell: more than
+        ``MAX_SLOTS`` slots are refused with the spec, not in a cell."""
+        with pytest.raises(SpecError, match="^12800.0 slots exceed the limit of 10000 slots$"):
+            ExperimentSpec(horizon=100.0, slot_len=2**-7, compute_gap=True)
+        ExperimentSpec(horizon=100.0, slot_len=2**-7)  # no gap, no slots
+        ExperimentSpec(horizon=100.0, slot_len=2**-6, compute_gap=True)  # 6,400 slots
 
 
 class TestBuildProfiles:
@@ -510,6 +519,23 @@ class TestBoundsCommand:
         assert cli.main(["bounds", "--spec", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("bad bounds instance: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields, count", [
+        ({"slot_len": 1e-300}, "7.999999999999999e+300"),
+        ({"slot_len": 5e-324}, "inf"),  # 8 // 5e-324 overflows
+        ({"slot_len": 1e-300, "n_slots": offline.MAX_SLOTS + 1}, "10001"),
+    ], ids=["tiny-slot-length", "subnormal-slot-length", "n-slots-above-limit"])
+    def test_slot_count_above_limit_exits_2_at_once(self, tmp_path, capsys, fields, count):
+        """Each input would build more slots than the limit allows (the
+        first two without end); it is refused within a second."""
+        inst = make_bounds_instance(tmp_path, **fields)
+        out = tmp_path / "bounds.json"
+        t0 = time.perf_counter()
+        assert cli.main(["bounds", "--spec", inst, "--out", str(out)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.splitlines() == [
+            f"bad bounds instance: {count} slots exceed the limit of 10000 slots"]
         assert not out.exists()
 
 

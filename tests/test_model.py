@@ -287,6 +287,56 @@ class TestSocialWelfare:
         assert bds[0].qdeg_loss >= 0 and bds[0].rebuf_loss >= 0
 
 
+class TestSuppliedReceivingSequences:
+    """``eval_social_welfare`` given the receiving sequences returns what it
+    returns when it groups them itself, ``repr`` for ``repr``. Users with
+    nothing received are left out of the supplied mapping."""
+
+    @staticmethod
+    def both_ways(profiles, downloads):
+        received = {uid: seq for uid, seq in
+                    model.receiving_sequences(profiles, downloads).items() if seq}
+        return (repr(model.eval_social_welfare(profiles, downloads, received)),
+                repr(model.eval_social_welfare(profiles, downloads)))
+
+    def test_brute_force_witnesses_of_the_tiny_family(self):
+        """Every witness of tiny seeds 0-39 at beta and beta/2 that finishes
+        within 50,000 nodes (all but tiny/2 at beta/2); the search's own
+        welfare, found through the supplied path, matches too."""
+        from test_acceptance import SLOT, tiny_instance
+
+        from crowdstream.offline import SlottedInstance, SolverBudgetError, brute_force_segmented
+
+        witnesses = 0
+        for seed in range(40):
+            profiles, capacity, enc, horizon = tiny_instance(seed)
+            half = SlottedInstance.from_traces(profiles, capacity, enc, SLOT).with_split(2)
+            for users in (profiles, half.profiles):
+                try:
+                    res = brute_force_segmented(users, capacity, enc, horizon, node_budget=50_000)
+                except SolverBudgetError:
+                    continue
+                pmap = model.profile_map(users)
+                given, default = self.both_ways(pmap, res.downloads)
+                assert given == default
+                assert repr(res.welfare) == repr(model.eval_social_welfare(pmap, res.downloads)[0])
+                witnesses += 1
+        assert witnesses == 79
+
+    @pytest.mark.parametrize("name", ["coop-abort", "coop-helpers", "single-buffer"])
+    def test_simulator_reports(self, name):
+        """Reports with aborted and dropped records, truncated transfers and
+        out-of-order arrivals."""
+        from test_sim_golden import GOLDEN
+
+        from crowdstream.sim import run_simulation
+
+        config = GOLDEN[name][0]()
+        report = run_simulation(config)
+        given, default = self.both_ways(model.profile_map(config.profiles), report.downloads)
+        assert given == default
+
+
 class TestOrderedSum:
     def test_empty_sum_is_int_zero(self):
         got = model.ordered_sum([])

@@ -398,6 +398,20 @@ class TestSlottedInstance:
         with pytest.raises(ValueError, match="slot length"):
             SlottedInstance.from_traces((make_profile(segs=1),), cap, enc, 0.0)
 
+    def test_slot_count_limit(self):
+        """``MAX_SLOTS`` slots are built; one more is refused before any
+        slot is, as is a slot length so small that the count overflows."""
+        horizon = float(offline.MAX_SLOTS)
+        cap = traces.CapacityTrace.constant([0], 1.0, horizon)
+        enc = traces.EncounterTrace.none(horizon)
+        users = (make_profile(segs=1),)
+        assert SlottedInstance.from_traces(users, cap, enc, 1.0).n_slots == offline.MAX_SLOTS
+        for slot_len, n_slots, count in ((0.5, None, "20000.0"), (5e-324, None, "inf"),
+                                         (0.5, offline.MAX_SLOTS + 1, "10001")):
+            with pytest.raises(ValueError,
+                               match=f"^{count} slots exceed the limit of 10000 slots$"):
+                SlottedInstance.from_traces(users, cap, enc, slot_len, n_slots)
+
     def test_requires_contiguous_ids(self):
         with pytest.raises(ValueError):
             SlottedInstance(profiles=(make_profile(5),), slot_len=4.0, n_slots=1,

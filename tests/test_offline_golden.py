@@ -3,11 +3,14 @@
 For each fixed tiny instance the test pins ``repr`` of the five welfare
 figures of a bound certificate (exact slotted optimum at beta and beta/2,
 brute-force segmented optimum at beta and beta/2, fluid upper bound) and
-the node and leaf counts of the exact and brute-force searches. One
+the node and leaf counts of the exact and brute-force searches, and a
+digest of each brute-force witness (the downloads) at beta and beta/2. One
 many-user instance pins the fluid LP's size and ``repr`` of its bound. A
 change here means a solver's arithmetic or search order changed, not just its
 speed.
 """
+import hashlib
+
 import pytest
 
 from crowdstream import cli, traces
@@ -121,6 +124,50 @@ GOLDEN = {
 }
 
 
+# SHA-256 of ``repr`` of each brute-force witness's sorted downloads, at
+# beta and at beta/2: the records, their fields and their order per
+# downloader. The cap-binding instances pin witnesses found past
+# infeasible leaves.
+WITNESS_DIGESTS = {
+    'helper-cross': (
+        '44dfdbe9ae32c1e721920b65445fd45aef647ef2f1e3a227805ee91900a1a66f',
+        '4922bcf53ffb70dbea76f5d6a7cce04c29b1ef1ea3dca41df2499a9ed7cec17a',
+    ),
+    'helper-window-mid-slot': (
+        'db26ba655c2818277a3f2cef38b537e00d2beaed3b81fa8d0ffed9498b1b52c7',
+        '4f90b7a5cd793f2d5c10f127ff01a36292d226427620094ff2657345146b20f5',
+    ),
+    'pair-2slot': (
+        '3ed983cd7cc6d3ce3e7ceedb4f68ae03d6522b18a5ed33ae6c2f1356e49c4e59',
+        '82e838bcc378c19cc2be02b590768898d939a8c8557d13f6373812facdc5c8be',
+    ),
+    'pair-partial-encounter': (
+        'a1da74e260c9da7ba422338e9e948e3ecec3033ad4d5c3c1ac1efbc5af1917c1',
+        '3fb8015360fcf8feafa2c8c705ce4fbd6a71e4419035804719e998d946f06a7e',
+    ),
+    'solo-2slot': (
+        '6fe121d6bd3805e75dfefaee729a4dff53e9aa8a4967cfa9bfcf5cf5dd35eb72',
+        '89668f119c48793b37c4942cbb154a3510bc33ca79eab9c5db925e524f7bb895',
+    ),
+    'solo-3slot-play-energy': (
+        '5ab0fcfade04a9e0b31f6cd1c24880e4fe2d7e846260b8bc51431c64d4b553bb',
+        'c2ac95416a6822c18df5d90dfb326d929cafe4d3fe3007e87f284ce1246595cf',
+    ),
+    'solo-3slot-rebuf': (
+        '69f3d11c387db345454066abbbeb5620f5ffb093692b83bc63c52aa7c1b36992',
+        '15790b3a7fcc768b6dbc514898c99168f14a3a4a412a707e02a3f596fc200800',
+    ),
+    'solo-cap-binds': (
+        '5463ffe5210828abb94a2ac78401940df195af6594fdc4f955022812adc542e8',
+        'e8a3dc3229b40ad63c5ba8146eb44b379c2e6f2fe4437743cf7beb7224f4a69e',
+    ),
+    'solo-short-segments-cap-binds': (
+        '8f82944b94c1cd5d9270d398621d8b2df58f94a833ee5d46200e0b17248003f8',
+        '921cc61224042b3e1d8970217f2d92218d156060fc787452a04bfd6e5afc2a40',
+    ),
+}
+
+
 def searches(profiles, capacity, enc, horizon):
     """Exact and brute-force results at beta and beta/2."""
     inst = SlottedInstance.from_traces(profiles, capacity, enc, SLOT)
@@ -136,14 +183,16 @@ def pins(results, upper):
     return welfare, counts
 
 
-def solve_all(profiles, capacity, enc, horizon):
-    upper = solve_slotted_relaxed(SlottedInstance.from_traces(profiles, capacity, enc, SLOT))
-    return pins(searches(profiles, capacity, enc, horizon), upper)
-
-
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_bound_solvers_golden(name):
-    assert solve_all(*INSTANCES[name]()) == GOLDEN[name]
+    profiles, capacity, enc, horizon = INSTANCES[name]()
+    upper = solve_slotted_relaxed(SlottedInstance.from_traces(profiles, capacity, enc, SLOT))
+    results = searches(profiles, capacity, enc, horizon)
+    assert pins(results, upper) == GOLDEN[name]
+    assert tuple(
+        hashlib.sha256(repr(sorted(r.downloads.items())).encode()).hexdigest()
+        for r in results[2:]
+    ) == WITNESS_DIGESTS[name]
 
 
 def test_searches_keep_no_tables_between_solves():

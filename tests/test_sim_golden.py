@@ -1,12 +1,13 @@
 """Golden reports: the simulator's output, pinned byte for byte.
 
-Each config's ``run_simulation(cfg).to_json()`` is hashed with SHA-256. The
-configs together exercise aborts at encounter breaks, transfers truncated at
-the horizon, out-of-order arrivals parked until the gap closes, and the
-reservations those transfers release. A digest change means the simulator's
+Each config's report, as ``json.dumps(report.to_dict(), sort_keys=True,
+indent=2)``, is hashed with SHA-256. The configs together exercise aborts at
+encounter breaks, transfers truncated at the horizon, out-of-order arrivals
+parked until the gap closes, and the reservations those transfers release. A digest change means the simulator's
 behaviour changed, not just its speed.
 """
 import hashlib
+import json
 
 import pytest
 
@@ -91,7 +92,8 @@ GOLDEN = {
 def test_report_digest(name):
     build, digest = GOLDEN[name]
     report = run_simulation(build())
-    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_coop_fixture_covers_released_reservations_and_parking():
