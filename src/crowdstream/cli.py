@@ -44,6 +44,37 @@ EXIT_PARTIAL = 3
 # batch, not the whole document
 JSON_BATCH_CHUNKS = 8192
 
+# the most work (``estimated_work``) one run cell or one gen-traces call may
+# ask for; above it the command exits 2 before it starts
+MAX_WORK = 10_000_000
+
+
+def estimated_work(users: int, horizon: float, beta: float = math.inf) -> float:
+    """Work of synthesizing the traces of ``users`` users over ``horizon``
+    seconds and simulating them with segments of ``beta`` seconds, from
+    those numbers alone: each user's capacity trace pieces (one, plus one
+    per ``traces.CAPACITY_HOLD_MEAN`` seconds), each pair's encounter
+    windows (one, plus one per ON/OFF cycle), and each user's re-polls (one
+    per ``online.DEFAULT_EPOCH`` seconds) and downloads (one per ``beta``
+    seconds played; none for traces alone)."""
+    pairs = users * (users - 1) / 2
+    cycle = traces.ENCOUNTER_MEAN_ON + traces.ENCOUNTER_MEAN_OFF
+    return (users * (1 + horizon / traces.CAPACITY_HOLD_MEAN)
+            + pairs * (1 + horizon / cycle)
+            + users * (horizon / online.DEFAULT_EPOCH + horizon / beta))
+
+
+def _work_refusal(users: int, horizon: float, beta: float = math.inf) -> str | None:
+    """The one line that refuses this work, or None when its
+    ``estimated_work`` is within ``MAX_WORK``."""
+    try:
+        work = estimated_work(users, horizon, beta)
+    except OverflowError:  # a user count too large for a float
+        work = math.inf
+    if work > MAX_WORK:
+        return f"estimated work {work:.4g} exceeds the limit of {MAX_WORK:.4g}"
+    return None
+
 
 class SpecError(ValueError):
     pass
@@ -118,6 +149,8 @@ class ExperimentSpec:
             raise SpecError(f"delta_th {self.delta_th} and gap_th {self.gap_th} must be >= 0")
         if self.n_users < 1:
             raise SpecError("need at least one user")
+        if (refusal := _work_refusal(self.n_users, self.horizon, self.beta)) is not None:
+            raise SpecError(f"{refusal} per cell")
         try:
             build_profiles(self)
         except (TypeError, ValueError, OverflowError) as exc:  # int(video_length_s / beta)
@@ -408,6 +441,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_traces(args: argparse.Namespace) -> int:
+    if (refusal := _work_refusal(args.users, args.horizon)) is not None:
+        print(f"trace generation refused: {refusal}", file=sys.stderr)
+        return EXIT_CONFIG
     ids = list(range(args.users))
     try:
         capacity = traces.synth_capacity(

@@ -4,13 +4,16 @@ Three schedulers over an identical decision interface: a drift-plus-penalty
 policy that balances buffer equalization against immediate payoff, and two
 baselines (buffer-mapped bitrate and capacity-prediction bitrate) paired
 with a threshold owner-selection rule for multi-user cooperation.
+
+A drift-plus-penalty decision reads the potential once (``_potential``),
+then scores each ready owner's whole ladder in one pass (``_score_ladder``);
+``lyapunov_drift`` and ``decision_payoff`` are one-level views of that pass.
 """
 from __future__ import annotations
 
-import functools
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .model import UserProfile, ordered_sum, quality_value
 
@@ -84,59 +87,105 @@ def estimate_download_time(
     return prof.ladder[z] * prof.beta / state.capacity
 
 
+def _potential(
+    state: SchedulerState, profiles: Mapping[int, UserProfile]
+) -> list[tuple[int, float, float, float]]:
+    """The terms of the potential J, read once per decision: each broadcast
+    owner's id, level, cap and squared deficit ``(cap - level) ** 2``, in
+    the order of ``state.buffers``."""
+    terms = []
+    for m, q in state.buffers.items():
+        cap = profiles[m].buffer_cap
+        terms.append((m, q, cap, (cap - q) ** 2))
+    return terms
+
+
+def _score_ladder(
+    state: SchedulerState, profiles: Mapping[int, UserProfile], u: int,
+    levels: Iterable[int], potential: list[tuple[int, float, float, float]],
+) -> list[tuple[float, float]]:
+    """The drift and the payoff of owner u's next segment at each of
+    ``levels``, in one pass: one transfer time per level, each profile read
+    once. ``potential`` is ``_potential(state, profiles)``, or empty when
+    only the payoffs are wanted (each drift is then 0.0).
+
+    Drift: the change in the potential J = half the sum over the broadcast
+    owners of (cap - level)^2 over the transfer. The receiver's buffer is
+    projected as drained-then-refilled (clamped at its cap), every other
+    owner's as drained only.
+
+    Payoff: the immediate welfare estimate. Receiver utility (value minus
+    projected degradation and stall losses) plus projected stall losses of
+    the other playing video users, minus the decider's download energy and
+    the receiver's playback energy. Without the loss terms this is
+    ``model.segment_gain`` over the estimated transfer time. It is written
+    out here so its float order, and with it every simulator report, stays
+    as it is; a test ties the two together.
+    """
+    owner = profiles[u]
+    dl = profiles[state.user]
+    beta, ladder, phi_qdeg, phi_rebuf = (
+        owner.beta, owner.ladder, owner.phi_qdeg, owner.phi_rebuf)
+    eps_time, eps_rate = owner.eps_time, owner.eps_rate
+    c_time, c_data, w_data = dl.c_time, dl.c_data, dl.w_data
+    q_u = state.buffers[u]
+    last = state.last_rates.get(u)
+    cross = u != state.user
+    # playback not started: startup waiting is not a stall
+    playing = [(profiles[m].phi_rebuf, state.buffers[m]) for m in state.neighbors
+               if m != u and state.last_rates.get(m) is not None]
+    scores = []
+    for z in levels:
+        gamma = estimate_download_time(state, profiles, u, z)
+        drift = 0.0
+        for m, q, cap, before in potential:
+            # max(0.0, q - gamma), then min(cap, . + beta) for the receiver,
+            # each spelled out as the comparison it makes (NaN included)
+            q_next = q - gamma
+            if not q_next > 0.0:
+                q_next = 0.0
+            if m == u:
+                q_next += beta
+                if not q_next < cap:
+                    q_next = cap
+            drift += 0.5 * ((cap - q_next) ** 2 - before)
+        rate = ladder[z]
+        vol = rate * beta
+        util = quality_value(owner, rate) * beta
+        if last is not None:
+            util -= phi_qdeg * max(0.0, last - rate)
+        util -= phi_rebuf * max(0.0, gamma - q_u)
+        for phi, q in playing:
+            util -= phi * max(0.0, gamma - q)
+        cost = c_time * gamma + c_data * vol
+        if cross:
+            cost += w_data * vol
+        cost += eps_time * beta + eps_rate * vol
+        scores.append((drift, util - cost))
+    return scores
+
+
 def decision_payoff(
     state: SchedulerState, profiles: Mapping[int, UserProfile], u: int, z: int
 ) -> float:
-    """Immediate welfare estimate of downloading owner u's segment at level z.
-
-    Receiver utility (value minus projected degradation and stall losses)
-    plus projected stall losses of the other playing video users, minus the
-    decider's download energy and the receiver's playback energy.
-
-    Without the loss terms this is ``model.segment_gain`` over the estimated
-    transfer time. It is written out here so its float order, and with it
-    every simulator report, stays as it is; a test ties the two together.
-    """
-    gamma = estimate_download_time(state, profiles, u, z)
-    owner = profiles[u]
-    dl = profiles[state.user]
-    rate = owner.ladder[z]
-    vol = rate * owner.beta
-    util = quality_value(owner, rate) * owner.beta
-    last = state.last_rates.get(u)
-    if last is not None:
-        util -= owner.phi_qdeg * max(0.0, last - rate)
-    util -= owner.phi_rebuf * max(0.0, gamma - state.buffers[u])
-    for m in state.neighbors:
-        if m == u or state.last_rates.get(m) is None:
-            continue  # playback not started: startup waiting is not a stall
-        util -= profiles[m].phi_rebuf * max(0.0, gamma - state.buffers[m])
-    cost = dl.c_time * gamma + dl.c_data * vol
-    if u != state.user:
-        cost += dl.w_data * vol
-    cost += owner.eps_time * owner.beta + owner.eps_rate * vol
-    return util - cost
+    """Immediate welfare estimate of downloading owner u's segment at level
+    z (``_score_ladder``). Raises ValueError when the decider currently has
+    no capacity."""
+    return _score_ladder(state, profiles, u, (z,), [])[0][1]
 
 
 def lyapunov_drift(
     state: SchedulerState, profiles: Mapping[int, UserProfile], u: int, z: int
 ) -> float:
-    """Change in the squared buffer-deficit potential over the transfer.
+    """Change in the squared buffer-deficit potential over the transfer of
+    owner u's segment at level z (``_score_ladder``). Raises ValueError when
+    the decider currently has no capacity."""
+    return _score_ladder(state, profiles, u, (z,), _potential(state, profiles))[0][0]
 
-    Potential J = half the sum over video users of (cap - level)^2; the
-    receiver's buffer is projected as drained-then-refilled (clamped at its
-    cap), every other video user's as drained only.
-    """
-    gamma = estimate_download_time(state, profiles, u, z)
-    drift = 0.0
-    for m, q in state.buffers.items():
-        prof = profiles[m]
-        if m == u:
-            q_next = min(prof.buffer_cap, max(0.0, q - gamma) + prof.beta)
-        else:
-            q_next = max(0.0, q - gamma)
-        drift += 0.5 * ((prof.buffer_cap - q_next) ** 2 - (prof.buffer_cap - q) ** 2)
-    return drift
+
+# the one wait of a decider with no capacity or no neighbour segment left;
+# a Wait is frozen, so every decision can hand out the same one
+_EPOCH_WAIT = Wait(DEFAULT_EPOCH)
 
 
 def _ready_or_wait(
@@ -150,9 +199,9 @@ def _ready_or_wait(
     with no candidate, or no capacity, re-polls after ``DEFAULT_EPOCH``.
     """
     if state.capacity <= 0:
-        return Wait(DEFAULT_EPOCH)
+        return _EPOCH_WAIT
     ready: list[int] = []
-    overflows: list[float] = []
+    least = None  # the least overflow, kept as ``min`` would keep it
     next_seg_of, buffers = state.next_seg.get, state.buffers
     for u in state.neighbors:
         if next_seg_of(u) is None:
@@ -164,13 +213,13 @@ def _ready_or_wait(
         over = buffers[u] + prof.beta - prof.buffer_cap
         if over <= 0:
             ready.append(u)
-        else:
-            overflows.append(over)
+        elif least is None or over < least:
+            least = over
     if ready:
         return ready
-    if overflows:
-        return Wait(max(min(overflows), 1e-6))
-    return Wait(DEFAULT_EPOCH)
+    if least is not None:
+        return Wait(1e-6 if 1e-6 > least else least)  # max(least, 1e-6)
+    return _EPOCH_WAIT
 
 
 def lyapunov_decide(
@@ -183,13 +232,13 @@ def lyapunov_decide(
     ready = _ready_or_wait(state, profiles)
     if isinstance(ready, Wait):
         return ready
+    potential = _potential(state, profiles)
     best: tuple[float, int, int] | None = None
     for u in ready:
-        for z in range(len(profiles[u].ladder)):
-            phi = lyapunov_drift(state, profiles, u, z) - lam * decision_payoff(
-                state, profiles, u, z
-            )
-            key = (phi, u, z)
+        levels = range(len(profiles[u].ladder))
+        scores = _score_ladder(state, profiles, u, levels, potential)
+        for z, (drift, payoff) in zip(levels, scores):
+            key = (drift - lam * payoff, u, z)
             if best is None or key < best:
                 best = key
     _, u, z = best
@@ -303,11 +352,21 @@ def make_scheduler(name: str, **params) -> Callable[[SchedulerState, Mapping[int
     "lyapunov" takes ``lam`` (``DEFAULT_LAM``); "buffer" and "prediction"
     take ``delta_th`` (``DEFAULT_DELTA_TH``) and ``gap_th``
     (``DEFAULT_GAP_TH``). Raises ValueError for an unknown name or parameter.
+    The parameters are bound by position in a closure, as a keyword merge on
+    every call would cost more than the call itself.
     """
     decide = SCHEDULERS.get(name)
     if decide is None:
         raise ValueError(f"unknown scheduler {name!r}")
-    unknown = set(params) - set(list(inspect.signature(decide).parameters)[2:])
+    extra = list(inspect.signature(decide).parameters.values())[2:]
+    unknown = set(params) - {p.name for p in extra}
     if unknown:
         raise ValueError(f"unknown {name} params: {sorted(unknown)}")
-    return functools.partial(decide, **params)
+    args = [params.get(p.name, p.default) for p in extra]
+    # each decide function takes one or two parameters; a call with a fixed
+    # number of arguments is cheaper than one that unpacks them
+    if len(args) == 1:
+        (a,) = args
+        return lambda state, profiles: decide(state, profiles, a)
+    a, b = args
+    return lambda state, profiles: decide(state, profiles, a, b)

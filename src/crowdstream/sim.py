@@ -11,12 +11,14 @@ abort policy.
 Segment owners are the video users, fixed at setup. A user's neighbours are
 itself plus the owners it can download from now; encounters with helpers,
 which own nothing, are not tracked. A scheduler's Download is refused, with
-a violation and a re-poll one ``DEFAULT_EPOCH`` later, when it names a user
-that is not a neighbour (an encountered helper included), the decider
-without video, a level off the owner's ladder, a segment outside the
-owner's video, or a segment that is delivered or in flight. A Wait of NaN
-seconds is refused the same way. A re-poll at or past the horizon, after a
-Wait, a refusal or a transfer's end, is never queued.
+a violation and a re-poll one ``DEFAULT_EPOCH`` later, when its owner, level
+or segment is not an int (a bool is not one), or when it names a user that
+is not a neighbour (an encountered helper included), the decider without
+video, a level off the owner's ladder, a segment outside the owner's video,
+or a segment that is delivered or in flight. A Wait whose duration is NaN or
+no real number, and a return that is neither a Download nor a Wait, are
+refused the same way. A re-poll at or past the horizon, after a Wait, a
+refusal or a transfer's end, is never queued.
 
 Scheduler state is kept incrementally rather than rescanned per decision.
 Each owner's smallest free segment moves only when a transfer to it starts
@@ -32,12 +34,15 @@ user's capacity rate is held with the time its trace piece ends and asked
 of ``CapacityTrace.piece_at`` again only once a decision reaches that time,
 and its throughput samples are a tuple replaced when one of its transfers
 completes, so a snapshot copies neither. One snapshot serves both the
-decision and its welfare estimate.
+decision and its welfare estimate; ``online`` scores a Lyapunov decision
+with the potential read once and one pass per ladder. Buffers drain only
+when an event's time differs from the one before it.
 """
 from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -138,17 +143,17 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     last_t = 0.0
 
     events: list[tuple[float, int, str, object]] = []
-    seq = 0
+    seq = itertools.count()  # ties in time pop in push order
+    heappush = heapq.heappush
 
     def push(time: float, kind: str, payload: object) -> None:
-        nonlocal seq
-        heapq.heappush(events, (time, seq, kind, payload))
-        seq += 1
+        heappush(events, (time, next(seq), kind, payload))
 
     # Owners, the only users with a nonzero buffer or a nonempty parked or
     # reserved set, are the video users; only they are broadcast. Their
     # ``profiles`` order fixes the drift's summation order.
     owners = tuple(n for n, p in profiles.items() if p.is_video_user)
+    owner_betas = tuple((n, profiles[n].beta) for n in owners)
 
     # The owner broadcast (``buffers``, ``last_rates``, ``next_seg``), shared
     # by every snapshot until the state next changes; None marks it stale. A
@@ -213,8 +218,8 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     found = {n: (n,) for n in ids}
 
     def neighbors_of(n: int, now: float) -> tuple[int, ...]:
-        if now + TOL < next_mark[n]:
-            return found[n]
+        """Tests n's marked partners again; ``snapshot`` returns ``found[n]``
+        as it is while ``now + TOL`` is before ``next_mark[n]``."""
         pts = marks[n]
         since = bisect.bisect_left(pts, (last_test[n],))
         until = bisect.bisect_right(pts, (now + TOL, math.inf))
@@ -234,13 +239,14 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
 
     def snapshot(n: int, now: float) -> online.SchedulerState:
         nonlocal broadcast
-        neighbors = neighbors_of(n, now)
+        neighbors = found[n] if now + TOL < next_mark[n] else neighbors_of(n, now)
         if broadcast is None:
             broadcast = (
-                # broadcast level: committed content plus in-flight
-                # reservations, so concurrent downloaders do not over-fill
-                # one owner's buffer
-                {m: committed(m) + profiles[m].beta * len(reserved[m]) for m in owners},
+                # broadcast level: committed content (``committed``) plus
+                # in-flight reservations, so concurrent downloaders do not
+                # over-fill one owner's buffer
+                {m: buffers[m] + beta * len(parked[m]) + beta * len(reserved[m])
+                 for m, beta in owner_betas},
                 dict(last_rates),
                 dict(next_segs),
             )
@@ -270,7 +276,9 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         was made on, reused for the welfare estimate."""
         nonlocal sw_estimated, broadcast
         u, z, k = decision.owner, decision.level, decision.seg_index
-        if u not in state.neighbors:
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (u, z, k)):
+            refusal = f"non-integer owner, level or segment ({u!r}, {z!r}, {k!r}) by {n}"
+        elif u not in state.neighbors:
             refusal = f"owner {u} is not a neighbour of {n}"
         elif not profiles[u].is_video_user:
             refusal = f"owner {u} has no video"
@@ -350,19 +358,30 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
     for n in ids:
         poll(n, 0.0)
 
+    heappop, Download, Wait = heapq.heappop, online.Download, online.Wait
     while events:
-        time, _, kind, payload = heapq.heappop(events)
-        advance(time)
+        time, _, kind, payload = heappop(events)
+        if time != last_t:  # most events share the time of the one before
+            advance(time)
         if kind == "epoch":
             n = payload
             state = snapshot(n, time)
             decision = scheduler(state, profiles)
-            if isinstance(decision, online.Download):
+            if isinstance(decision, Wait):
+                duration = decision.duration
+                try:  # time + max(duration, 1e-6)
+                    at = time + (1e-6 if 1e-6 > duration else duration)
+                except TypeError:  # a duration that is no real number
+                    at = math.nan
+                if at != at:
+                    refuse(n, time, f"wait of {duration!r} from user {n}")
+                elif at < horizon:  # ``poll``, inlined on the busiest path
+                    heappush(events, (at, next(seq), "epoch", n))
+            elif isinstance(decision, Download):
                 start_download(n, time, decision, state)
-            elif math.isnan(decision.duration):
-                refuse(n, time, f"wait of nan from user {n}")
             else:
-                poll(n, time + max(decision.duration, 1e-6))
+                refuse(n, time, f"decision {decision!r} from user {n} is neither "
+                                "a Download nor a Wait")
         elif kind == "complete":
             finish_download(time, *payload)
 

@@ -655,6 +655,65 @@ class TestModuleEntryPoint:
         assert not out.exists()
 
 
+class TestWorkLimit:
+    """``run`` and ``gen-traces`` size their work from users and horizon
+    before they start, and refuse more than ``cli.MAX_WORK``."""
+
+    def test_estimate_counts_pieces_windows_polls_and_downloads(self):
+        # one user over 300 s: 1 + 10 pieces, no pair, 300 re-polls, and
+        # with 2 s segments 150 downloads
+        assert cli.estimated_work(1, 300.0) == 311.0
+        assert cli.estimated_work(1, 300.0, 2.0) == 461.0
+        # two users over 120 s: 2 * (1 + 4) pieces, 1 + 1 windows, 240 re-polls
+        assert cli.estimated_work(2, 120.0) == 252.0
+
+    @pytest.mark.parametrize("users, horizon", [
+        (1, 500.0),  # the single-user cells
+        (40, 500.0),  # the benchmark's cooperation cell
+        (200, 500.0),  # the largest user count of the scaling sweep
+    ])
+    def test_shipped_sizes_are_within_the_limit(self, users, horizon):
+        assert cli.estimated_work(users, horizon, 2.0) <= cli.MAX_WORK
+
+    def test_tiny_segments_exceed_the_limit(self, tmp_path, capsys):
+        """A segment of 1e-6 s would make a 50 s cell download about 5e7
+        segments: refused before anything runs."""
+        assert cli.main(["run", "--spec", write_spec(tmp_path, beta=1e-6, buffer_cap=40.0)]) == 2
+        assert capsys.readouterr().err == (
+            "bad experiment spec: estimated work 5e+07 exceeds the limit of 1e+07 per cell\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb, line", [
+        ("run", "bad experiment spec: estimated work 1.533e+09 exceeds the limit "
+                "of 1e+07 per cell"),
+        ("gen-traces", "trace generation refused: estimated work 2.075e+09 exceeds "
+                       "the limit of 1e+07"),
+    ])
+    def test_huge_horizon_exits_2_at_once(self, tmp_path, verb, line):
+        """A horizon of 1e9 s exits 2 within a second with one line naming
+        the estimate and the limit, writes nothing and loads neither numpy
+        nor scipy."""
+        out = tmp_path / "out"
+        argv = (["gen-traces", "--users", "2", "--horizon", "1e9", "--out", str(out)]
+                if verb == "gen-traces" else
+                ["run", "--spec", write_spec(tmp_path, horizon=1e9), "--out", str(out)])
+        script = """
+import sys, time
+from crowdstream import cli
+t0 = time.perf_counter()
+rc = cli.main(sys.argv[1:])
+print(rc, time.perf_counter() - t0 < 1.0, [m for m in ("numpy", "scipy") if m in sys.modules])
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=env, timeout=30)
+        assert proc.stdout.splitlines() == ["2 True []"]
+        assert proc.stderr.splitlines() == [line]
+        assert not out.exists()
+
+
 class TestIngestCommand:
     def test_csv_logs_to_traces(self, tmp_path):
         sessions = tmp_path / "sessions.csv"

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crowdstream import online
 from crowdstream.model import UserProfile
@@ -327,3 +327,142 @@ class TestMakeScheduler:
                             ("prediction", "window")):
             with pytest.raises(ValueError, match=f"unknown {name} params"):
                 make_scheduler(name, **{param: 1})
+
+
+# -- the one-pass scorer against the per-candidate formulas it replaced ----
+
+def reference_payoff(state, profiles, u, z):
+    """``decision_payoff`` as it was written per candidate: the float order
+    every simulator report was recorded with."""
+    gamma = profiles[u].ladder[z] * profiles[u].beta / state.capacity
+    owner = profiles[u]
+    dl = profiles[state.user]
+    rate = owner.ladder[z]
+    vol = rate * owner.beta
+    util = math.log1p(owner.theta * rate) * owner.beta
+    last = state.last_rates.get(u)
+    if last is not None:
+        util -= owner.phi_qdeg * max(0.0, last - rate)
+    util -= owner.phi_rebuf * max(0.0, gamma - state.buffers[u])
+    for m in state.neighbors:
+        if m == u or state.last_rates.get(m) is None:
+            continue
+        util -= profiles[m].phi_rebuf * max(0.0, gamma - state.buffers[m])
+    cost = dl.c_time * gamma + dl.c_data * vol
+    if u != state.user:
+        cost += dl.w_data * vol
+    cost += owner.eps_time * owner.beta + owner.eps_rate * vol
+    return util - cost
+
+
+def reference_drift(state, profiles, u, z):
+    """``lyapunov_drift`` as it was written per candidate."""
+    gamma = profiles[u].ladder[z] * profiles[u].beta / state.capacity
+    drift = 0.0
+    for m, q in state.buffers.items():
+        prof = profiles[m]
+        if m == u:
+            q_next = min(prof.buffer_cap, max(0.0, q - gamma) + prof.beta)
+        else:
+            q_next = max(0.0, q - gamma)
+        drift += 0.5 * ((prof.buffer_cap - q_next) ** 2 - (prof.buffer_cap - q) ** 2)
+    return drift
+
+
+weight = st.floats(0.0, 2.0)
+
+
+@st.composite
+def decision_states(draw):
+    """Profiles of 1-4 owners and 0-2 helpers, in a drawn order (the
+    broadcast order), and a snapshot of them with positive capacity, whose
+    decider is any user."""
+    n_owners = draw(st.integers(1, 4))
+    n_users = n_owners + draw(st.integers(0, 2))
+    order = draw(st.permutations(range(n_users)))
+    profs = {}
+    for n in order:
+        beta = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+        ladder = draw(st.lists(st.floats(0.05, 5.0), min_size=1, max_size=5, unique=True))
+        profs[n] = UserProfile(
+            id=n, beta=beta, buffer_cap=beta * draw(st.floats(1.0, 20.0)),
+            ladder=tuple(sorted(ladder)), theta=draw(st.floats(0.2, 2.0)),
+            phi_qdeg=draw(weight), phi_rebuf=draw(weight), c_time=draw(weight),
+            c_data=draw(weight), w_data=draw(weight), eps_time=draw(weight),
+            eps_rate=draw(weight), video_segments=10 if n < n_owners else 0,
+        )
+    owners = [n for n in profs if n < n_owners]
+    user = draw(st.sampled_from(sorted(profs)))
+    in_range = draw(st.sets(st.sampled_from(owners)))
+    state = SchedulerState(
+        user=user, now=0.0, capacity=draw(st.floats(0.01, 10.0)),
+        neighbors=tuple(sorted({user} | in_range)),
+        buffers={m: draw(st.floats(0.0, profs[m].buffer_cap)) for m in owners},
+        last_rates={m: draw(st.none() | st.sampled_from(profs[m].ladder)) for m in owners},
+        next_seg={m: draw(st.none() | st.integers(0, 9)) for m in owners},
+    )
+    return profs, state
+
+
+class TestOnePassScorer:
+    @settings(max_examples=300, deadline=None)
+    @given(decision_states(), st.sampled_from([0.0, 1.0, 10.0, 100.0, 1e6]))
+    def test_matches_the_per_candidate_formulas(self, drawn, lam):
+        """The public views equal the per-candidate formulas bit for bit on
+        every owner and level, and ``lyapunov_decide`` picks their argmin,
+        ties to the lowest owner id, then the lowest level."""
+        profs, state = drawn
+        for u in state.buffers:
+            for z in range(len(profs[u].ladder)):
+                assert repr(lyapunov_drift(state, profs, u, z)) == repr(
+                    reference_drift(state, profs, u, z))
+                assert repr(decision_payoff(state, profs, u, z)) == repr(
+                    reference_payoff(state, profs, u, z))
+        got = lyapunov_decide(state, profs, lam)
+        ready = online._ready_or_wait(state, profs)
+        if isinstance(ready, Wait):
+            assert got == ready
+            return
+        _, u, z = min(
+            (reference_drift(state, profs, u, z) - lam * reference_payoff(state, profs, u, z),
+             u, z)
+            for u in ready for z in range(len(profs[u].ladder)))
+        assert got == Download(owner=u, level=z, seg_index=state.next_seg[u])
+
+    @settings(max_examples=100, deadline=None)
+    @given(decision_states(), st.sampled_from(sorted(online.SCHEDULERS)), st.data())
+    def test_make_scheduler_binds_like_keywords(self, drawn, name, data):
+        """``make_scheduler(name, **params)`` decides as the decide function
+        called with ``params`` as keywords, for any subset of its parameters."""
+        profs, state = drawn
+        names = ("lam",) if name == "lyapunov" else ("delta_th", "gap_th")
+        params = {p: data.draw(st.floats(0.0, 200.0), label=p)
+                  for p in data.draw(st.sets(st.sampled_from(names)), label="params")}
+        decide = online.SCHEDULERS[name]
+        assert make_scheduler(name, **params)(state, profs) == decide(state, profs, **params)
+
+
+    def test_decide_calls_neither_public_view(self, monkeypatch):
+        """A decision scores its ladders itself: the public drift and
+        payoff, which the simulator and the benchmark call, are not asked."""
+        def asked(*args):
+            raise AssertionError("a public view was called")
+
+        monkeypatch.setattr(online, "lyapunov_drift", asked)
+        monkeypatch.setattr(online, "decision_payoff", asked)
+        profs = {0: make_profile(0), 1: make_profile(1)}
+        state = make_state(profs, capacity=1.4, neighbors=(0, 1))
+        assert isinstance(lyapunov_decide(state, profs), Download)
+
+
+class TestReadyOrWait:
+    def test_least_overflow_and_shared_epoch_wait(self):
+        """With every candidate over-full the wait is the least overflow; with
+        no candidate, or no capacity, every decision gets the one epoch Wait."""
+        profs = {n: make_profile(n) for n in range(3)}
+        state = make_state(profs, neighbors=(0, 1, 2), buffers={0: 39.5, 1: 38.5, 2: 39.0})
+        assert online._ready_or_wait(state, profs) == Wait(0.5)
+        finished = make_state(profs, next_seg={0: None, 1: None, 2: None})
+        stalled = make_state(profs, capacity=0.0)
+        waits = [online._ready_or_wait(s, profs) for s in (finished, stalled) * 2]
+        assert all(w is waits[0] for w in waits) and waits[0] == Wait(1.0)

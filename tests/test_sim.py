@@ -331,6 +331,44 @@ class TestOwners:
         assert polls == [0.0, 1.0, 2.0]
         assert report.violations == [f"t={t}: wait of nan from user 0" for t in polls]
 
+    @pytest.mark.parametrize("decision, why", [
+        (online.Download(owner=0, level=0.5, seg_index=0),
+         "non-integer owner, level or segment (0, 0.5, 0) by 0"),
+        (online.Download(owner=0, level=True, seg_index=0),
+         "non-integer owner, level or segment (0, True, 0) by 0"),
+        (online.Download(owner=0, level=0, seg_index=0.5),
+         "non-integer owner, level or segment (0, 0, 0.5) by 0"),
+        (online.Download(owner=0, level=0, seg_index=True),
+         "non-integer owner, level or segment (0, 0, True) by 0"),
+        (online.Download(owner=0.0, level=0, seg_index=0),
+         "non-integer owner, level or segment (0.0, 0, 0) by 0"),
+        (online.Wait("x"), "wait of 'x' from user 0"),
+        (online.Wait(None), "wait of None from user 0"),
+        (None, "decision None from user 0 is neither a Download nor a Wait"),
+        ((0, 0, 0), "decision (0, 0, 0) from user 0 is neither a Download nor a Wait"),
+    ], ids=["float-level", "bool-level", "float-segment", "bool-segment", "float-owner",
+            "str-wait", "none-wait", "none", "tuple"])
+    def test_malformed_decision_is_refused(self, decision, why):
+        """A Download whose owner, level or segment is not an int (a bool is
+        not one), a Wait whose duration is no real number, and a return that
+        is neither a Download nor a Wait are refused: a violation, a re-poll
+        one epoch later, no transfer, no exception."""
+        polls = []
+
+        def malformed(state, profiles):
+            polls.append(state.now)
+            return decision
+
+        report = run_simulation(SimConfig(
+            horizon=3.0, profiles=(make_profile(0, video_segments=3),),
+            capacity=CapacityTrace.constant([0], 1.0, 3.0),
+            encounters=EncounterTrace.none(3.0), scheduler=malformed,
+        ))
+        assert polls == [0.0, 1.0, 2.0]
+        assert report.violations == [f"t={t}: {why}" for t in polls]
+        assert report.downloads == {0: []} and report.deliveries == 0
+        assert report.per_user[0]["delivered_segments"] == 0
+
     def test_negative_and_infinite_waits(self):
         """A negative wait is floored at 1e-6 s; an infinite one ends the
         user's decisions without a violation."""
