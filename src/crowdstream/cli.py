@@ -441,7 +441,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_traces(args: argparse.Namespace) -> int:
-    if (refusal := _work_refusal(args.users, args.horizon)) is not None:
+    refusal = (f"need at least one user, got {args.users}" if args.users < 1
+               else _work_refusal(args.users, args.horizon))
+    if refusal is not None:
         print(f"trace generation refused: {refusal}", file=sys.stderr)
         return EXIT_CONFIG
     ids = list(range(args.users))

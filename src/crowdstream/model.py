@@ -132,8 +132,8 @@ class WelfareBreakdown:
 
     @property
     def payoff(self) -> float:
-        return (self.value - self.qdeg_loss - self.rebuf_loss
-                - self.cell_energy - self.wifi_energy - self.play_energy)
+        return payoff_of(self.value, self.qdeg_loss, self.rebuf_loss, self.play_energy,
+                         self.cell_energy, self.wifi_energy)
 
     def to_dict(self) -> dict:
         return {**vars(self), "payoff": self.payoff}
@@ -267,21 +267,18 @@ def receiving_sequences(
     return received
 
 
-def user_breakdown(
-    profile: UserProfile,
-    downloads: Sequence[SegmentRecord],
-    received: Sequence[SegmentRecord],
-    profiles: Mapping[int, UserProfile],
-) -> WelfareBreakdown:
-    """One user's payoff terms, reading each sequence once. ``received``
-    (delivered segments in playback order) gives the value, the downswitch
-    loss, the playback energy and the stalls; startup is not penalized, so
-    charges begin with the second reception. ``downloads`` gives the cellular
-    energy, truncated transfers pro rata, and the WiFi energy of completed
-    transfers of others' segments (aborted ones never cross WiFi), by volume
-    only: its time term is negligible and taken as zero."""
+def payoff_of(value: float, qdeg_loss: float, rebuf_loss: float, play_energy: float,
+              cell_energy: float, wifi_energy: float) -> float:
+    """A user's payoff from ``receiving_walk``'s and ``transfer_energy``'s terms."""
+    return value - qdeg_loss - rebuf_loss - cell_energy - wifi_energy - play_energy
+
+
+def receiving_walk(profile: UserProfile, received: Sequence[SegmentRecord]) -> tuple:
+    """One walk over delivered segments in playback order: value, downswitch
+    loss, rebuffering loss, playback energy, stalled seconds and peak level
+    (0.0 for none). Charges begin with the second reception (no startup)."""
     beta = profile.beta
-    value, qdeg, stall, play = 0, 0.0, 0.0, 0.0
+    value, qdeg, stall, play, peak = 0, 0.0, 0.0, 0.0, 0.0
     for k, (rec, gap, q) in enumerate(_trajectory(profile, received)):
         value += quality_value(profile, rec.rate) * beta
         if k:  # the gap runs from the reception before, which left prev_q
@@ -289,7 +286,16 @@ def user_breakdown(
             stall += max(0.0, gap - prev_q)
         play += profile.eps_time * beta
         play += profile.eps_rate * rec.rate * beta
-        prev, prev_q = rec, q
+        prev, prev_q, peak = rec, q, q if q > peak else peak
+    rebuf = profile.phi_rebuf * stall if received else 0.0  # even if phi is -0.0
+    return value, qdeg, rebuf, play, stall, peak
+
+
+def transfer_energy(profile: UserProfile, downloads: Sequence[SegmentRecord],
+                    profiles: Mapping[int, UserProfile]) -> tuple[float, float]:
+    """Cellular energy of each transfer, truncated ones pro rata, and WiFi
+    energy of completed transfers of others' segments (aborted ones never
+    cross WiFi), by volume only: its time term is negligible and taken as zero."""
     cell = wifi = 0.0
     for rec in downloads:
         volume = segment_volume(rec, profiles)
@@ -297,30 +303,30 @@ def user_breakdown(
         cell += profile.c_data * volume
         if rec.owner != rec.downloader and rec.completed:
             wifi += profile.w_data * volume
-    return WelfareBreakdown(
-        value=value, qdeg_loss=qdeg,
-        rebuf_loss=profile.phi_rebuf * stall if received else 0.0,  # even if phi is -0.0
-        cell_energy=cell, wifi_energy=wifi, play_energy=play, rebuffer_s=stall,
-    )
+    return cell, wifi
+
+
+def user_breakdown(
+    profile: UserProfile,
+    downloads: Sequence[SegmentRecord],
+    received: Sequence[SegmentRecord],
+    profiles: Mapping[int, UserProfile],
+) -> WelfareBreakdown:
+    """One user's payoff terms: ``receiving_walk`` over ``received`` and
+    ``transfer_energy`` over ``downloads``."""
+    value, qdeg, rebuf, play, stall, _ = receiving_walk(profile, received)
+    return WelfareBreakdown(value, qdeg, rebuf, *transfer_energy(profile, downloads, profiles),
+                            play, stall)
 
 
 def eval_social_welfare(
     profiles: Mapping[int, UserProfile],
     all_downloads: Mapping[int, Sequence[SegmentRecord]],
-    received: Mapping[int, Sequence[SegmentRecord]] | None = None,
 ) -> tuple[float, dict[int, WelfareBreakdown]]:
-    """Aggregate payoff of all users plus the per-user breakdowns.
-
-    ``received`` holds each user's delivered segments in playback order, as
-    ``receiving_sequences`` groups them (a user it omits received none). A
-    caller that already holds them passes them, and they are not grouped
-    again; by default they are grouped from ``all_downloads``."""
-    if received is None:
-        received = receiving_sequences(profiles, all_downloads)
+    """Aggregate payoff of all users plus the per-user breakdowns."""
+    received = receiving_sequences(profiles, all_downloads)
     breakdowns = {
-        uid: user_breakdown(
-            profiles[uid], all_downloads.get(uid, ()), received.get(uid, ()), profiles
-        )
+        uid: user_breakdown(profiles[uid], all_downloads.get(uid, ()), received[uid], profiles)
         for uid in sorted(profiles)
     }
     welfare = ordered_sum(b.payoff for b in breakdowns.values())

@@ -603,6 +603,7 @@ class BruteForceResult:
     downloads: dict[int, list[SegmentRecord]]
     nodes: int
     leaves: int
+    evaluated: int  # leaves whose welfare was computed: each overfills no buffer
 
 
 def brute_force_segmented(
@@ -620,17 +621,17 @@ def brute_force_segmented(
     solvers' transfers do. The result is a welfare lower bound certificate
     for the asynchronous optimum.
 
-    Each leaf values its schedule with ``model.eval_social_welfare``,
-    passing each owner's receiving sequence, which the search keeps as it
-    places transfers, so the evaluator does not regroup the records. Each
-    record is made once per solve.
+    A leaf walks each owner's receiving sequence once, with
+    ``model.receiving_walk``: its peak level serves the cap test and its
+    terms the payoffs, which sum to ``model.eval_social_welfare``'s bits
+    without a breakdown object. Each record is made once per solve.
     """
     pmap = model.profile_map(profiles)
     ids = sorted(pmap)
     pts = set(capacity.breakpoints()) | set(encounters.breakpoints())
     grid = sorted(t for t in pts if 0 <= t < horizon)
     owners = [(i, m) for i, m in enumerate(ids) if pmap[m].is_video_user]
-    nodes = leaves = 0
+    nodes = leaves = evaluated = 0
     best_welfare, best_downloads = 0.0, {n: [] for n in ids}
 
     next_free = {n: 0.0 for n in ids}
@@ -647,17 +648,19 @@ def brute_force_segmented(
     Move = tuple[int, int, float, float, tuple[float, int, float, int, int]]
     moves_memo: dict[tuple[int, float], tuple[Move, ...]] = {}
     options_memo: dict[tuple[int, float], tuple[Move, ...]] = {}
+    retired: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}  # (active, d) -> rest
     unreceived_value = _UnreceivedValue([pmap[m] for m in ids])
     records: dict[tuple[int, tuple], SegmentRecord] = {}
+    idle_walks = {n: model.receiving_walk(pmap[n], ()) for n in ids}  # nothing received
 
     def leaf(partial: float):
         """Evaluate the schedule at a leaf; a better feasible one becomes
         the incumbent. Each owner's transfers, sorted, are its receiving
         sequence: segments are numbered in arrival order, which is then
-        playback order, so ``eval_social_welfare`` need not group them."""
-        nonlocal best_welfare, best_downloads
+        playback order."""
+        nonlocal best_welfare, best_downloads, evaluated
         downloads: dict[int, list[SegmentRecord]] = {n: [] for n in ids}
-        sequences: dict[int, list[SegmentRecord]] = {}
+        walks = dict(idle_walks)
         for i, m in owners:
             seq = []
             for k, arrival in enumerate(sorted(arrived[i])):
@@ -668,12 +671,15 @@ def brute_force_segmented(
                         downloader=n, owner=m, level=z, rate=pmap[m].ladder[z], seg_index=k,
                         t_start=start, t_end=end)
                 seq.append(rec)
-            if any(model.exceeds_cap(q, pmap[m]) for q in model.buffer_levels(pmap[m], seq)):
+            walk = walks[m] = model.receiving_walk(pmap[m], seq)
+            if model.exceeds_cap(walk[5], pmap[m]):  # the peak; the cap rule is monotone
                 return  # infeasible leaf
             for rec in seq:
                 downloads[rec.downloader].append(rec)
-            sequences[m] = seq
-        welfare, _ = model.eval_social_welfare(pmap, downloads, sequences)
+        evaluated += 1
+        welfare = model.ordered_sum(
+            model.payoff_of(*walks[n][:4], *model.transfer_energy(pmap[n], downloads[n], pmap))
+            for n in ids)
         if welfare > best_welfare:
             best_welfare, best_downloads = welfare, downloads
 
@@ -739,7 +745,9 @@ def brute_force_segmented(
             received[i] -= 1
             arrived[i].pop()
         next_free[d] = free  # each move set it; only a child reads it
-        dfs(tuple(n for n in active if n != d), partial)  # retire this downloader
+        if (rest := retired.get((active, d))) is None:
+            rest = retired[active, d] = tuple(n for n in active if n != d)
+        dfs(rest, partial)  # retire this downloader
 
     try:
         dfs(tuple(ids), 0.0)
@@ -748,7 +756,7 @@ def brute_force_segmented(
         raise SolverBudgetError(
             f"recursion limit {sys.getrecursionlimit()} exhausted", "brute", best_welfare
         ) from None
-    return BruteForceResult(best_welfare, best_downloads, nodes, leaves)
+    return BruteForceResult(best_welfare, best_downloads, nodes, leaves, evaluated)
 
 
 # ---------------------------------------------------------------------------

@@ -557,6 +557,16 @@ class TestGenTracesCommand:
         assert cli.main(["gen-traces", "--cap-lo", "3", "--cap-hi", "1",
                          "--out", out]) == 2
 
+    @pytest.mark.parametrize("users", ["0", "-3"])
+    def test_no_users_exits_2(self, tmp_path, capsys, users):
+        """A user count below one is refused with one line, as a run spec's
+        is, and no trace is written."""
+        out = tmp_path / "t.json"
+        assert cli.main(["gen-traces", "--users", users, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"trace generation refused: need at least one user, got {users}\n")
+        assert not out.exists()
+
 
 class TestOutputPaths:
     """An output path that cannot be written exits 2 with one stderr line,

@@ -288,21 +288,32 @@ class TestSocialWelfare:
 
 
 class TestSuppliedReceivingSequences:
-    """``eval_social_welfare`` given the receiving sequences returns what it
-    returns when it groups them itself, ``repr`` for ``repr``. Users with
-    nothing received are left out of the supplied mapping."""
+    """Welfare summed as the brute-force leaf sums it, from each user's
+    receiving sequence supplied to ``receiving_walk`` and its transfers to
+    ``transfer_energy``, through ``payoff_of`` and ``ordered_sum``, is
+    ``eval_social_welfare``'s, ``repr`` for ``repr``; each walk's peak is the
+    highest of the user's ``buffer_levels``."""
 
     @staticmethod
-    def both_ways(profiles, downloads):
-        received = {uid: seq for uid, seq in
-                    model.receiving_sequences(profiles, downloads).items() if seq}
-        return (repr(model.eval_social_welfare(profiles, downloads, received)),
-                repr(model.eval_social_welfare(profiles, downloads)))
+    def check(profiles, downloads):
+        received = model.receiving_sequences(profiles, downloads)
+        walks = {uid: model.receiving_walk(profiles[uid], seq) for uid, seq in received.items()}
+        for uid, walk in walks.items():
+            assert walk[5] == max(model.buffer_levels(profiles[uid], received[uid]), default=0.0)
+        welfare, breakdowns = model.eval_social_welfare(profiles, downloads)
+        payoffs = [
+            model.payoff_of(*walks[uid][:4],
+                            *model.transfer_energy(profiles[uid], downloads.get(uid, ()), profiles))
+            for uid in sorted(profiles)
+        ]
+        assert [repr(p) for p in payoffs] == [repr(b.payoff) for b in breakdowns.values()]
+        assert repr(model.ordered_sum(payoffs)) == repr(welfare)
+        return welfare
 
     def test_brute_force_witnesses_of_the_tiny_family(self):
         """Every witness of tiny seeds 0-39 at beta and beta/2 that finishes
         within 50,000 nodes (all but tiny/2 at beta/2); the search's own
-        welfare, found through the supplied path, matches too."""
+        welfare matches too."""
         from test_acceptance import SLOT, tiny_instance
 
         from crowdstream.offline import SlottedInstance, SolverBudgetError, brute_force_segmented
@@ -316,10 +327,8 @@ class TestSuppliedReceivingSequences:
                     res = brute_force_segmented(users, capacity, enc, horizon, node_budget=50_000)
                 except SolverBudgetError:
                     continue
-                pmap = model.profile_map(users)
-                given, default = self.both_ways(pmap, res.downloads)
-                assert given == default
-                assert repr(res.welfare) == repr(model.eval_social_welfare(pmap, res.downloads)[0])
+                welfare = self.check(model.profile_map(users), res.downloads)
+                assert repr(res.welfare) == repr(welfare)
                 witnesses += 1
         assert witnesses == 79
 
@@ -333,8 +342,7 @@ class TestSuppliedReceivingSequences:
 
         config = GOLDEN[name][0]()
         report = run_simulation(config)
-        given, default = self.both_ways(model.profile_map(config.profiles), report.downloads)
-        assert given == default
+        self.check(model.profile_map(config.profiles), report.downloads)
 
 
 class TestOrderedSum:

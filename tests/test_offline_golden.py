@@ -3,13 +3,16 @@
 For each fixed tiny instance the test pins ``repr`` of the five welfare
 figures of a bound certificate (exact slotted optimum at beta and beta/2,
 brute-force segmented optimum at beta and beta/2, fluid upper bound) and
-the node and leaf counts of the exact and brute-force searches, and a
-digest of each brute-force witness (the downloads) at beta and beta/2. One
-many-user instance pins the fluid LP's size and ``repr`` of its bound. A
-change here means a solver's arithmetic or search order changed, not just its
-speed.
+the node and leaf counts of the exact and brute-force searches, the
+brute force's count of leaves valued, and a digest of each brute-force
+witness (the downloads) at beta and beta/2. A family of instances whose
+buffer caps bind pins the same for the brute force. One many-user instance
+pins the fluid LP's size and ``repr`` of its bound. A change here means a
+solver's arithmetic or search order changed, not just its speed.
 """
+import dataclasses
 import hashlib
+import random
 
 import pytest
 
@@ -17,8 +20,8 @@ from crowdstream import cli, traces
 from crowdstream.cli import ExperimentSpec, build_profiles
 from crowdstream.model import UserProfile
 from crowdstream.offline import (
-    SlottedInstance, _fluid_lp, _slot_vars, _solve_lp, brute_force_segmented,
-    solve_slotted_exact, solve_slotted_relaxed,
+    SlottedInstance, SolverBudgetError, _fluid_lp, _slot_vars, _solve_lp,
+    brute_force_segmented, solve_slotted_exact, solve_slotted_relaxed,
 )
 from crowdstream.traces import CapacityTrace, EncounterTrace, PiecewiseConstant
 
@@ -88,38 +91,47 @@ GOLDEN = {
     'helper-cross': (
         '(1.9685130042486816, 1.9685130042486816, 1.9685130042486816, 1.9685130042486816, 1.9685130042486814)',
         (37, 8, 97, 27, 50, 31, 254, 175),
+        (5, 10),
     ),
     'helper-window-mid-slot': (
         '(0.5132862271758185, 0.7265929214440343, 1.0158996157122497, 1.3242063099804657, 0.8545769380049637)',
         (17, 4, 54, 20, 35, 18, 240, 141),
+        (3, 15),
     ),
     'pair-2slot': (
         '(1.8948334197272776, 1.8948334197272776, 1.8948334197272776, 1.8948334197272776, 1.8948334197272776)',
         (135, 23, 806, 181, 168, 119, 2467, 1853),
+        (11, 68),
     ),
     'pair-partial-encounter': (
         '(1.9965130042486816, 1.9965130042486816, 1.9965130042486816, 1.9965130042486816, 1.9965130042486814)',
         (50, 7, 181, 39, 51, 29, 373, 253),
+        (6, 20),
     ),
     'solo-2slot': (
         '(1.9965130042486816, 1.9965130042486816, 1.9965130042486816, 1.9965130042486816, 1.9965130042486814)',
         (19, 5, 38, 12, 25, 15, 109, 71),
+        (6, 15),
     ),
     'solo-3slot-play-energy': (
         '(1.8205130042486817, 1.8205130042486817, 1.8205130042486817, 1.8205130042486817, 1.8205130042486815)',
         (35, 7, 91, 24, 40, 25, 216, 147),
+        (10, 33),
     ),
     'solo-cap-binds': (
         '(2.0315130042486813, 2.0315130042486813, 2.0315130042486813, 2.0315130042486813, 2.0315130042486818)',
         (23, 8, 69, 35, 91, 47, 1472, 751),
+        (4, 11),
     ),
     'solo-short-segments-cap-binds': (
         '(-0.21301859060497616, -0.21301859060497616, 0.049988475318651124, 0.024994237659325562, 0.10934434659257411)',
         (19, 7, 50, 21, 32, 16, 330, 165),
+        (15, 164),
     ),
     'solo-3slot-rebuf': (
         '(4.446454737610623, 4.446454737610623, 4.646454737610624, 4.6464547376106236, 4.6464547376106236)',
         (40, 13, 120, 57, 60, 46, 403, 317),
+        (7, 22),
     ),
 }
 
@@ -180,7 +192,7 @@ def searches(profiles, capacity, enc, horizon):
 def pins(results, upper):
     welfare = repr(tuple(r.welfare for r in results) + (upper,))
     counts = tuple(x for r in results for x in (r.nodes, r.leaves))
-    return welfare, counts
+    return welfare, counts, tuple(r.evaluated for r in results[2:])
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -189,10 +201,48 @@ def test_bound_solvers_golden(name):
     upper = solve_slotted_relaxed(SlottedInstance.from_traces(profiles, capacity, enc, SLOT))
     results = searches(profiles, capacity, enc, horizon)
     assert pins(results, upper) == GOLDEN[name]
-    assert tuple(
-        hashlib.sha256(repr(sorted(r.downloads.items())).encode()).hexdigest()
-        for r in results[2:]
-    ) == WITNESS_DIGESTS[name]
+    assert tuple(witness_digest(r) for r in results[2:]) == WITNESS_DIGESTS[name]
+
+
+def witness_digest(result):
+    return hashlib.sha256(repr(sorted(result.downloads.items())).encode()).hexdigest()
+
+
+def capped_instance(seed):
+    """The acceptance suite's ``tiny/{seed}`` with each user's buffer cap cut
+    to one or two segments, drawn from ``capped/{seed}``. The acceptance
+    family's caps hold the whole video and never bind."""
+    from test_acceptance import tiny_instance
+
+    profiles, capacity, enc, horizon = tiny_instance(seed)
+    rng = random.Random(f"capped/{seed}")
+    profiles = tuple(dataclasses.replace(p, buffer_cap=p.beta * rng.choice([1, 2]))
+                     for p in profiles)
+    return profiles, capacity, enc, horizon
+
+
+def test_brute_force_golden_where_caps_bind():
+    """Seeds 0-59 of the capped family at beta and beta/2: each solve's
+    welfare ``repr``, node, leaf and valued-leaf counts and witness digest,
+    or, for the 6 solves that exhaust a 20,000-node budget, the incumbent's
+    welfare ``repr``, hashed together. Valuing the leaves that overfill a
+    buffer changes 35 of the 120 rows, 23 of them in welfare."""
+    rows = []
+    for seed in range(60):
+        profiles, capacity, enc, horizon = capped_instance(seed)
+        half = SlottedInstance.from_traces(profiles, capacity, enc, SLOT).with_split(2)
+        for users in (profiles, half.profiles):
+            try:
+                r = brute_force_segmented(users, capacity, enc, horizon, node_budget=20_000)
+            except SolverBudgetError as exc:
+                rows.append(("budget", repr(exc.welfare)))
+                continue
+            rows.append((repr(r.welfare), r.nodes, r.leaves, r.evaluated, witness_digest(r)))
+    finished = [r for r in rows if r[0] != "budget"]
+    assert (len(finished), tuple(sum(r[i] for r in finished) for i in (1, 2, 3))) == (
+        114, (56884, 34419, 1006))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "ee083af83a74d7f3bbf3fa2d676b9f8f0e530172a38f2f377f324cf29efa8cc1")
 
 
 def test_searches_keep_no_tables_between_solves():
