@@ -152,6 +152,9 @@ class ExperimentSpec:
         if (refusal := _work_refusal(self.n_users, self.horizon, self.beta)) is not None:
             raise SpecError(f"{refusal} per cell")
         try:
+            if self.compute_gap:  # each (seed, mode) solves a fluid LP of this size
+                offline.check_lp_columns(self.horizon // self.slot_len, self.n_users,
+                                         len(self.ladder))
             build_profiles(self)
         except (TypeError, ValueError, OverflowError) as exc:  # int(video_length_s / beta)
             raise SpecError(str(exc)) from exc

@@ -26,6 +26,19 @@ from .model import TOL, SegmentRecord, UserProfile, Violation, WelfareBreakdown
 EXACT_NODE_BUDGET = 10_000_000  # default node budget of the exact slotted search
 BRUTE_NODE_BUDGET = 2_000_000  # default node budget of the segmented brute force
 MAX_SLOTS = 10_000  # most slots a slotted instance may have
+MAX_LP_COLUMNS = 10_000_000  # most estimated fluid-LP columns it may ask for
+LEAF_TABLE_ENTRIES = 1_024  # entries the brute-force leaf table holds before it is cleared
+
+
+def check_lp_columns(n_slots: float, n_users: int, levels: int) -> None:
+    """Raise ``ValueError`` when the fluid LP's estimated columns exceed
+    ``MAX_LP_COLUMNS``. The estimate takes the instance's size alone:
+    slots × users² × ladder levels, one flow per slot, downloader, owner
+    and level, which bounds the flow columns that dominate the LP."""
+    columns = n_slots * n_users * n_users * levels
+    if columns > MAX_LP_COLUMNS:
+        raise ValueError(f"{columns:.4g} estimated LP columns exceed the limit "
+                         f"of {MAX_LP_COLUMNS:.4g}")
 
 
 def __getattr__(name: str):
@@ -96,13 +109,15 @@ class SlottedInstance:
     ) -> "SlottedInstance":
         """The instance of ``n_slots`` slots of ``slot_len`` seconds, by
         default as many as fit in the capacity trace's horizon. More than
-        ``MAX_SLOTS`` slots raise ``ValueError`` before any slot is built."""
+        ``MAX_SLOTS`` slots, or more than ``MAX_LP_COLUMNS`` estimated LP
+        columns, raise ``ValueError`` before any slot is built."""
         profiles = tuple(profiles)
         if slot_len <= 0:
             raise ValueError("slot length must be positive")
         count = capacity.horizon // slot_len if n_slots is None else n_slots
         if count > MAX_SLOTS:  # an inf count, too, which int() cannot take
             raise ValueError(f"{count!r} slots exceed the limit of {MAX_SLOTS} slots")
+        check_lp_columns(count, len(profiles), max((len(p.ladder) for p in profiles), default=0))
         if n_slots is None:
             n_slots = int(count)
         cap = tuple(
@@ -621,10 +636,24 @@ def brute_force_segmented(
     solvers' transfers do. The result is a welfare lower bound certificate
     for the asynchronous optimum.
 
+    A node is counted, checked against the budget and tested for a leaf
+    before the search state changes. The root and each retire child do
+    this on entry; a move child is settled in its parent's loop, which
+    reads the remaining-value bound after one more segment for each owner
+    once per parent, and changes the state only to value a leaf or to
+    expand a child that survives. The nodes are visited in the same order
+    and the same float expressions decide them, so counts, budget stops and
+    incumbents are those of a search that enters every child.
+
     A leaf walks each owner's receiving sequence once, with
     ``model.receiving_walk``: its peak level serves the cap test and its
     terms the payoffs, which sum to ``model.eval_social_welfare``'s bits
-    without a breakdown object. Each record is made once per solve.
+    without a breakdown object. Each record is made once per solve. An
+    owner's walk depends only on its sorted arrivals, so a per-solve table
+    keeps it, cleared at ``LEAF_TABLE_ENTRIES`` entries so that memory does
+    not grow with the leaves; a kept walk has the bits of a fresh one.
+    Transfer energies are summed at each valued leaf: a table keyed by a
+    downloader's records costs more to look up than the sum it saves.
     """
     pmap = model.profile_map(profiles)
     ids = sorted(pmap)
@@ -643,50 +672,70 @@ def brute_force_segmented(
     # Per-solve tables, freed on return. A move's end time, encounter check
     # and gain depend only on (downloader, start, owner, level), and the
     # start times only on the downloader's free time, never on the search
-    # state; the remaining bound depends only on the received counts, and a
-    # leaf's record only on its transfer and its place in playback order.
-    Move = tuple[int, int, float, float, tuple[float, int, float, int, int]]
+    # state; the remaining bound depends only on the received counts, a
+    # leaf's record only on its transfer and its place in playback order,
+    # and an owner's walk only on its sorted transfers.
+    Move = tuple[int, float, float, tuple[float, int, float, int, int]]
     moves_memo: dict[tuple[int, float], tuple[Move, ...]] = {}
     options_memo: dict[tuple[int, float], tuple[Move, ...]] = {}
     retired: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}  # (active, d) -> rest
     unreceived_value = _UnreceivedValue([pmap[m] for m in ids])
+    # received counts -> per user, the remaining bound after one more of its
+    # segments; None for a user with no segment left to receive
+    one_more: dict[tuple[int, ...], list[float | None]] = {}
     records: dict[tuple[int, tuple], SegmentRecord] = {}
-    idle_walks = {n: model.receiving_walk(pmap[n], ()) for n in ids}  # nothing received
+    # The leaf table, capped: (owner's position in ``ids``, its sorted
+    # arrivals) -> (its payoff terms, None if its buffer overfills; its
+    # records in playback order)
+    walks: dict[tuple[int, tuple], tuple] = {}
+    idle_terms = {n: model.receiving_walk(pmap[n], ())[:4] for n in ids}  # nothing received
 
-    def leaf(partial: float):
+    def owner_walk(i: int, m: int, arrivals: tuple) -> tuple:
+        """Make ``walks``' entry for owner ``m`` at position ``i``, whose
+        transfers, sorted, are ``arrivals``."""
+        seq = []
+        for k, arrival in enumerate(arrivals):
+            rec = records.get((k, arrival))
+            if rec is None:
+                end, n, start, _, z = arrival
+                rec = records[k, arrival] = SegmentRecord(
+                    downloader=n, owner=m, level=z, rate=pmap[m].ladder[z], seg_index=k,
+                    t_start=start, t_end=end)
+            seq.append(rec)
+        walk = model.receiving_walk(pmap[m], seq)
+        # the peak; the cap rule is monotone in the level
+        terms = None if model.exceeds_cap(walk[5], pmap[m]) else walk[:4]
+        if len(walks) == LEAF_TABLE_ENTRIES:
+            walks.clear()
+        entry = walks[i, arrivals] = (terms, seq)
+        return entry
+
+    def leaf():
         """Evaluate the schedule at a leaf; a better feasible one becomes
         the incumbent. Each owner's transfers, sorted, are its receiving
         sequence: segments are numbered in arrival order, which is then
         playback order."""
         nonlocal best_welfare, best_downloads, evaluated
         downloads: dict[int, list[SegmentRecord]] = {n: [] for n in ids}
-        walks = dict(idle_walks)
+        terms = dict(idle_terms)
         for i, m in owners:
-            seq = []
-            for k, arrival in enumerate(sorted(arrived[i])):
-                rec = records.get((k, arrival))
-                if rec is None:
-                    end, n, start, _, z = arrival
-                    rec = records[k, arrival] = SegmentRecord(
-                        downloader=n, owner=m, level=z, rate=pmap[m].ladder[z], seg_index=k,
-                        t_start=start, t_end=end)
-                seq.append(rec)
-            walk = walks[m] = model.receiving_walk(pmap[m], seq)
-            if model.exceeds_cap(walk[5], pmap[m]):  # the peak; the cap rule is monotone
+            arrivals = tuple(sorted(arrived[i]))
+            terms[m], seq = walks.get((i, arrivals)) or owner_walk(i, m, arrivals)
+            if terms[m] is None:
                 return  # infeasible leaf
             for rec in seq:
                 downloads[rec.downloader].append(rec)
         evaluated += 1
-        welfare = model.ordered_sum(
-            model.payoff_of(*walks[n][:4], *model.transfer_energy(pmap[n], downloads[n], pmap))
-            for n in ids)
+        welfare = model.ordered_sum([
+            model.payoff_of(*terms[n], *model.transfer_energy(pmap[n], downloads[n], pmap))
+            for n in ids])
         if welfare > best_welfare:
             best_welfare, best_downloads = welfare, downloads
 
     def moves_from(d: int, start: float) -> tuple[Move, ...]:
-        """(owner's position in ``ids``, owner's segment count, end, gain,
-        arrival) of each transfer ``d`` can run from ``start``, by owner,
-        then level; the arrival is the tuple ``arrived`` holds."""
+        """(owner's position in ``ids``, end, gain, arrival) of each
+        transfer ``d`` can run from ``start``, by owner, then level; the
+        arrival is the tuple ``arrived`` holds."""
         moves = []
         for i, m in owners:
             prof_m = pmap[m]
@@ -697,7 +746,7 @@ def brute_force_segmented(
                 if m != d and not encounters.holds(d, m, start, end):
                     continue
                 gain = model.segment_gain(prof_m, pmap[d], rate, end - start, m != d)
-                moves.append((i, prof_m.video_segments, end, gain, (end, d, start, m, z)))
+                moves.append((i, end, gain, (end, d, start, m, z)))
         return tuple(moves)
 
     def options_from(d: int, free: float) -> tuple[Move, ...]:
@@ -714,43 +763,85 @@ def brute_force_segmented(
             options += moves
         return options
 
-    def dfs(active: tuple[int, ...], partial: float):
+    def after_one_more(key: tuple[int, ...]) -> list[float | None]:
+        after: list[float | None] = [None] * len(ids)
+        for i, m in owners:
+            if key[i] < pmap[m].video_segments:
+                after[i] = unreceived_value[key[:i] + (key[i] + 1,) + key[i + 1:]]
+        return after
+
+    def out_of_budget() -> SolverBudgetError:
+        return SolverBudgetError(f"node budget {node_budget} exhausted", "brute", best_welfare)
+
+    def visit(active: tuple[int, ...], partial: float):
+        """Count and settle a node: value it as a leaf, or expand it."""
         nonlocal nodes, leaves
         nodes += 1
         if nodes > node_budget:
-            raise SolverBudgetError(
-                f"node budget {node_budget} exhausted", "brute", best_welfare
-            )
+            raise out_of_budget()
         if not active or partial + unreceived_value[tuple(received)] <= best_welfare + 1e-12:
             # a leaf: no downloader is left, or even a loss-free completion
             # cannot beat the incumbent
             leaves += 1
             if partial >= best_welfare - TOL:  # welfare is at most partial
-                leaf(partial)
+                leaf()
             return
+        expand(active, partial)
+
+    def expand(active: tuple[int, ...], partial: float):
+        """Search below a counted node that is not a leaf: its move
+        children, then the child that retires the earliest free downloader."""
+        nonlocal nodes, leaves
         # earliest free downloader; ``active`` ascends, so ties go to the
-        # smaller id
-        d = min(active, key=next_free.__getitem__)
+        # smaller id. One or two downloaders need no ``min`` and its key
+        # calls: two take the one comparison ``min`` would make.
+        if len(active) == 2:
+            a, b = active
+            d = b if next_free[b] < next_free[a] else a
+        else:
+            d = active[0] if len(active) == 1 else min(active, key=next_free.__getitem__)
         free = next_free[d]
         options = options_memo.get((d, free))
         if options is None:
             options = options_memo[(d, free)] = options_from(d, free)
-        for i, segs, end, gain, arrival in options:
-            if received[i] >= segs:
+        key = tuple(received)
+        after = one_more.get(key)
+        if after is None:
+            after = one_more[key] = after_one_more(key)
+        # visit's two incumbent tests, read again once a leaf or a child
+        # may have raised the incumbent
+        cut, floor = best_welfare + 1e-12, best_welfare - TOL
+        for i, end, gain, arrival in options:
+            bound = after[i]
+            if bound is None:
+                continue  # owner i has all its segments
+            # visit's count and leaf test for the child, state unchanged
+            nodes += 1
+            if nodes > node_budget:
+                raise out_of_budget()
+            child = partial + gain
+            if child + bound <= cut:
+                leaves += 1
+                if child >= floor:
+                    arrived[i].append(arrival)
+                    leaf()
+                    arrived[i].pop()
+                    cut, floor = best_welfare + 1e-12, best_welfare - TOL
                 continue
             arrived[i].append(arrival)
             next_free[d] = end
             received[i] += 1
-            dfs(active, partial + gain)
+            expand(active, child)
             received[i] -= 1
             arrived[i].pop()
+            cut, floor = best_welfare + 1e-12, best_welfare - TOL
         next_free[d] = free  # each move set it; only a child reads it
         if (rest := retired.get((active, d))) is None:
             rest = retired[active, d] = tuple(n for n in active if n != d)
-        dfs(rest, partial)  # retire this downloader
+        visit(rest, partial)  # retire this downloader
 
     try:
-        dfs(tuple(ids), 0.0)
+        visit(tuple(ids), 0.0)
     except RecursionError:
         # the search nests a call per scheduled transfer
         raise SolverBudgetError(

@@ -15,9 +15,9 @@ a violation and a re-poll one ``DEFAULT_EPOCH`` later, when its owner, level
 or segment is not an int (a bool is not one), or when it names a user that
 is not a neighbour (an encountered helper included), the decider without
 video, a level off the owner's ladder, a segment outside the owner's video,
-or a segment that is delivered or in flight. A Wait whose duration is NaN or
-no real number, and a return that is neither a Download nor a Wait, are
-refused the same way. A re-poll at or past the horizon, after a Wait, a
+or a segment that is delivered or in flight. A Wait whose duration is NaN, a
+bool or no real number, and a return that is neither a Download nor a Wait,
+are refused the same way. A re-poll at or past the horizon, after a Wait, a
 refusal or a transfer's end, is never queued.
 
 Scheduler state is kept incrementally rather than rescanned per decision.
@@ -373,7 +373,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
                     at = time + (1e-6 if 1e-6 > duration else duration)
                 except TypeError:  # a duration that is no real number
                     at = math.nan
-                if at != at:
+                if at != at or type(duration) is bool:  # True would add 1 s
                     refuse(n, time, f"wait of {duration!r} from user {n}")
                 elif at < horizon:  # ``poll``, inlined on the busiest path
                     heappush(events, (at, next(seq), "epoch", n))

@@ -130,6 +130,8 @@ BAD_RUN_SPECS = {
     "repeated-scheduler": {"schedulers": ["lyapunov", "lyapunov"]},
     "same-lambda-tag": {"lambdas": [100, 100.0000001]},
     "overflowing-segment-count": {"video_length_s": 1e308, "beta": 1e-300},
+    "lp-columns-above-limit-with-gap": {"scenario": "multi", "n_users": 100,
+                                        "horizon": 1005.0, "compute_gap": True},
 }
 
 # every scheduler, two lambdas, two seeds and both cooperation modes: 16
@@ -168,6 +170,18 @@ class TestExperimentSpec:
             ExperimentSpec(horizon=100.0, slot_len=2**-7, compute_gap=True)
         ExperimentSpec(horizon=100.0, slot_len=2**-7)  # no gap, no slots
         ExperimentSpec(horizon=100.0, slot_len=2**-6, compute_gap=True)  # 6,400 slots
+
+    def test_gap_lp_columns_above_limit_rejected(self):
+        """``compute_gap`` solves a fluid LP per (seed, mode): one estimated
+        above ``MAX_LP_COLUMNS`` (slots × users² × levels) is refused with
+        the spec. The 100-user scaling spec is estimated at 5e6 and kept."""
+        spec = dict(n_users=100, video_fraction=0.2, capacity_range=(0.0, 0.7),
+                    cooperation="trace", horizon=500.0, compute_gap=True)
+        ExperimentSpec(**spec)  # 100 slots x 100**2 users x 5 levels
+        with pytest.raises(SpecError, match=r"^1\.005e\+07 estimated LP columns exceed "
+                                            r"the limit of 1e\+07$"):
+            ExperimentSpec(**{**spec, "horizon": 1005.0})  # 201 slots
+        ExperimentSpec(**{**spec, "horizon": 1005.0, "compute_gap": False})  # no LP
 
 
 class TestBuildProfiles:
@@ -537,6 +551,23 @@ class TestBoundsCommand:
         assert capsys.readouterr().err.splitlines() == [
             f"bad bounds instance: {count} slots exceed the limit of 10000 slots"]
         assert not out.exists()
+
+    def test_lp_columns_above_limit_exits_2_at_once(self, tmp_path, capsys):
+        """9,999 slots of one user with 1,001 ladder levels: an LP estimated
+        at 1.001e7 columns is refused within a second, before a slot is
+        built. The check passes at the limit and refuses one level above."""
+        ladder = [0.001 * (k + 1) for k in range(1001)]
+        inst = make_bounds_instance(tmp_path, ladder=ladder, slot_len=8.0 / 10_000)
+        out = tmp_path / "bounds.json"
+        t0 = time.perf_counter()
+        assert cli.main(["bounds", "--spec", inst, "--out", str(out)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.splitlines() == [
+            "bad bounds instance: 1.001e+07 estimated LP columns exceed the limit of 1e+07"]
+        assert not out.exists()
+        offline.check_lp_columns(10_000, 1, 1000)
+        with pytest.raises(ValueError):
+            offline.check_lp_columns(10_000, 1, 1001)
 
 
 class TestGenTracesCommand:

@@ -245,6 +245,59 @@ def test_brute_force_golden_where_caps_bind():
         "ee083af83a74d7f3bbf3fa2d676b9f8f0e530172a38f2f377f324cf29efa8cc1")
 
 
+# node budget -> repr of the brute force's incumbent when tiny/2 at beta/2
+# runs out of it. 1,000, 10,006 and 100,002 stop at a bound-pruned child
+# right after another; the incumbent improves at node 13,045, so 13,044
+# and 13,045 stop on either side of it. Recorded before move children were
+# settled in their parent's loop.
+BUDGET_STOPS = {
+    1_000: "5.639905998113438",
+    10_006: "5.889686869986372",
+    13_044: "5.889686869986372",
+    13_045: "6.061467741859305",
+    100_002: "6.417029485605172",
+}
+
+
+def test_brute_force_budget_stops_at_the_same_node():
+    """A child settled in its parent's loop is counted and checked against
+    the budget at the node where its own entry counted it: each budget
+    stops with the pinned message and incumbent."""
+    from test_acceptance import split_profiles, tiny_instance
+
+    profiles, capacity, enc, horizon = tiny_instance(2)
+    half = split_profiles(profiles, 2)
+    for budget, welfare in BUDGET_STOPS.items():
+        with pytest.raises(SolverBudgetError) as err:
+            brute_force_segmented(half, capacity, enc, horizon, node_budget=budget)
+        assert (str(err.value), err.value.solver, repr(err.value.welfare)) == (
+            f"node budget {budget} exhausted", "brute", welfare)
+
+
+def test_brute_force_memory_does_not_grow_with_leaves():
+    """tiny/234 at beta/3 values 8,008 leaves and makes far more distinct
+    receiving walks than the leaf table holds. Its ``tracemalloc`` peak
+    stays under 1 MB: about 0.5-0.7 MB with the capped table, 0.07 MB with
+    no table, 7.5 MB if the table kept every walk. Counts, welfare and
+    witness were recorded with no table."""
+    import tracemalloc
+
+    from test_acceptance import split_profiles, tiny_instance
+
+    profiles, capacity, enc, horizon = tiny_instance(234)
+    users = split_profiles(profiles, 3)
+    tracemalloc.start()
+    try:
+        r = brute_force_segmented(users, capacity, enc, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.nodes, r.leaves, r.evaluated, repr(r.welfare), witness_digest(r)) == (
+        55626, 31816, 8008, "1.571215567939546",
+        "17e6c96b3af7a7db12403dffaa0709b311c5578ca5a7921081b0a366bb0ef354")
+    assert peak < 1_000_000
+
+
 def test_searches_keep_no_tables_between_solves():
     """Instance A, then B (same profiles, other capacities, the same
     downloaders and start times), then A again: A's schedules, welfare

@@ -344,15 +344,17 @@ class TestOwners:
          "non-integer owner, level or segment (0.0, 0, 0) by 0"),
         (online.Wait("x"), "wait of 'x' from user 0"),
         (online.Wait(None), "wait of None from user 0"),
+        (online.Wait(True), "wait of True from user 0"),
+        (online.Wait(False), "wait of False from user 0"),
         (None, "decision None from user 0 is neither a Download nor a Wait"),
         ((0, 0, 0), "decision (0, 0, 0) from user 0 is neither a Download nor a Wait"),
     ], ids=["float-level", "bool-level", "float-segment", "bool-segment", "float-owner",
-            "str-wait", "none-wait", "none", "tuple"])
+            "str-wait", "none-wait", "true-wait", "false-wait", "none", "tuple"])
     def test_malformed_decision_is_refused(self, decision, why):
         """A Download whose owner, level or segment is not an int (a bool is
-        not one), a Wait whose duration is no real number, and a return that
-        is neither a Download nor a Wait are refused: a violation, a re-poll
-        one epoch later, no transfer, no exception."""
+        not one), a Wait whose duration is no real number or a bool, and a
+        return that is neither a Download nor a Wait are refused: a
+        violation, a re-poll one epoch later, no transfer, no exception."""
         polls = []
 
         def malformed(state, profiles):
