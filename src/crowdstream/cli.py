@@ -138,11 +138,6 @@ class ExperimentSpec:
                 raise SpecError(f"repeated entry in {list(keys)}: two cells would share a report")
         if not self.horizon > 0:  # the trace synthesizers loop up to it
             raise SpecError(f"horizon must be positive, got {self.horizon}")
-        if self.compute_gap and not self.slot_len > 0:
-            raise SpecError(f"slot_len must be positive, got {self.slot_len}")
-        if self.compute_gap and self.horizon // self.slot_len > offline.MAX_SLOTS:
-            raise SpecError(f"{self.horizon // self.slot_len!r} slots exceed the limit "
-                            f"of {offline.MAX_SLOTS} slots")
         if not self.beta > 0:  # build_profiles divides by it
             raise SpecError(f"beta must be positive, got {self.beta}")
         if not (self.delta_th >= 0 and self.gap_th >= 0):
@@ -152,10 +147,9 @@ class ExperimentSpec:
         if (refusal := _work_refusal(self.n_users, self.horizon, self.beta)) is not None:
             raise SpecError(f"{refusal} per cell")
         try:
-            if self.compute_gap:  # each (seed, mode) solves a fluid LP of this size
-                offline.check_lp_columns(self.horizon // self.slot_len, self.n_users,
-                                         len(self.ladder))
-            build_profiles(self)
+            profiles = build_profiles(self)
+            if self.compute_gap:  # each (seed, mode) builds a slotted instance
+                offline.slot_count(profiles, self.horizon, self.slot_len)
         except (TypeError, ValueError, OverflowError) as exc:  # int(video_length_s / beta)
             raise SpecError(str(exc)) from exc
 
@@ -413,6 +407,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     try:
         raw = _load_fields(args.spec, BOUNDS_FIELDS)
+        for key in ("exact_budget", "brute_budget"):
+            if raw.get(key, 1) < 1:  # a node budget, not a solver that ran out
+                raise ValueError(f"{key} must be at least 1, got {raw[key]}")
         capacity, encounters = traces.traces_from_dict(raw)
         instance = offline.SlottedInstance.from_traces(
             [UserProfile.from_dict(p) for p in raw["profiles"]], capacity, encounters,
@@ -427,11 +424,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         print(f"cannot write {out_path}: not a file in an existing directory", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        cert = offline.bound_certificate(
-            instance, capacity, encounters, include_middle=raw.get("include_middle", True),
-            exact_budget=raw.get("exact_budget", offline.EXACT_NODE_BUDGET),
-            brute_budget=raw.get("brute_budget", offline.BRUTE_NODE_BUDGET),
-        )
+        cert = offline.bound_certificate(instance, capacity, encounters, **{
+            k: raw[k] for k in ("include_middle", "exact_budget", "brute_budget") if k in raw})
     except RuntimeError as exc:
         print(f"no certificate written: {exc}", file=sys.stderr)
         return EXIT_PARTIAL

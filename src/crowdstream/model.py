@@ -205,17 +205,6 @@ def segment_gain(
     )
 
 
-def update_buffer(prev_q: float, gap: float, beta: float) -> float:
-    """Buffer after a reception: drain ``gap`` seconds of playback, add one segment."""
-    if gap < 0:
-        raise ValueError(f"playback gap must be nonnegative, got {gap}")
-    if prev_q < 0:
-        raise ValueError(f"buffer level must be nonnegative, got {prev_q}")
-    if beta <= 0:
-        raise ValueError(f"segment length must be positive, got {beta}")
-    return max(0.0, prev_q - gap) + beta
-
-
 def _trajectory(
     profile: UserProfile, received: Sequence[SegmentRecord]
 ) -> Iterator[tuple[SegmentRecord, float, float]]:
@@ -232,7 +221,7 @@ def _trajectory(
     for rec in received:
         t = max(avail, rec.t_end)
         gap, avail = t - avail, t
-        q = update_buffer(q, gap, profile.beta)
+        q = max(0.0, q - gap) + profile.beta  # drain the gap, add the segment
         yield rec, gap, q
 
 

@@ -1,12 +1,13 @@
 """Offline welfare bounds via a virtual time-slotted download schedule.
 
 The slotted scheme plans whole segments per slot instead of asynchronous
-transfers. Its exact optimum lower-bounds the asynchronous optimum; a fluid
-relaxation (continuous volumes, fluctuation and rebuffering charges dropped)
-upper-bounds it when capacity is constant within each slot, encounters
-cover whole slots and no buffer cap binds (see ``solve_slotted_relaxed``).
-A grid-restricted brute-force search over asynchronous
-segmented schedules provides the middle reference on tiny instances.
+transfers. A fluid relaxation (continuous volumes, fluctuation and
+rebuffering charges dropped) upper-bounds the asynchronous optimum when
+capacity is constant within each slot, encounters cover whole slots and no
+buffer cap binds (see ``solve_slotted_relaxed``). That the exact slotted
+optimum lower-bounds it is not proven; ``chain_ok`` checks only the order
+of the three values. A grid-restricted brute force over asynchronous
+segmented schedules gives the middle value on tiny instances.
 
 scipy (and with it numpy) loads on the first fluid LP, not with this
 module, so the simulator and the searches never pay for it.
@@ -30,15 +31,22 @@ MAX_LP_COLUMNS = 10_000_000  # most estimated fluid-LP columns it may ask for
 LEAF_TABLE_ENTRIES = 1_024  # entries the brute-force leaf table holds before it is cleared
 
 
-def check_lp_columns(n_slots: float, n_users: int, levels: int) -> None:
-    """Raise ``ValueError`` when the fluid LP's estimated columns exceed
-    ``MAX_LP_COLUMNS``. The estimate takes the instance's size alone:
-    slots × users² × ladder levels, one flow per slot, downloader, owner
-    and level, which bounds the flow columns that dominate the LP."""
-    columns = n_slots * n_users * n_users * levels
+def slot_count(profiles: Sequence[UserProfile], horizon: float, slot_len: float,
+               n_slots: int | None = None) -> int:
+    """``n_slots``, by default the slots of ``slot_len`` in ``horizon``;
+    ``ValueError`` for a slot length not positive, over ``MAX_SLOTS`` slots
+    or over ``MAX_LP_COLUMNS`` LP columns (slots × users² × levels)."""
+    if not slot_len > 0:
+        raise ValueError("slot length must be positive")
+    count = horizon // slot_len if n_slots is None else n_slots
+    if count > MAX_SLOTS:  # an inf count, too, which int() cannot take
+        raise ValueError(f"{count!r} slots exceed the limit of {MAX_SLOTS} slots")
+    levels = max((len(p.ladder) for p in profiles), default=0)
+    columns = count * len(profiles) * len(profiles) * levels
     if columns > MAX_LP_COLUMNS:
         raise ValueError(f"{columns:.4g} estimated LP columns exceed the limit "
                          f"of {MAX_LP_COLUMNS:.4g}")
+    return int(count) if n_slots is None else n_slots
 
 
 def __getattr__(name: str):
@@ -107,19 +115,10 @@ class SlottedInstance:
         slot_len: float,
         n_slots: int | None = None,
     ) -> "SlottedInstance":
-        """The instance of ``n_slots`` slots of ``slot_len`` seconds, by
-        default as many as fit in the capacity trace's horizon. More than
-        ``MAX_SLOTS`` slots, or more than ``MAX_LP_COLUMNS`` estimated LP
-        columns, raise ``ValueError`` before any slot is built."""
+        """``slot_count``'s slots of ``slot_len`` s, by default over the
+        capacity trace's horizon."""
         profiles = tuple(profiles)
-        if slot_len <= 0:
-            raise ValueError("slot length must be positive")
-        count = capacity.horizon // slot_len if n_slots is None else n_slots
-        if count > MAX_SLOTS:  # an inf count, too, which int() cannot take
-            raise ValueError(f"{count!r} slots exceed the limit of {MAX_SLOTS} slots")
-        check_lp_columns(count, len(profiles), max((len(p.ladder) for p in profiles), default=0))
-        if n_slots is None:
-            n_slots = int(count)
+        n_slots = slot_count(profiles, capacity.horizon, slot_len, n_slots)
         cap = tuple(
             tuple(capacity.integrate(p.id, t * slot_len, (t + 1) * slot_len)
                   for t in range(n_slots))

@@ -218,7 +218,7 @@ def _ready_or_wait(
     if ready:
         return ready
     if least is not None:
-        return Wait(1e-6 if 1e-6 > least else least)  # max(least, 1e-6)
+        return Wait(least)
     return _EPOCH_WAIT
 
 

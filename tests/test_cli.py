@@ -59,7 +59,7 @@ def with_profile(**fields):
     return lambda d: {**d, "profiles": [{**d["profiles"][0], **fields}]}
 
 
-# each turns the default bounds instance into one that cannot be built
+# each turns the default bounds instance into one refused before any solve
 MALFORMED_BOUNDS = {
     "missing-keys": lambda d: {"profiles": []},
     "unknown-profile-key": lambda d: {**d, "profiles": [{**d["profiles"][0], "bogus": 1}]},
@@ -88,6 +88,8 @@ MALFORMED_BOUNDS = {
         **d["encounters"], "pairs": [{"users": [0, 1], "intervals": [[0, float("nan")]]}]}},
     "unknown-key": lambda d: {**d, "exact_budgte": 10},
     "infinite-slot-length": lambda d: {**d, "slot_len": float("inf")},
+    "negative-exact-budget": lambda d: {**d, "exact_budget": -1},
+    "zero-brute-budget": lambda d: {**d, "brute_budget": 0},
 }
 
 # each makes a run spec that must be rejected before anything runs
@@ -525,7 +527,13 @@ class TestBoundsCommand:
         assert capfd.readouterr().out == ""
 
     @pytest.mark.parametrize("case", list(MALFORMED_BOUNDS))
-    def test_malformed_instance_exits_2(self, tmp_path, capsys, case):
+    def test_malformed_instance_exits_2(self, tmp_path, capsys, monkeypatch, case):
+        """One line, no certificate, and neither the LP nor a search runs."""
+        def solved(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        for name in ("solve_slotted_relaxed", "solve_slotted_exact", "brute_force_segmented"):
+            monkeypatch.setattr(offline, name, solved)
         payload = json.loads(open(make_bounds_instance(tmp_path)).read())
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(MALFORMED_BOUNDS[case](payload)))
@@ -565,9 +573,12 @@ class TestBoundsCommand:
         assert capsys.readouterr().err.splitlines() == [
             "bad bounds instance: 1.001e+07 estimated LP columns exceed the limit of 1e+07"]
         assert not out.exists()
-        offline.check_lp_columns(10_000, 1, 1000)
+        def one_user(levels):
+            return (UserProfile(id=0, beta=2.0, buffer_cap=2.0, ladder=tuple(ladder[:levels])),)
+
+        assert offline.slot_count(one_user(1000), 8.0, 1.0, 10_000) == 10_000
         with pytest.raises(ValueError):
-            offline.check_lp_columns(10_000, 1, 1001)
+            offline.slot_count(one_user(1001), 8.0, 1.0, 10_000)
 
 
 class TestGenTracesCommand:

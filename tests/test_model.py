@@ -129,26 +129,6 @@ class TestQdegLoss:
         assert breakdown(p, seq).qdeg_loss == pytest.approx(3.2)
 
 
-class TestUpdateBuffer:
-    def test_partial_drain(self):
-        assert model.update_buffer(10.0, 4.0, 2.0) == 8.0
-
-    def test_drained_to_zero(self):
-        assert model.update_buffer(1.0, 3.0, 2.0) == 2.0
-
-    def test_no_playback(self):
-        assert model.update_buffer(7.5, 0.0, 2.0) == 9.5
-
-    def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError):
-            model.update_buffer(1.0, -0.5, 2.0)
-
-    @given(st.floats(0, 100), st.floats(0, 100), st.floats(0.1, 10))
-    def test_result_bounds(self, q, gap, beta):
-        got = model.update_buffer(q, gap, beta)
-        assert beta <= got <= q + beta
-
-
 class TestBufferLevels:
     def test_out_of_order_arrivals(self):
         # playback order 0..3; segment 2 arrives at t=3 before segment 1 at
@@ -160,6 +140,28 @@ class TestBufferLevels:
 
     def test_empty_sequence(self):
         assert model.buffer_levels(make_profile(), []) == []
+
+    # each reception drains the gap since the one before, down to at most
+    # empty, then adds one segment of beta = 2 s
+    def test_partial_drain(self):
+        seq = [rec(0.7, 0.0, k) for k in range(5)] + [rec(0.7, 4.0, 5)]
+        assert model.buffer_levels(make_profile(), seq)[-2:] == [10.0, 8.0]
+
+    def test_drained_to_zero(self):
+        seq = [rec(0.7, 0.0, 0), rec(0.7, 3.0, 1)]
+        assert model.buffer_levels(make_profile(), seq) == [2.0, 2.0]
+
+    def test_no_playback(self):
+        seq = [rec(0.7, 0.0, 0), rec(0.7, 0.0, 1), rec(0.7, 0.5, 2), rec(0.7, 0.5, 3),
+               rec(0.7, 0.5, 4)]
+        assert model.buffer_levels(make_profile(), seq)[-2:] == [7.5, 9.5]
+
+    @given(st.lists(st.floats(0, 100), min_size=1, max_size=8), st.floats(0.1, 10))
+    def test_result_bounds(self, arrivals, beta):
+        seq = [rec(0.7, t, k) for k, t in enumerate(arrivals)]
+        levels = model.buffer_levels(make_profile(beta=beta), seq)
+        assert levels[0] == beta
+        assert all(beta <= q <= prev + beta for prev, q in zip(levels, levels[1:]))
 
 
 def rebuf(profile, received):
