@@ -350,15 +350,22 @@ def solve_slotted_exact(
     A node prunes when its optimistic welfare cannot beat the incumbent. A
     node that inherits its parent's state, the count-0 child and the first
     variable of each later slot, inherits that check's pass and skips it;
-    it is still counted as a node.
+    it is still counted as a node. One call loops through the nodes with
+    one child (a variable whose only count is 0, a slot's end) and
+    recurses only into a variable with more counts. Its count>0 children
+    are counted, checked against the budget and bound-tested in its loop,
+    so the nodes, their order and each test's outcome are those of a
+    search that enters every node.
     """
     N, T, L = instance.n_users, instance.n_slots, instance.slot_len
     profiles = instance.profiles
+    if T == 0:
+        return ExactResult(SlottedSchedule({}), 0.0, 0, 1)
 
-    # Each variable's constants, once per solve: (n, m, z, owner, rate,
-    # unit_vol, unit_gain) in _slot_vars order. Alongside, the optimistic
-    # value per Mbit achievable in each slot (losses and energy treated as
-    # zero keeps the bound admissible).
+    # Each variable's constants, once per solve: (n, m, z, rate, unit_vol,
+    # unit_gain) in _slot_vars order. Alongside, the optimistic value per
+    # Mbit achievable in each slot (losses and energy treated as zero keeps
+    # the bound admissible).
     var_plan: list[list[tuple]] = []
     slot_density = []
     for t, svars in enumerate(_slot_vars(instance)):
@@ -371,7 +378,7 @@ def solve_slotted_exact(
             unit_gain = model.segment_gain(
                 owner, profiles[n], rate, unit_vol / instance.capacity[n][t] * L, m != n
             )
-            row.append((n, m, z, owner, rate, unit_vol, unit_gain))
+            row.append((n, m, z, rate, unit_vol, unit_gain))
         var_plan.append(row)
         slot_density.append(best)
     suffix_cap = [0.0] * (T + 1)
@@ -379,111 +386,121 @@ def solve_slotted_exact(
         suffix_cap[t] = suffix_cap[t + 1] + slot_density[t] * model.ordered_sum(
             instance.capacity[n][t] for n in range(N)
         )
+    slot_owners = [sorted({var[1] for var in row}) for row in var_plan]
 
     counts: dict[tuple[int, int, int, int], int] = {}
     received = [0] * N
-    nodes = leaves = 0
+    nodes, leaves = 1, 0  # the root: slot 0's first variable
     best_welfare, best_kappa = -math.inf, {}
     unreceived_value = _UnreceivedValue(profiles)
-
-    # (user, phi_qdeg, phi_rebuf, beta, is a video user), for close_slot
-    user_losses = [(m, p.phi_qdeg, p.phi_rebuf, p.beta, p.is_video_user)
-                   for m, p in enumerate(profiles)]
-
-    def close_slot(t: int, acc: float, q: list[float], last_high: list[float | None]):
-        """Charge slot-level losses and advance buffers; recurse or prune."""
-        nonlocal leaves, best_welfare, best_kappa
-        new_q = list(q)
-        new_high = list(last_high)
-        total = acc
-        slot_rates = slot_rate_buf[t]
-        for m, phi_qdeg, phi_rebuf, beta, video in user_losses:
-            rates = slot_rates[m]
-            if rates:
-                lo, hi = min(rates), max(rates)
-                if new_high[m] is not None:
-                    total -= phi_qdeg * max(0.0, new_high[m] - lo)
-                new_high[m] = hi
-            if video:
-                if t >= 1:
-                    total -= phi_rebuf * max(0.0, L - new_q[m])
-                new_q[m] = max(0.0, new_q[m] - L) + len(rates) * beta
-        if t + 1 == T:
-            leaves += 1
-            if total > best_welfare:
-                best_welfare, best_kappa = total, dict(counts)
-            return
-        if total + min(suffix_cap[t + 1], unreceived_value[tuple(received)]) <= best_welfare + 1e-12:
-            return
-        dfs_slot(t + 1, total, new_q, new_high)
-
     # rates received per [slot][owner]
     slot_rate_buf: list[list[list[float]]] = [[[] for _ in range(N)] for _ in range(T)]
+    rooms: dict[tuple[int, float], int] = {}  # (owner, drained level) -> room
+    # (user, phi_qdeg, phi_rebuf, is a video user), for a slot's end
+    user_losses = [(m, p.phi_qdeg, p.phi_rebuf, p.is_video_user) for m, p in enumerate(profiles)]
 
-    def out_of_budget(why: str) -> SolverBudgetError:
-        found = best_welfare if best_welfare > -math.inf else None
-        return SolverBudgetError(why, "exact", found)
+    def open_slot(t: int, q: list[float]) -> tuple[list[float], list[int]]:
+        """Slot t's capacities and, per owner, the most segments the slot
+        may bring: those it lacks, and no more than its room, the largest k
+        whose end-of-slot level ``drained + k * beta`` does not overfill (-1
+        if none), found by a scan as the cap rule is monotone in the level."""
+        limit = [0] * N
+        for m in slot_owners[t]:
+            owner, drained = profiles[m], max(0.0, q[m] - L)
+            if (room := rooms.get((m, drained))) is None:
+                room = rooms[m, drained] = next(
+                    (k - 1 for k in range(owner.video_segments + 1)
+                     if model.exceeds_cap(drained + k * owner.beta, owner)),
+                    owner.video_segments)
+            limit[m] = min(owner.video_segments - received[m], room)
+        return [instance.capacity[n][t] for n in range(N)], limit
 
-    def dfs_vars(t: int, i: int, acc: float, rem_cap: list[float],
-                 q: list[float], last_high: list[float | None], moved: bool):
-        """``moved`` is False when the last bound check saw this state and
-        incumbent; repeating that check would only pass again."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise out_of_budget(f"node budget {node_budget} exhausted")
-        if i == len(var_plan[t]):
-            close_slot(t, acc, q, last_high)
-            return
-        if moved and best_welfare > -math.inf:
-            rem_total = model.ordered_sum(rem_cap)
-            optimistic = acc + min(
-                rem_total * slot_density[t] + suffix_cap[t + 1],
-                unreceived_value[tuple(received)],
-            )
-            if optimistic <= best_welfare + 1e-12:
-                return
-        n, m, z, owner, rate, unit_vol, unit_gain = var_plan[t][i]
-        cmax = min(
-            int((rem_cap[n] + TOL) // unit_vol),
-            owner.video_segments - received[m],
-        )
-        rates, key = slot_rate_buf[t][m], (t, n, m, z)
-        drained, held = max(0.0, q[m] - L), len(rates)
-        beta = owner.beta
+    def out_of_budget(why: str = f"node budget {node_budget} exhausted") -> SolverBudgetError:
+        return SolverBudgetError(why, "exact", best_welfare if best_welfare > -math.inf else None)
+
+    def search(t: int, i: int, acc: float, rem_cap: list[float], limit: list[int],
+               q: list[float], last_high: list[float | None]):
+        """Search below a counted node, variable ``i`` of slot ``t`` or the
+        slot's end, whose bound check, if it has one, has passed."""
+        nonlocal nodes, leaves, best_welfare, best_kappa
+        plan, slot_rates = var_plan[t], slot_rate_buf[t]
+        while True:  # through nodes with one child
+            if i < len(plan):
+                n, m, z, rate, unit_vol, unit_gain = plan[i]
+                rates = slot_rates[m]
+                cmax = int((rem_cap[n] + TOL) // unit_vol)
+                if (left := limit[m] - len(rates)) < cmax:
+                    cmax = left
+                if cmax > 0:
+                    break
+                if cmax < 0:
+                    return  # count 0 already overfills the owner's buffer
+                i += 1
+            else:  # the slot's end: charge slot-level losses
+                total = acc
+                for m, phi_qdeg, phi_rebuf, video in user_losses:
+                    rates = slot_rates[m]
+                    if rates and last_high[m] is not None:
+                        total -= phi_qdeg * max(0.0, last_high[m] - min(rates))
+                    if video and t >= 1:
+                        total -= phi_rebuf * max(0.0, L - q[m])
+                if t + 1 == T:
+                    leaves += 1
+                    if total > best_welfare:
+                        best_welfare, best_kappa = total, dict(counts)
+                    return
+                if total + min(suffix_cap[t + 1], unreceived_value[tuple(received)]) \
+                        <= best_welfare + 1e-12:
+                    return
+                # Slot t + 1's first variable skips its bound check, this one
+                # bit for bit: its capacity sum * density + suffix_cap[t + 2]
+                # has suffix_cap[t + 1]'s operands; IEEE + and * commute.
+                q = [max(0.0, level - L) + len(rates) * p.beta
+                     for level, rates, p in zip(q, slot_rates, profiles)]
+                last_high = [max(rates) if rates else high
+                             for rates, high in zip(slot_rates, last_high)]
+                t, i, acc = t + 1, 0, total
+                plan, slot_rates = var_plan[t], slot_rate_buf[t]
+                rem_cap, limit = open_slot(t, q)
+            nodes += 1
+            if nodes > node_budget:
+                raise out_of_budget()
+        key = (t, n, m, z)
         for c in range(cmax + 1):
-            if model.exceeds_cap(drained + (held + c) * beta, owner):
-                cmax = c - 1  # c more would overfill the owner's buffer in slot t
-                break
+            nodes += 1
+            if nodes > node_budget:
+                raise out_of_budget()
+            child = acc + c * unit_gain
             if c > 0:
                 counts[key] = c
                 rem_cap[n] -= unit_vol
                 received[m] += 1
                 rates.append(rate)
-            # the c = 0 child holds this node's state, checked above
-            dfs_vars(t, i + 1, acc + c * unit_gain, rem_cap, q, last_high, c > 0)
-        if cmax > 0:
-            counts.pop(key, None)
-            rem_cap[n] += cmax * unit_vol
-            received[m] -= cmax
-            del rates[-cmax:]
+                # Count 0 holds this node's state, checked already; a slot's
+                # end has its own check. Rounding is monotone, so child +
+                # min(capacity term, remaining value) <= best + 1e-12 holds
+                # just when one sum does; the first sum is the cheaper.
+                if i + 1 < len(plan) and best_welfare > -math.inf and (
+                        child + unreceived_value[tuple(received)] <= best_welfare + 1e-12
+                        or child + (model.ordered_sum(rem_cap) * slot_density[t]
+                                    + suffix_cap[t + 1]) <= best_welfare + 1e-12):
+                    continue
+            search(t, i + 1, child, rem_cap, limit, q, last_high)
+        del counts[key]
+        rem_cap[n] += cmax * unit_vol
+        received[m] -= cmax
+        del rates[-cmax:]
 
-    def dfs_slot(t: int, acc: float, q: list[float], last_high: list[float | None]):
-        # Slot t's first variable skips its bound check: from close_slot
-        # (t >= 1) that check is close_slot's own, bit for bit, since
-        # suffix_cap[t] = suffix_cap[t + 1] + slot_density[t] * the slot's
-        # capacity sum, the same operands in another order, and IEEE + and *
-        # commute; at t = 0 there is no incumbent yet.
-        rem_cap = [instance.capacity[n][t] for n in range(N)]
-        dfs_vars(t, 0, acc, rem_cap, q, last_high, False)
-
-    if T == 0:
-        return ExactResult(SlottedSchedule({}), 0.0, 0, 1)
     try:
-        dfs_slot(0, 0.0, [0.0] * N, [None] * N)
+        if nodes > node_budget:
+            raise out_of_budget()
+        q = [0.0] * N
+        search(0, 0, 0.0, *open_slot(0, q), q, [None] * N)
     except RecursionError:
-        # the search nests a call per slot variable
+        # the search nests a call per variable with more than one count
         raise out_of_budget(f"recursion limit {sys.getrecursionlimit()} exhausted") from None
+    finally:
+        del search  # it refers to itself: a cycle that would keep the tables until a full GC
     return ExactResult(SlottedSchedule(best_kappa), best_welfare, nodes, leaves)
 
 

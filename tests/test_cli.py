@@ -444,9 +444,27 @@ class TestBoundsCommand:
         assert capsys.readouterr().err.startswith("exact_half solver budget exhausted")
 
     def test_recursion_limit_exits_3_with_partial(self, tmp_path, capsys):
-        """The scaling spec at 10 users and a 100 s horizon gives the exact
-        search more slot variables than the recursion limit allows frames;
-        it fails as a budget exhaustion, and the finished LP bound is kept."""
+        """One user with one level and 200 more slots than the recursion
+        limit allows frames: every slot's variable has two counts, so the
+        exact search nests a call per slot; it fails as a budget
+        exhaustion before any leaf, and the finished LP bound is kept."""
+        slots = sys.getrecursionlimit() + 200
+        inst = make_bounds_instance(tmp_path, ladder=(0.2,), horizon=4.0 * slots)
+        out = str(tmp_path / "bounds.json")
+        assert cli.main(["bounds", "--spec", inst, "--out", out]) == 3
+        cert = json.loads(open(out).read())
+        assert cert["partial"] is True
+        assert cert["upper"] > 0
+        assert cert["lower"] is cert["middle"] is None
+        assert cert["solver_stats"]["failed_solver"] == "exact"
+        assert cert["solver_stats"]["error"].startswith("recursion limit")
+        assert capsys.readouterr().err.startswith("exact solver budget exhausted")
+
+    def test_many_users_run_to_the_node_budget(self, tmp_path, capsys):
+        """The scaling spec at 10 users and a 100 s horizon: 20 slots and
+        1,105 slot variables, most with one count. The exact search nests
+        a call only per variable with more, so it runs to its node budget
+        and keeps its incumbent as ``lower``, beside the LP bound."""
         spec = ExperimentSpec(n_users=10, video_fraction=0.2, capacity_range=(0.0, 0.7),
                               cooperation="trace", horizon=100.0)
         profiles = build_profiles(spec)
@@ -457,6 +475,7 @@ class TestBoundsCommand:
                 traces.synth_encounters(ids, spec.horizon, 0, mode="trace")),
             "profiles": [p.to_dict() for p in profiles],
             "slot_len": 5.0,
+            "exact_budget": 10_000,
         }
         inst = tmp_path / "instance.json"
         inst.write_text(json.dumps(payload))
@@ -465,9 +484,10 @@ class TestBoundsCommand:
         cert = json.loads(open(out).read())
         assert cert["partial"] is True
         assert cert["upper"] > 0
-        assert cert["lower"] is cert["middle"] is None
+        assert cert["lower"] == -185.61877794272522
+        assert cert["middle"] is None
         assert cert["solver_stats"]["failed_solver"] == "exact"
-        assert cert["solver_stats"]["error"].startswith("recursion limit")
+        assert cert["solver_stats"]["error"] == "node budget 10000 exhausted"
         assert capsys.readouterr().err.startswith("exact solver budget exhausted")
 
     def test_without_middle(self, tmp_path):

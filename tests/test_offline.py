@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -134,32 +135,34 @@ class TestFeasibility:
             eval_slotted_welfare(inst, sched)
 
 
-def enumerate_one_slot_optimum(inst):
-    """Oracle: exhaustive enumeration of all schedules of a 1-user 1-slot instance."""
-    prof = inst.profiles[0]
+def enumerate_slotted_optimum(inst):
+    """Oracle: the best welfare over every slotted schedule in which no
+    owner receives more segments than its video has. Each is checked by
+    ``check_slotted_feasibility`` and valued by ``eval_slotted_welfare``."""
+    per_owner = []
+    for m, prof in enumerate(inst.profiles):
+        keys = [(t, n, m, z) for t in range(inst.n_slots) for n in range(inst.n_users)
+                for z in range(len(prof.ladder))]
+        per_owner.append([
+            {k: c for k, c in zip(keys, counts) if c}
+            for counts in itertools.product(range(prof.video_segments + 1), repeat=len(keys))
+            if sum(counts) <= prof.video_segments
+        ])
     best = -math.inf
-    Z = len(prof.ladder)
-    counts = [0] * Z
-
-    def rec(z):
-        nonlocal best
-        if z == Z:
-            if sum(counts) <= prof.video_segments:
-                vol = sum(c * r * prof.beta for c, r in zip(counts, prof.ladder))
-                if vol <= inst.capacity[0][0] + 1e-9:
-                    sched = SlottedSchedule({
-                        (0, 0, 0, i): c for i, c in enumerate(counts) if c
-                    })
-                    w, _ = eval_slotted_welfare(inst, sched)
-                    best = max(best, w)
-            return
-        for c in range(prof.video_segments + 1):
-            counts[z] = c
-            rec(z + 1)
-        counts[z] = 0
-
-    rec(0)
+    for parts in itertools.product(*per_owner):
+        sched = SlottedSchedule({k: c for part in parts for k, c in part.items()})
+        if not check_slotted_feasibility(inst, sched):
+            best = max(best, eval_slotted_welfare(inst, sched)[0])
     return best
+
+
+def two_user_instance(caps, segs, encounter, **prof_kw):
+    profiles = tuple(make_profile(n, segs=s, **prof_kw) for n, s in enumerate(segs))
+    return SlottedInstance(
+        profiles=profiles, slot_len=4.0, n_slots=len(caps[0]),
+        capacity=tuple(tuple(row) for row in caps),
+        encounter=frozenset((0, 1, t) for t in encounter),
+    )
 
 
 class TestSolveSlottedExact:
@@ -167,8 +170,27 @@ class TestSolveSlottedExact:
         inst = one_user_instance([3.0], n_slots=1, segs=3, c_time=0.05, c_data=0.02,
                                  phi_rebuf=0.3)
         res = solve_slotted_exact(inst)
-        assert res.welfare == pytest.approx(enumerate_one_slot_optimum(inst))
+        assert res.welfare == pytest.approx(enumerate_slotted_optimum(inst))
         assert check_slotted_feasibility(inst, res.schedule) == []
+
+    @pytest.mark.parametrize("inst", [
+        # a 2 s cap holds one segment of three the link could fetch at once
+        one_user_instance([3.0, 2.0], segs=3, buffer_cap=2.0, c_time=0.05,
+                          phi_rebuf=0.3, phi_qdeg=0.5),
+        one_user_instance([1.5, 0.5], segs=2, ladder=(0.2, 0.4), c_data=0.02,
+                          phi_rebuf=0.2),
+        # two owners meet in slot 1 only; the caps bind
+        two_user_instance([[3.0, 0.2], [1.0, 3.0]], [2, 2], [1], buffer_cap=2.0,
+                          c_time=0.05, w_data=0.01, phi_qdeg=0.5, phi_rebuf=0.3),
+        # a helper with no video fetches for a capped owner in both slots
+        two_user_instance([[0.2, 0.6], [3.0, 3.0]], [3, 0], [0, 1], buffer_cap=2.0,
+                          c_data=0.02, phi_rebuf=0.2),
+    ], ids=["one-user-cap-binds", "one-user", "two-owners-cap-binds", "helper-cap-binds"])
+    def test_matches_exhaustive_enumeration_over_two_slots(self, inst):
+        res = solve_slotted_exact(inst)
+        assert check_slotted_feasibility(inst, res.schedule) == []
+        assert eval_slotted_welfare(inst, res.schedule)[0] == pytest.approx(res.welfare)
+        assert res.welfare == pytest.approx(enumerate_slotted_optimum(inst))
 
     def test_zero_capacity_stall_only(self):
         inst = one_user_instance([0.0, 0.0], segs=1, phi_rebuf=0.5)
@@ -205,6 +227,17 @@ class TestSolveSlottedExact:
         # counts ascend, so the first leaf, the incumbent here, downloads nothing
         assert err.value.welfare == 0.0
         assert err.value.solver == "exact"
+
+    def test_recursion_limit_is_a_budget_error(self):
+        """One user with one level and more slots than the recursion limit
+        allows frames, each slot's variable with two counts: the search
+        stops as if out of budget, before any leaf, so with no incumbent."""
+        slots = sys.getrecursionlimit() + 100
+        inst = one_user_instance([4.0] * slots, n_slots=slots, ladder=(0.2,))
+        with pytest.raises(SolverBudgetError, match="recursion limit") as err:
+            solve_slotted_exact(inst)
+        assert err.value.solver == "exact"
+        assert err.value.welfare is None
 
 
 class TestSolveSlottedRelaxed:

@@ -6,8 +6,9 @@ brute-force segmented optimum at beta and beta/2, fluid upper bound) and
 the node and leaf counts of the exact and brute-force searches, the
 brute force's count of leaves valued, and a digest of each brute-force
 witness (the downloads) at beta and beta/2. A family of instances whose
-buffer caps bind pins the same for the brute force. One many-user instance
-pins the fluid LP's size and ``repr`` of its bound. A change here means a
+buffer caps bind pins the same for the brute force, and each exact
+solve's welfare, counts and schedule digest. One many-user instance pins
+the fluid LP's size and ``repr`` of its bound. A change here means a
 solver's arithmetic or search order changed, not just its speed.
 """
 import dataclasses
@@ -245,6 +246,25 @@ def test_brute_force_golden_where_caps_bind():
         "ee083af83a74d7f3bbf3fa2d676b9f8f0e530172a38f2f377f324cf29efa8cc1")
 
 
+def test_exact_golden_where_caps_bind():
+    """Seeds 0-59 of the capped family at beta and beta/2: each exact
+    solve's welfare ``repr``, node and leaf counts and a digest of its
+    schedule, hashed together. No benchmark instance binds a cap, so this
+    is the pin on the count bound that the owner's buffer room sets: with
+    the cap ignored, 46 of the 120 rows change, 45 of them in welfare."""
+    rows = []
+    for seed in range(60):
+        profiles, capacity, enc, horizon = capped_instance(seed)
+        inst = SlottedInstance.from_traces(profiles, capacity, enc, SLOT)
+        for i in (inst, inst.with_split(2)):
+            r = solve_slotted_exact(i)
+            rows.append((repr(r.welfare), r.nodes, r.leaves, hashlib.sha256(
+                repr(sorted(r.schedule.kappa.items())).encode()).hexdigest()))
+    assert tuple(sum(r[i] for r in rows) for i in (1, 2)) == (119190, 35729)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "8f25226919a1a39761666a0a0568a31827f867ddd1fc437a5f6ec680a3fbc4c3")
+
+
 # node budget -> repr of the brute force's incumbent when tiny/2 at beta/2
 # runs out of it. 1,000, 10,006 and 100,002 stop at a bound-pruned child
 # right after another; the incumbent improves at node 13,045, so 13,044
@@ -272,6 +292,41 @@ def test_brute_force_budget_stops_at_the_same_node():
             brute_force_segmented(half, capacity, enc, horizon, node_budget=budget)
         assert (str(err.value), err.value.solver, repr(err.value.welfare)) == (
             f"node budget {budget} exhausted", "brute", welfare)
+
+
+# node budget -> repr of the exact search's incumbent when tiny/2 at beta/2
+# (28,991 nodes) runs out of it. The node past the budget is a variable
+# whose count bound is 0 for 1,002 and 5,000, a slot end for 1,004 and
+# 5,001, and a count>0 child pruned by its bound test for 1,126 and 5,265;
+# the incumbent improves at node 6,889, so 6,888 and 6,889 stop on either
+# side of it. Recorded before children were settled in their parent's loop.
+EXACT_BUDGET_STOPS = {
+    1_002: "3.556612121991823",
+    1_004: "3.556612121991823",
+    1_126: "3.556612121991823",
+    5_000: "5.665492111607898",
+    5_001: "5.665492111607898",
+    5_265: "5.886839490797135",
+    6_888: "6.648248613732239",
+    6_889: "6.748682106415936",
+}
+
+
+def test_exact_budget_stops_at_the_same_node():
+    """A node the exact search passes through in a loop, or settles in its
+    parent's loop, is counted and checked against the budget where its own
+    call counted it: each budget stops with the pinned message and
+    incumbent."""
+    from test_acceptance import tiny_instance
+
+    profiles, capacity, enc, horizon = tiny_instance(2)
+    half = SlottedInstance.from_traces(profiles, capacity, enc, SLOT).with_split(2)
+    assert solve_slotted_exact(half).nodes == 28_991
+    for budget, welfare in EXACT_BUDGET_STOPS.items():
+        with pytest.raises(SolverBudgetError) as err:
+            solve_slotted_exact(half, node_budget=budget)
+        assert (str(err.value), err.value.solver, repr(err.value.welfare)) == (
+            f"node budget {budget} exhausted", "exact", welfare)
 
 
 def test_brute_force_memory_does_not_grow_with_leaves():
