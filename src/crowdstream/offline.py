@@ -583,17 +583,33 @@ def _solve_lp(lp: tuple) -> float:
     and ``(b, b)``, so both give the same optimum bits (a test compares
     them). ``linprog`` is not used because its own input handling costs
     more than the solve on small LPs.
+
+    The CSC arrays are built here: a stable sort by column buckets the
+    triplets in their listed order. Rows are listed in ascending order,
+    ``<=`` before ``==``, and no row names a column twice, so each column's
+    rows come out ascending and distinct: scipy's canonical CSC arrays of
+    the triplets (a test compares them). Costs and bounds go to ``milp``
+    as float arrays, so it converts no list.
     """
+    import numpy as np
     from scipy import sparse
     from scipy.optimize import LinearConstraint, milp
 
     cost, ub, eq, bounds = lp
-    n_ub = len(ub[3])
-    A = sparse.csc_array((ub[2] + eq[2], (ub[0] + [n_ub + r for r in eq[0]], ub[1] + eq[1])),
-                         shape=(n_ub + len(eq[3]), len(cost)))
-    rows = LinearConstraint(A, [-math.inf] * n_ub + eq[3], ub[3] + eq[3])
-    cols = ([lo for lo, _ in bounds], [math.inf if hi is None else hi for _, hi in bounds])
-    res = milp([-c for c in cost], bounds=cols, constraints=rows)
+    n_ub, n = len(ub[3]), len(cost)
+    cols = np.array(ub[1] + eq[1], dtype=np.intp)
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    rows = np.array(ub[0] + [n_ub + r for r in eq[0]], dtype=np.intp)
+    A = sparse.csc_array((np.array(ub[2] + eq[2])[order], rows[order], indptr),
+                         shape=(n_ub + len(eq[3]), n))
+    row_lo = np.array([-math.inf] * n_ub + eq[3], dtype=float)
+    row_hi = np.array(ub[3] + eq[3], dtype=float)
+    col_lo = np.array([lo for lo, _ in bounds], dtype=float)
+    col_hi = np.array([math.inf if hi is None else hi for _, hi in bounds], dtype=float)
+    res = milp(-np.array(cost), bounds=(col_lo, col_hi),
+               constraints=LinearConstraint(A, row_lo, row_hi))
     if res.status != 0:
         raise RuntimeError(f"relaxation LP failed: {res.message}")
     return float(-res.fun)
@@ -863,6 +879,9 @@ def brute_force_segmented(
         raise SolverBudgetError(
             f"recursion limit {sys.getrecursionlimit()} exhausted", "brute", best_welfare
         ) from None
+    finally:
+        # they refer to each other: a cycle that would keep the tables until a full GC
+        del visit, expand
     return BruteForceResult(best_welfare, best_downloads, nodes, leaves, evaluated)
 
 

@@ -1,10 +1,11 @@
+import gc
 import itertools
 import math
 import sys
 
 import pytest
 
-from crowdstream import model, offline, traces
+from crowdstream import cli, model, offline, traces
 from crowdstream.model import UserProfile
 from crowdstream.offline import (
     SlottedInstance, SlottedSchedule, SolverBudgetError,
@@ -449,3 +450,83 @@ class TestSlottedInstance:
         with pytest.raises(ValueError):
             SlottedInstance(profiles=(make_profile(5),), slot_len=4.0, n_slots=1,
                             capacity=((1.0,),), encounter=frozenset())
+
+
+def _stops(solve, why):
+    """Runs ``solve``, which must stop with a budget error whose message
+    starts with ``why``."""
+    try:
+        solve()
+    except SolverBudgetError as exc:
+        assert str(exc).startswith(why), exc
+        return
+    pytest.fail("the solve did not stop")
+
+
+def _with_recursion_limit(limit, solve):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        solve()
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _solver_calls():
+    """One call per path through the solvers, on tiny/5 unless named."""
+    from test_acceptance import SLOT, split_profiles, tiny_instance
+
+    profiles, capacity, enc, horizon = tiny_instance(5)
+    inst = SlottedInstance.from_traces(profiles, capacity, enc, SLOT)
+    slots = sys.getrecursionlimit() + 200
+    deep_slots = one_user_instance([4.0] * slots, n_slots=slots, ladder=(0.2,))
+    # more back-to-back segments than the lowered limit allows frames
+    segs = 500
+    deep_brute = (
+        (make_profile(segs=segs, ladder=(0.2,), buffer_cap=2.0 * segs),),
+        traces.CapacityTrace.constant([0], 10.0, 100.0), traces.EncounterTrace.none(100.0), 100.0)
+    spec = cli.ExperimentSpec(n_users=6, video_fraction=0.5, cooperation="trace", horizon=60.0)
+
+    def partial_certificate():
+        cert = bound_certificate(inst, capacity, enc, brute_budget=3)
+        assert cert.solver_stats["failed_solver"] == "brute"
+
+    return {
+        "exact": lambda: solve_slotted_exact(inst),
+        "exact-half": lambda: solve_slotted_exact(inst.with_split(2)),
+        "exact-budget": lambda: _stops(
+            lambda: solve_slotted_exact(inst, node_budget=3), "node budget"),
+        "exact-recursion": lambda: _stops(
+            lambda: solve_slotted_exact(deep_slots), "recursion limit"),
+        "brute": lambda: brute_force_segmented(profiles, capacity, enc, horizon),
+        "brute-half": lambda: brute_force_segmented(
+            split_profiles(profiles, 2), capacity, enc, horizon),
+        "brute-budget": lambda: _stops(lambda: brute_force_segmented(
+            profiles, capacity, enc, horizon, node_budget=3), "node budget"),
+        "brute-recursion": lambda: _with_recursion_limit(400, lambda: _stops(
+            lambda: brute_force_segmented(*deep_brute), "recursion limit")),
+        "relaxed": lambda: solve_slotted_relaxed(inst),
+        "certificate": lambda: bound_certificate(inst, capacity, enc),
+        "certificate-partial": partial_certificate,
+        "sim-cell": lambda: cli._run_cell(spec, "lyapunov", 100.0, 0, "trace"),
+    }
+
+
+@pytest.mark.parametrize("path", [
+    "exact", "exact-half", "exact-budget", "exact-recursion", "brute", "brute-half",
+    "brute-budget", "brute-recursion", "relaxed", "certificate", "certificate-partial",
+    "sim-cell"])
+def test_solvers_leave_no_cyclic_garbage(path):
+    """Each solve frees its search state by reference counting when it
+    returns or stops, so many small solves wake no collector pass: after
+    one warm call, a second call with the collector off leaves nothing
+    for ``gc.collect`` to free."""
+    call = _solver_calls()[path]
+    call()  # one-time imports and lazy set-up
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -13,6 +13,7 @@ solver's arithmetic or search order changed, not just its speed.
 """
 import dataclasses
 import hashlib
+import math
 import random
 
 import pytest
@@ -423,3 +424,47 @@ def test_milp_solve_keeps_every_linprog_bit():
     lps = [lp for lp in lps if lp is not None]
     assert len(lps) == 492
     assert [repr(_solve_lp(lp)) for lp in lps] == [repr(linprog_optimum(lp)) for lp in lps]
+
+
+def test_milp_gets_scipys_canonical_csc_arrays(monkeypatch):
+    """``_solve_lp`` builds the CSC arrays that ``scipy.sparse.csc_array``
+    builds from ``_fluid_lp``'s triplets, and hands ``milp`` the costs and
+    the column and row bounds as float arrays of the same values: on the
+    tiny generator's seeds 0-19, every golden instance and a 100-slot
+    single-user instance."""
+    import numpy as np
+    from scipy import optimize, sparse
+    from test_acceptance import tiny_instance
+
+    lps = [_fluid_lp(SlottedInstance.from_traces(*tiny_instance(seed)[:3], SLOT))
+           for seed in range(20)]
+    lps += [_fluid_lp(SlottedInstance.from_traces(*f()[:3], SLOT)) for f in INSTANCES.values()]
+    spec = ExperimentSpec(scenario="single")
+    lps.append(_fluid_lp(SlottedInstance.from_traces(*cli._cell_traces(spec, 0, "full"),
+                                                     spec.slot_len)))
+    calls = []
+    milp = optimize.milp
+    monkeypatch.setattr(optimize, "milp", lambda *a, **kw: calls.append((a, kw)) or milp(*a, **kw))
+
+    def floats(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    for lp in filter(None, lps):
+        _solve_lp(lp)
+        (c,), kw = calls.pop()
+        (lo, hi), rows = kw["bounds"], kw["constraints"]
+        cost, ub, eq, bounds = lp
+        n_ub = len(ub[3])
+        A = sparse.csc_array((ub[2] + eq[2], (ub[0] + [n_ub + r for r in eq[0]], ub[1] + eq[1])),
+                             shape=(n_ub + len(eq[3]), len(cost)))
+        assert rows.A.shape == A.shape
+        assert np.array_equal(rows.A.indptr, A.indptr)
+        assert np.array_equal(rows.A.indices, A.indices)
+        assert rows.A.data.tobytes() == A.data.tobytes()
+        assert all(isinstance(v, np.ndarray) for v in (c, lo, hi))
+        assert floats(c) == floats([-v for v in cost])
+        assert floats(lo) == floats([v for v, _ in bounds])
+        assert floats(hi) == floats([math.inf if v is None else v for _, v in bounds])
+        assert floats(rows.lb) == floats([-math.inf] * n_ub + eq[3])
+        assert floats(rows.ub) == floats(ub[3] + eq[3])
+    assert not calls
