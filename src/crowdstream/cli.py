@@ -163,8 +163,8 @@ class ExperimentSpec:
 
 # a bounds instance's fields and their JSON types
 BOUNDS_FIELDS = {"profiles": tuple[dict, ...], "capacity": dict, "encounters": dict,
-                 "slot_len": float, "n_slots": int | None, "exact_budget": int,
-                 "brute_budget": int, "include_middle": bool}
+                 "slot_len": float, "exact_budget": int, "brute_budget": int,
+                 "include_middle": bool}
 
 
 def _has_type(value, kind) -> bool:
@@ -173,8 +173,6 @@ def _has_type(value, kind) -> bool:
     args = typing.get_args(kind)
     if typing.get_origin(kind) is tuple:
         return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
-    if args:  # a union, such as int | None
-        return any(_has_type(value, k) for k in args)
     if kind is float:
         return _has_type(value, int) or isinstance(value, float) and math.isfinite(value)
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
@@ -413,8 +411,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         capacity, encounters = traces.traces_from_dict(raw)
         instance = offline.SlottedInstance.from_traces(
             [UserProfile.from_dict(p) for p in raw["profiles"]], capacity, encounters,
-            float(raw["slot_len"]), raw.get("n_slots"),
-        )
+            float(raw["slot_len"]))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"bad bounds instance: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -31,14 +31,13 @@ MAX_LP_COLUMNS = 10_000_000  # most estimated fluid-LP columns it may ask for
 LEAF_TABLE_ENTRIES = 1_024  # entries the brute-force leaf table holds before it is cleared
 
 
-def slot_count(profiles: Sequence[UserProfile], horizon: float, slot_len: float,
-               n_slots: int | None = None) -> int:
-    """``n_slots``, by default the slots of ``slot_len`` in ``horizon``;
-    ``ValueError`` for a slot length not positive, over ``MAX_SLOTS`` slots
-    or over ``MAX_LP_COLUMNS`` LP columns (slots × users² × levels)."""
+def slot_count(profiles: Sequence[UserProfile], horizon: float, slot_len: float) -> int:
+    """The whole slots of ``slot_len`` in ``horizon``; ``ValueError`` for a
+    slot length not positive, over ``MAX_SLOTS`` slots or over
+    ``MAX_LP_COLUMNS`` LP columns (slots × users² × levels)."""
     if not slot_len > 0:
         raise ValueError("slot length must be positive")
-    count = horizon // slot_len if n_slots is None else n_slots
+    count = horizon // slot_len
     if count > MAX_SLOTS:  # an inf count, too, which int() cannot take
         raise ValueError(f"{count!r} slots exceed the limit of {MAX_SLOTS} slots")
     levels = max((len(p.ladder) for p in profiles), default=0)
@@ -46,7 +45,7 @@ def slot_count(profiles: Sequence[UserProfile], horizon: float, slot_len: float,
     if columns > MAX_LP_COLUMNS:
         raise ValueError(f"{columns:.4g} estimated LP columns exceed the limit "
                          f"of {MAX_LP_COLUMNS:.4g}")
-    return int(count) if n_slots is None else n_slots
+    return int(count)
 
 
 def __getattr__(name: str):
@@ -113,12 +112,11 @@ class SlottedInstance:
         capacity,
         encounters,
         slot_len: float,
-        n_slots: int | None = None,
     ) -> "SlottedInstance":
-        """``slot_count``'s slots of ``slot_len`` s, by default over the
-        capacity trace's horizon."""
+        """The whole slots of ``slot_len`` s in the capacity trace's horizon,
+        as ``slot_count`` counts and checks them."""
         profiles = tuple(profiles)
-        n_slots = slot_count(profiles, capacity.horizon, slot_len, n_slots)
+        n_slots = slot_count(profiles, capacity.horizon, slot_len)
         cap = tuple(
             tuple(capacity.integrate(p.id, t * slot_len, (t + 1) * slot_len)
                   for t in range(n_slots))

@@ -17,6 +17,7 @@ import csv
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import ordered_sum
@@ -152,11 +153,13 @@ class CapacityTrace:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "CapacityTrace":
+        """Refuses two keys that name one user, such as ``"0"`` and ``"00"``."""
         horizon = float(d["horizon"])
-        users = {
-            int(n): PiecewiseConstant(tuple(spec["times"]), tuple(spec["rates"]), horizon)
-            for n, spec in d["users"].items()
-        }
+        users = {}
+        for key, spec in d["users"].items():
+            if (n := int(key)) in users:
+                raise TraceError(f"capacity user {n} is listed twice")
+            users[n] = PiecewiseConstant(tuple(spec["times"]), tuple(spec["rates"]), horizon)
         return cls(users=users, horizon=horizon)
 
 
@@ -168,6 +171,9 @@ def _merge_intervals(intervals: Iterable[tuple[float, float]]) -> tuple[tuple[fl
         else:
             merged.append([a, b])
     return tuple((a, b) for a, b in merged)
+
+
+_START, _END = itemgetter(0), itemgetter(1)  # bisect keys of an encounter window
 
 
 @dataclass(frozen=True)
@@ -192,17 +198,6 @@ class EncounterTrace:
                         f"encounter intervals of pair ({n}, {m}) must be in start "
                         f"order and disjoint: [.., {b}] then [{a}, ..]"
                     )
-        object.__setattr__(self, "_bounds", {
-            pair: (tuple(a for a, _ in ivs), tuple(b for _, b in ivs))
-            for pair, ivs in self.intervals.items()
-        })
-
-    def interval_bounds(self, n: int, m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Starts and ends of the pair's intervals, each nondecreasing. The
-        first interval containing ``t`` is the one at
-        ``bisect_left(ends, t)``, if its start is at most ``t``: where two
-        intervals touch at ``t``, that is the one ending there."""
-        return self._bounds.get((min(n, m), max(n, m)), ((), ()))
 
     def encountered(self, n: int, m: int, t: float) -> bool:
         """``holds`` on [t, t]: windows are in start order and may only touch,
@@ -211,15 +206,16 @@ class EncounterTrace:
         return self.holds(n, m, t, t)
 
     def holds(self, n: int, m: int, t1: float, t2: float) -> bool:
-        """True iff the pair is encountered throughout [t1, t2]."""
+        """True iff the pair is encountered throughout [t1, t2]: the last
+        window starting by ``t1``, found by bisecting the pair's windows by
+        start, reaches furthest among those, so it decides."""
         _check_time(t1, self.horizon)
         _check_time(t2, self.horizon)
         if n == m:
             return True
-        # the last interval starting by t1 reaches furthest among those
-        starts, ends = self.interval_bounds(n, m)
-        i = bisect.bisect_right(starts, t1) - 1
-        return i >= 0 and t2 <= ends[i]
+        ivs = self.intervals.get((n, m) if n < m else (m, n), ())
+        i = bisect.bisect_right(ivs, t1, key=_START) - 1
+        return i >= 0 and t2 <= ivs[i][1]
 
     def next_break(self, n: int, m: int, t: float) -> float | None:
         """End of the first encounter window containing ``t``; None if
@@ -229,14 +225,17 @@ class EncounterTrace:
         ``t`` itself: the simulator's neighbour rule (usable iff the break
         is None or more than TOL after ``t``) relies on this to exclude a
         partner at a touch point, where no positive-duration transfer fits
-        in the window that ends."""
+        in the window that ends. Ends are nondecreasing, so the first
+        window ending at or after ``t``, found by bisecting the pair's
+        windows by end, is that window if it starts by ``t``."""
         if n == m:
             return None
-        starts, ends = self.interval_bounds(n, m)
-        i = bisect.bisect_left(ends, t)
-        if i == len(ends) or starts[i] > t:
+        ivs = self.intervals.get((n, m) if n < m else (m, n), ())
+        i = bisect.bisect_left(ivs, t, key=_END)
+        if i == len(ivs) or ivs[i][0] > t:
             return t
-        return None if ends[i] >= self.horizon else ends[i]
+        end = ivs[i][1]
+        return None if end >= self.horizon else end
 
     def breakpoints(self) -> list[float]:
         pts = {0.0, self.horizon}
@@ -248,10 +247,8 @@ class EncounterTrace:
     @classmethod
     def full(cls, user_ids: Sequence[int], horizon: float) -> "EncounterTrace":
         ids = sorted(user_ids)
-        pairs = {
-            (a, b): ((0.0, horizon),)
-            for i, a in enumerate(ids) for b in ids[i + 1:]
-        }
+        always = ((0.0, horizon),)  # one tuple shared by every pair
+        pairs = {(a, b): always for i, a in enumerate(ids) for b in ids[i + 1:]}
         return cls(intervals=pairs, horizon=horizon)
 
     @classmethod
@@ -269,11 +266,13 @@ class EncounterTrace:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "EncounterTrace":
-        pairs = {
-            (int(p["users"][0]), int(p["users"][1])):
-                tuple((float(a), float(b)) for a, b in p["intervals"])
-            for p in d["pairs"]
-        }
+        """Refuses a pair listed twice, which would otherwise keep only its
+        last listing's windows."""
+        pairs = {}
+        for p in d["pairs"]:
+            if (pair := (int(p["users"][0]), int(p["users"][1]))) in pairs:
+                raise TraceError(f"encounter pair {pair} is listed twice")
+            pairs[pair] = tuple((float(a), float(b)) for a, b in p["intervals"])
         return cls(intervals=pairs, horizon=float(d["horizon"]))
 
 

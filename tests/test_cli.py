@@ -63,17 +63,18 @@ def with_profile(**fields):
 MALFORMED_BOUNDS = {
     "missing-keys": lambda d: {"profiles": []},
     "unknown-profile-key": lambda d: {**d, "profiles": [{**d["profiles"][0], "bogus": 1}]},
-    "n-slots-past-horizon": lambda d: {**d, "n_slots": 5},
-    "float-n-slots": lambda d: {**d, "n_slots": 2.0},
-    "negative-n-slots": lambda d: {**d, "n_slots": -1},
     "profile-missing-from-trace": lambda d: {**d, "profiles": [{**d["profiles"][0], "id": 3}]},
     "zero-slot-length": lambda d: {**d, "slot_len": 0},
     "string-include-middle": lambda d: {**d, "include_middle": "false"},
-    "bool-n-slots": lambda d: {**d, "n_slots": True},
     "float-budget": lambda d: {**d, "exact_budget": 2.5},
     "bool-slot-len": lambda d: {**d, "slot_len": True},
     "overlapping-encounters": lambda d: {**d, "encounters": {
         **d["encounters"], "pairs": [{"users": [0, 1], "intervals": [[0, 4], [3, 8]]}]}},
+    "repeated-encounter-pair": lambda d: {**d, "encounters": {
+        **d["encounters"], "pairs": [{"users": [0, 1], "intervals": [[0, 2]]},
+                                     {"users": [0, 1], "intervals": [[5, 6]]}]}},
+    "user-named-twice-in-capacity": lambda d: {**d, "capacity": {
+        **d["capacity"], "users": {**d["capacity"]["users"], "00": d["capacity"]["users"]["0"]}}},
     "zero-ladder-rate": with_profile(ladder=[0.0, 0.5]),
     "negative-ladder-rate": with_profile(ladder=[-1.0, 0.5]),
     "nan-ladder-rate": with_profile(ladder=[float("nan")]),
@@ -566,8 +567,7 @@ class TestBoundsCommand:
     @pytest.mark.parametrize("fields, count", [
         ({"slot_len": 1e-300}, "7.999999999999999e+300"),
         ({"slot_len": 5e-324}, "inf"),  # 8 // 5e-324 overflows
-        ({"slot_len": 1e-300, "n_slots": offline.MAX_SLOTS + 1}, "10001"),
-    ], ids=["tiny-slot-length", "subnormal-slot-length", "n-slots-above-limit"])
+    ], ids=["tiny-slot-length", "subnormal-slot-length"])
     def test_slot_count_above_limit_exits_2_at_once(self, tmp_path, capsys, fields, count):
         """Each input would build more slots than the limit allows (the
         first two without end); it is refused within a second."""
@@ -596,9 +596,9 @@ class TestBoundsCommand:
         def one_user(levels):
             return (UserProfile(id=0, beta=2.0, buffer_cap=2.0, ladder=tuple(ladder[:levels])),)
 
-        assert offline.slot_count(one_user(1000), 8.0, 1.0, 10_000) == 10_000
+        assert offline.slot_count(one_user(1000), 10_000.0, 1.0) == 10_000
         with pytest.raises(ValueError):
-            offline.slot_count(one_user(1001), 8.0, 1.0, 10_000)
+            offline.slot_count(one_user(1001), 10_000.0, 1.0)
 
 
 class TestGenTracesCommand:

@@ -440,11 +440,10 @@ class TestSlottedInstance:
         enc = traces.EncounterTrace.none(horizon)
         users = (make_profile(segs=1),)
         assert SlottedInstance.from_traces(users, cap, enc, 1.0).n_slots == offline.MAX_SLOTS
-        for slot_len, n_slots, count in ((0.5, None, "20000.0"), (5e-324, None, "inf"),
-                                         (0.5, offline.MAX_SLOTS + 1, "10001")):
+        for slot_len, count in ((0.5, "20000.0"), (5e-324, "inf")):
             with pytest.raises(ValueError,
                                match=f"^{count} slots exceed the limit of 10000 slots$"):
-                SlottedInstance.from_traces(users, cap, enc, slot_len, n_slots)
+                SlottedInstance.from_traces(users, cap, enc, slot_len)
 
     def test_requires_contiguous_ids(self):
         with pytest.raises(ValueError):

@@ -95,13 +95,12 @@ def test_random_choices_stay_inside_videos(config, rnd):
 
 def usable_by_scan(enc, n, m, now):
     """The neighbour rule, afresh by a linear scan of the pair's
-    interval starts and ends: usable when the first window containing
-    ``now`` (at a touch, the one ending there) reaches the trace horizon or
-    ends more than TOL later."""
+    windows: usable when the first window containing ``now`` (at a touch,
+    the one ending there) reaches the trace horizon or ends more than TOL
+    later."""
     if m == n:
         return True
-    starts, ends = enc.interval_bounds(n, m)
-    for a, b in zip(starts, ends):
+    for a, b in enc.intervals.get((min(n, m), max(n, m)), ()):
         if a <= now <= b:
             return b >= enc.horizon or b > now + TOL
     return False

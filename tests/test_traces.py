@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -160,6 +162,12 @@ class TestCapacityTrace:
         assert again.rate_at(0, 3.0) == 2.5
         assert again.horizon == 10.0
 
+    def test_from_dict_refuses_a_user_named_twice(self):
+        """``"0"`` and ``"00"`` both name user 0; neither listing wins."""
+        spec = {"times": [0.0], "rates": [1.0]}
+        with pytest.raises(TraceError, match="^capacity user 0 is listed twice$"):
+            CapacityTrace.from_dict({"horizon": 10.0, "users": {"0": spec, "00": spec}})
+
 
 class TestEncounterTrace:
     def test_self_always_encountered(self):
@@ -206,6 +214,30 @@ class TestEncounterTrace:
         assert again.encountered(0, 1, 8.0)
         assert not again.encountered(0, 1, 6.0)
 
+    def test_from_dict_refuses_a_repeated_pair(self):
+        """A pair listed twice would keep only its last listing's windows."""
+        blob = {"horizon": 10.0, "pairs": [{"users": [0, 1], "intervals": [[0, 2]]},
+                                           {"users": [0, 1], "intervals": [[5, 6]]}]}
+        with pytest.raises(TraceError, match=r"^encounter pair \(0, 1\) is listed twice$"):
+            EncounterTrace.from_dict(blob)
+
+    def test_windows_are_stored_once(self):
+        """A trace keeps its windows only in ``intervals``: building one over
+        2,000 pairs of 3 windows each allocates under 4 KB that it keeps
+        (a second copy of the starts and ends would keep over 400 KB)."""
+        intervals = {(0, m): ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0)) for m in range(1, 2001)}
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            enc = EncounterTrace(intervals=intervals, horizon=10.0)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert enc.holds(0, 2000, 4.0, 5.0)
+        assert kept < 4096
+
     @pytest.mark.parametrize("ivs", [
         ((5.0, 6.0), (1.0, 2.0)),  # out of start order
         ((0.0, 4.0), (3.0, 8.0)),  # overlapping
@@ -238,16 +270,22 @@ class TestEncounterTrace:
     @given(st.lists(st.integers(0, 20), max_size=8), st.integers(0, 20), st.integers(0, 20))
     def test_bisect_queries_match_linear_scan(self, cuts, i, j):
         """Queries on sorted windows, touching or zero-length ones included,
-        agree with a scan that takes the first window containing t."""
+        agree with a scan that takes the first window containing t, asked
+        either way round; a pair with no windows is never encountered."""
         pts = sorted(c / 2 for c in cuts)
         ivs = tuple(zip(pts[::2], pts[1::2]))
         enc = EncounterTrace(intervals={(0, 1): ivs} if ivs else {}, horizon=10.0)
         t1, t2 = i / 2, j / 2
         containing = [b for a, b in ivs if a <= t1 <= b]
-        assert enc.encountered(0, 1, t1) == bool(containing)
-        assert enc.holds(0, 1, t1, t2) == any(a <= t1 and t2 <= b for a, b in ivs)
         want = t1 if not containing else (None if containing[0] >= 10.0 else containing[0])
-        assert enc.next_break(0, 1, t1) == want
+        for n, m in ((0, 1), (1, 0)):
+            assert enc.encountered(n, m, t1) == bool(containing)
+            assert enc.holds(n, m, t1, t2) == any(a <= t1 and t2 <= b for a, b in ivs)
+            assert enc.next_break(n, m, t1) == want
+        for n, m in ((0, 2), (2, 1)):
+            assert not enc.encountered(n, m, t1)
+            assert not enc.holds(n, m, t1, t2)
+            assert enc.next_break(n, m, t1) == t1
 
     @given(st.lists(st.integers(0, 20), max_size=10), st.lists(st.booleans(), min_size=10),
            st.integers(0, 20))
