@@ -21,8 +21,8 @@ import collections
 import concurrent.futures
 import contextlib
 import csv
+import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -40,9 +40,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 
-# encoder chunks joined into one write: the text held at a time is one
-# batch, not the whole document
-JSON_BATCH_CHUNKS = 8192
+# the types the stdlib JSON encoder writes as scalars
+JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 # the most work (``estimated_work``) one run cell or one gen-traces call may
 # ask for; above it the command exits 2 before it starts
@@ -235,13 +234,42 @@ def _write_output(path: str, parts: Iterable[str]) -> bool:
     return True
 
 
+@functools.cache
+def _json_encoder(depth: int) -> json.JSONEncoder:
+    """Encodes a container at ``depth`` as ``indent=2`` does, in C if it can."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _json_parts(obj, depth: int = 0, open_ids: frozenset[int] = frozenset()) -> Iterator[str]:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` nested at ``depth``, in
+    parts: one encoder call for a scalar or a container of scalars alone, a
+    walk here, by the encoder's rules, for a container of containers."""
+    enc, is_dict = _json_encoder(depth), isinstance(obj, dict)
+    if not is_dict and not isinstance(obj, (list, tuple)):
+        yield enc.encode(obj)
+        return
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if {*map(type, obj.values() if is_dict else obj)} <= JSON_SCALARS:
+        text = enc.encode(obj)
+        yield f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}" if obj else text
+        return
+    if id(obj) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids |= {id(obj)}
+    yield "{" if is_dict else "["
+    for n, (key, value) in enumerate(sorted(obj.items()) if is_dict else enumerate(obj)):
+        yield f",{inner}" if n else inner
+        if is_dict:  # a non-str key as in ``{key: 0}``'s text: quoted, or refused
+            yield f"{enc.encode(key) if isinstance(key, str) else enc.encode({key: 0})[1:-4]}: "
+        yield from _json_parts(value, depth + 1, open_ids)
+    yield outer + ("}" if is_dict else "]")
+
+
 def _write_json(path: str, obj) -> bool:
     """``_write_output`` of ``obj`` as JSON, keys sorted, indented by 2: the
-    bytes of ``json.dumps(obj, sort_keys=True, indent=2)``, encoded and
-    written ``JSON_BATCH_CHUNKS`` encoder chunks at a time."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
-    batches = iter(lambda: "".join(itertools.islice(chunks, JSON_BATCH_CHUNKS)), "")
-    return _write_output(path, batches)
+    bytes of ``json.dumps(obj, sort_keys=True, indent=2)``, each container
+    of scalars written as soon as it is encoded."""
+    return _write_output(path, _json_parts(obj))
 
 
 def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> bool:
@@ -409,9 +437,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             if raw.get(key, 1) < 1:  # a node budget, not a solver that ran out
                 raise ValueError(f"{key} must be at least 1, got {raw[key]}")
         capacity, encounters = traces.traces_from_dict(raw)
+        profiles = [UserProfile.from_dict(p) for p in raw["profiles"]]
+        # the instance reads the profiles' ids alone: a trace entry of any
+        # other user would be dropped without a word
+        named = {*capacity.users, *(u for pair in encounters.intervals for u in pair)}
+        if strangers := sorted(named - {p.id for p in profiles}):
+            raise ValueError(f"trace users without a profile: {strangers}")
         instance = offline.SlottedInstance.from_traces(
-            [UserProfile.from_dict(p) for p in raw["profiles"]], capacity, encounters,
-            float(raw["slot_len"]))
+            profiles, capacity, encounters, float(raw["slot_len"]))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"bad bounds instance: {exc}", file=sys.stderr)
         return EXIT_CONFIG

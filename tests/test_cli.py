@@ -1,6 +1,7 @@
 import collections
 import concurrent.futures
 import csv
+import enum
 import gc
 import json
 import multiprocessing
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -59,6 +61,17 @@ def with_profile(**fields):
     return lambda d: {**d, "profiles": [{**d["profiles"][0], **fields}]}
 
 
+def with_pairs(*pairs):
+    """Adds user 1, with user 0's profile and capacity, to the bounds
+    instance and gives it the encounter ``pairs``."""
+    return lambda d: {
+        **d, "profiles": [*d["profiles"], {**d["profiles"][0], "id": 1}],
+        "capacity": {**d["capacity"], "users": {**d["capacity"]["users"],
+                                                "1": d["capacity"]["users"]["0"]}},
+        "encounters": {**d["encounters"], "pairs": list(pairs)},
+    }
+
+
 # each turns the default bounds instance into one refused before any solve
 MALFORMED_BOUNDS = {
     "missing-keys": lambda d: {"profiles": []},
@@ -68,11 +81,12 @@ MALFORMED_BOUNDS = {
     "string-include-middle": lambda d: {**d, "include_middle": "false"},
     "float-budget": lambda d: {**d, "exact_budget": 2.5},
     "bool-slot-len": lambda d: {**d, "slot_len": True},
-    "overlapping-encounters": lambda d: {**d, "encounters": {
-        **d["encounters"], "pairs": [{"users": [0, 1], "intervals": [[0, 4], [3, 8]]}]}},
-    "repeated-encounter-pair": lambda d: {**d, "encounters": {
-        **d["encounters"], "pairs": [{"users": [0, 1], "intervals": [[0, 2]]},
-                                     {"users": [0, 1], "intervals": [[5, 6]]}]}},
+    "overlapping-encounters": with_pairs({"users": [0, 1], "intervals": [[0, 4], [3, 8]]}),
+    "repeated-encounter-pair": with_pairs({"users": [0, 1], "intervals": [[0, 2]]},
+                                          {"users": [0, 1], "intervals": [[5, 6]]}),
+    "encounter-user-without-profile": with_pairs({"users": [0, 7], "intervals": [[0, 2]]}),
+    "capacity-user-without-profile": lambda d: {**d, "capacity": {
+        **d["capacity"], "users": {**d["capacity"]["users"], "7": d["capacity"]["users"]["0"]}}},
     "user-named-twice-in-capacity": lambda d: {**d, "capacity": {
         **d["capacity"], "users": {**d["capacity"]["users"], "00": d["capacity"]["users"]["0"]}}},
     "zero-ladder-rate": with_profile(ladder=[0.0, 0.5]),
@@ -85,8 +99,7 @@ MALFORMED_BOUNDS = {
     "bool-video-segments": with_profile(video_segments=True),
     "nan-capacity-rate": lambda d: {**d, "capacity": {
         **d["capacity"], "users": {"0": {"times": [0.0], "rates": [float("nan")]}}}},
-    "nan-encounter-end": lambda d: {**d, "encounters": {
-        **d["encounters"], "pairs": [{"users": [0, 1], "intervals": [[0, float("nan")]]}]}},
+    "nan-encounter-end": with_pairs({"users": [0, 1], "intervals": [[0, float("nan")]]}),
     "unknown-key": lambda d: {**d, "exact_budgte": 10},
     "infinite-slot-length": lambda d: {**d, "slot_len": float("inf")},
     "negative-exact-budget": lambda d: {**d, "exact_budget": -1},
@@ -369,24 +382,116 @@ JSON_VALUES = st.recursive(
 )
 
 
+class Level(enum.IntEnum):
+    HIGH = 2
+
+
+class Mbps(float):
+    pass
+
+
+def nested(levels):
+    """A dict ``levels`` deep, each level one key holding a list of the next
+    level and a number."""
+    obj = {}
+    for n in range(levels):
+        obj = {f"l{n}": [obj, n]}
+    return obj
+
+
+# objects the writer must encode as json.dumps does, each in one case
+JSON_EXAMPLES = {
+    "int-keys": {1: [1], 2: {"a": 1}, 3: "x"},
+    "flat-int-keys": {10: "a", 2: "b"},
+    "float-keys": {1.5: [1], float("nan"): {}, float("inf"): [2], -float("inf"): 3.0},
+    "flat-float-keys": {float("nan"): 1, 2.5: 2, -float("inf"): None},
+    "bool-keys": {True: [1], False: 0},
+    "flat-bool-keys": {True: 1, False: 0},
+    "none-key": {None: [1]},
+    "flat-none-key": {None: 1},
+    "tuples": (1, (2, 3), [(4,), ()], {"t": (5.5, None)}),
+    "int-enum-and-float-subclass": {
+        "level": Level.HIGH, "rate": Mbps(1.5), "both": [Level.HIGH, Mbps(2.5)],
+        "flat": {"level": Level.HIGH, "rate": Mbps(0.1)}},
+    "empty-at-depth": {"a": {"b": {}, "c": [[], {}, [[]]], "d": [{}]}},
+    "30-levels": nested(30),
+    "mixed-list": [1, "x", [2, {"a": None}], {"b": [3]}, None, 2.5, [], float("nan")],
+}
+
+
 class TestWriteJson:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
     @given(obj=JSON_VALUES)
     @example(obj={"b\u00e4r \u2713": ["\u65e5\u672c", "\U0001f600"], "": {}, "a": [[], {}]})
-    @example(obj=list(range(2 * cli.JSON_BATCH_CHUNKS)))  # longer than one batch
-    @example(obj={str(i): {"x": [i, None]} for i in range(cli.JSON_BATCH_CHUNKS)})
+    @example(obj=list(range(20_000)))
+    @example(obj={str(i): {"x": [i, None]} for i in range(10_000)})
     def test_writes_bytes_of_json_dumps(self, tmp_path, obj):
         path = tmp_path / "x.json"
         assert cli._write_json(str(path), obj)
         assert path.read_bytes() == json.dumps(obj, sort_keys=True, indent=2).encode()
         assert os.listdir(tmp_path) == ["x.json"]
 
-    def test_rejected_payload_leaves_no_file(self, tmp_path):
-        # the first batch is written before the encoder reaches the object
-        payload = [*range(2 * cli.JSON_BATCH_CHUNKS), object()]
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "pure-python"])
+    @pytest.mark.parametrize("case", list(JSON_EXAMPLES))
+    def test_example_writes_bytes_of_json_dumps(self, tmp_path, monkeypatch, case, c_encoder):
+        """Without the C accelerator the stdlib encodes in pure Python, to
+        the same bytes."""
+        if not c_encoder:
+            monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        obj = JSON_EXAMPLES[case]
+        path = tmp_path / "x.json"
+        assert cli._write_json(str(path), obj)
+        assert path.read_bytes() == json.dumps(obj, sort_keys=True, indent=2).encode()
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: (loop := [1]).append(loop) or loop, ValueError, "Circular reference"),
+        (lambda: (d := {"a": []})["a"].append(d) or d, ValueError, "Circular reference"),
+        (lambda: {(1, 2): [1]}, TypeError, "keys must be str, int, float, bool or None"),
+    ], ids=["self-containing-list", "dict-inside-itself", "tuple-key"])
+    def test_raises_as_json_dumps(self, tmp_path, make, error, message):
+        with pytest.raises(error, match=message):
+            json.dumps(make(), sort_keys=True, indent=2)
+        with pytest.raises(error, match=message):
+            cli._write_json(str(tmp_path / "x.json"), make())
+        assert os.listdir(tmp_path) == []
+
+    def test_rejected_payload_leaves_no_file(self, tmp_path, monkeypatch):
+        """The 20,000 dicts are written before the writer reaches the object;
+        the partial file is removed."""
+        removed = []
+
+        def remove(path, remove=os.remove):
+            removed.append(os.path.getsize(path))
+            remove(path)
+
+        monkeypatch.setattr(os, "remove", remove)
+        payload = [{"a": 1}] * 20_000 + [[object()]]
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli._write_json(str(tmp_path / "x.json"), payload)
         assert os.listdir(tmp_path) == []
+        assert len(removed) == 1 and removed[0] > 0
+
+    def test_report_is_streamed(self, tmp_path):
+        """A report of 40 users and 2,000 download records is written while
+        less than half of its text is held at once."""
+        report = {
+            "per_user": {str(u): {"user": u, "welfare": u / 3, "rebuffer_s": 0.0}
+                         for u in range(40)},
+            "downloads": {str(u): [
+                {"user": u, "seg": k, "level": k % 5, "bitrate": 0.7, "owner": u,
+                 "start": k * 2.0, "end": k * 2.0 + 1.5, "bytes": 1_400_000,
+                 "energy": k / 7, "late": k % 3 == 0}
+                for k in range(50)] for u in range(40)},
+        }
+        path = tmp_path / "report.json"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert cli._write_json(str(path), report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
 
 
 class TestBoundsCommand:
@@ -546,6 +651,17 @@ class TestBoundsCommand:
                          "--out", str(out)]) == 0
         assert out.exists()
         assert capfd.readouterr().out == ""
+
+    def test_second_user_with_profile_is_solved(self, tmp_path):
+        """The encounter cases of ``MALFORMED_BOUNDS`` differ from this
+        instance in their windows alone, so each is refused for its own."""
+        payload = with_pairs({"users": [0, 1], "intervals": [[0, 4]]})(
+            json.loads(open(make_bounds_instance(tmp_path)).read()))
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "bounds.json"
+        assert cli.main(["bounds", "--spec", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["chain_ok"] is True
 
     @pytest.mark.parametrize("case", list(MALFORMED_BOUNDS))
     def test_malformed_instance_exits_2(self, tmp_path, capsys, monkeypatch, case):
