@@ -469,6 +469,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_gen_traces(args: argparse.Namespace) -> int:
     refusal = (f"need at least one user, got {args.users}" if args.users < 1
+               else f"horizon must be positive, got {args.horizon}" if not args.horizon > 0
                else _work_refusal(args.users, args.horizon))
     if refusal is not None:
         print(f"trace generation refused: {refusal}", file=sys.stderr)

@@ -87,14 +87,20 @@ class SlottedInstance:
     encounter: frozenset[tuple[int, int, int]]
 
     def __post_init__(self) -> None:
+        N, T = len(self.profiles), self.n_slots
         if self.slot_len <= 0:
             raise ValueError("slot length must be positive")
-        if self.n_slots < 0:
+        if T < 0:
             raise ValueError("slot count must be nonnegative")
-        if list(p.id for p in self.profiles) != list(range(len(self.profiles))):
+        if list(p.id for p in self.profiles) != list(range(N)):
             raise ValueError("slotted instances require contiguous user ids 0..N-1")
+        if len(self.capacity) != N or any(len(row) != T for row in self.capacity):
+            raise ValueError(f"capacity needs {N} rows of {T} slots, one per profile")
         if any(h < 0 for row in self.capacity for h in row):
             raise ValueError("slot capacities must be nonnegative")
+        if not all(0 <= n < m < N and 0 <= t < T for n, m, t in self.encounter):
+            raise ValueError(f"encounter triples (n, m, t) need 0 <= n < m < {N} "
+                             f"and 0 <= t < {T}")
 
     @property
     def n_users(self) -> int:
@@ -142,13 +148,6 @@ class SlottedInstance:
         return dataclasses.replace(self, profiles=profiles)
 
 
-@dataclass(frozen=True)
-class SlottedSchedule:
-    """Sparse segment counts keyed by (slot, downloader, owner, level)."""
-
-    kappa: Mapping[tuple[int, int, int, int], int]
-
-
 def _slot_vars(instance: SlottedInstance) -> list[list[tuple[int, int, int]]]:
     """Per slot, the (downloader, owner, level) triples that may carry data:
     the downloader has capacity, the owner is a video user, and the two
@@ -167,20 +166,29 @@ def _slot_vars(instance: SlottedInstance) -> list[list[tuple[int, int, int]]]:
 
 
 def _slotted_walk(
-    instance: SlottedInstance, schedule: SlottedSchedule
-) -> tuple[list[Violation], list[list[float]], list[list[float]]]:
-    """``check_slotted_feasibility``'s violations, the Mbit downloaded per
-    [downloader][slot], and each owner's buffer level in seconds at the end
-    of each slot, per [owner][slot]: the buffer drains one slot length, then
-    gains the playback seconds received in the slot. Both tables are empty
-    when a key or count is malformed."""
+    instance: SlottedInstance, schedule: Mapping[tuple[int, int, int, int], int]
+) -> tuple[list[Violation], float | None, dict[int, WelfareBreakdown]]:
+    """A slotted schedule's violations and, when it has none, its welfare
+    and per-user breakdowns (else None and {}).
+
+    A first read checks each key and count alone, so that a malformed one
+    is reported before anything indexes the instance. One walk then sums
+    the Mbit per [downloader][slot], the segments per [owner][slot], the
+    value and energies per user and the rates received per [owner][slot].
+    Each owner's buffer drains one slot length per slot, then gains the
+    playback seconds received in it; a later slot stalls for what its
+    starting level lacks of the slot length. Only a feasible schedule is
+    valued, and only its valuation divides: cellular time is each used
+    slot's share of its capacity.
+    """
     N, T, L = instance.n_users, instance.n_slots, instance.slot_len
+    profiles = instance.profiles
     violations: list[Violation] = []
-    for key, c in schedule.kappa.items():
+    for key, c in schedule.items():
         t, n, m, z = key
         if not (all(isinstance(i, numbers.Integral) for i in key)
                 and t in range(T) and n in range(N) and m in range(N)
-                and z in range(len(instance.profiles[m].ladder))):
+                and z in range(len(profiles[m].ladder))):
             violations.append(Violation(
                 "segment", n, f"key {key} names a slot, user or level outside the instance"
             ))
@@ -189,20 +197,31 @@ def _slotted_walk(
                 "segment", n, f"count {c!r} at key {key} is not a whole number of segments"
             ))
     if violations:
-        return violations, [], []
+        return violations, None, {}
     mbit = [[0.0] * T for _ in range(N)]
     segs = [[0] * T for _ in range(N)]
-    for (t, n, m, z), c in schedule.kappa.items():
+    slot_rates: list[list[list[float]]] = [[[] for _ in range(T)] for _ in range(N)]
+    value, cell, wifi, play = [0.0] * N, [0.0] * N, [0.0] * N, [0.0] * N
+    for (t, n, m, z), c in schedule.items():
+        owner = profiles[m]
+        rate = owner.ladder[z]
+        vol = c * rate * owner.beta
+        mbit[n][t] += vol
+        segs[m][t] += c
         if c < 0:
             violations.append(Violation("capacity", n, f"negative count at slot {t}"))
-        if c > 0 and not instance.encountered(n, m, t):
-            violations.append(Violation(
-                "encounter", n, f"users {n} and {m} not encountered for all of slot {t}"
-            ))
-        owner = instance.profiles[m]
-        mbit[n][t] += c * owner.ladder[z] * owner.beta
-        segs[m][t] += c
-    for m, prof in enumerate(instance.profiles):
+        elif c > 0:
+            if not instance.encountered(n, m, t):
+                violations.append(Violation(
+                    "encounter", n, f"users {n} and {m} not encountered for all of slot {t}"
+                ))
+            value[m] += c * model.quality_value(owner, rate) * owner.beta
+            cell[n] += profiles[n].c_data * vol
+            if m != n:
+                wifi[n] += profiles[n].w_data * vol
+            play[m] += c * (owner.eps_time * owner.beta + owner.eps_rate * rate * owner.beta)
+            slot_rates[m][t].append(rate)  # only the lowest and highest count
+    for m, prof in enumerate(profiles):
         if (received := sum(segs[m])) > prof.video_segments:
             violations.append(Violation(
                 "duplicate", m,
@@ -215,93 +234,75 @@ def _slotted_walk(
                     "capacity", n,
                     f"slot {t}: {mbit[n][t]} Mbit exceeds capacity {instance.capacity[n][t]}",
                 ))
-    levels = []
-    for m, prof in enumerate(instance.profiles):
-        q, qs = 0.0, []
+    stalls = []
+    for m, prof in enumerate(profiles):
+        q = stall = 0.0
         for t, c in enumerate(segs[m]):
+            if t and prof.is_video_user:  # q is the level slot t starts from
+                stall += max(0.0, L - q)
             q = max(0.0, q - L) + prof.beta * c
-            qs.append(q)
             if model.exceeds_cap(q, prof):
                 violations.append(Violation(
                     "buffer", m, f"slot {t}: buffer {q} exceeds cap {prof.buffer_cap}"
                 ))
-        levels.append(qs)
-    return violations, mbit, levels
+        stalls.append(stall)
+    if violations:
+        return violations, None, {}
+    breakdowns: dict[int, WelfareBreakdown] = {}
+    welfare = 0.0
+    for m, prof in enumerate(profiles):
+        for t in range(T):
+            if mbit[m][t] > 0:
+                cell[m] += prof.c_time * (mbit[m][t] / instance.capacity[m][t]) * L
+        qdeg = 0.0
+        last_high: float | None = None
+        for rates in slot_rates[m]:
+            if rates:
+                if last_high is not None:
+                    qdeg += prof.phi_qdeg * max(0.0, last_high - min(rates))
+                last_high = max(rates)
+        bd = WelfareBreakdown(
+            value=value[m], qdeg_loss=qdeg,
+            rebuf_loss=prof.phi_rebuf * stalls[m] if prof.is_video_user else 0.0,
+            cell_energy=cell[m], wifi_energy=wifi[m], play_energy=play[m],
+            rebuffer_s=stalls[m],
+        )
+        breakdowns[m] = bd
+        welfare += bd.payoff
+    return violations, welfare, breakdowns
 
 
 def check_slotted_feasibility(
-    instance: SlottedInstance, schedule: SlottedSchedule
+    instance: SlottedInstance, schedule: Mapping[tuple[int, int, int, int], int]
 ) -> list[Violation]:
-    """Violations of a slotted schedule; an empty list means feasible.
+    """Violations of a slotted schedule, segment counts keyed by (slot,
+    downloader, owner, level); an empty list means feasible.
 
     A key naming a slot, user or level the instance lacks, or a count that
     is not a whole number, is reported alone, as a ``"segment"``
     violation, before any other check reads the schedule.
     """
-    return _slotted_walk(instance, schedule)[0]
+    try:
+        return _slotted_walk(instance, schedule)[0]
+    except ZeroDivisionError:  # valuing a feasible sub-TOL volume in a zero-capacity slot
+        return []
 
 
 def eval_slotted_welfare(
-    instance: SlottedInstance, schedule: SlottedSchedule
+    instance: SlottedInstance, schedule: Mapping[tuple[int, int, int, int], int]
 ) -> tuple[float, dict[int, WelfareBreakdown]]:
-    """Welfare of a slotted schedule: value minus losses and energies.
+    """Welfare of a slotted schedule: value minus losses and energies;
+    ``ValueError`` naming its violations when it is infeasible.
 
     Within a slot segments count as played in ascending bitrate order, so
     quality degradation is charged only across successive nonempty slots;
     an empty slot carries the previous high bitrate forward. Rebuffering is
     charged per slot from the second slot on, only for video users.
     """
-    violations, mbit, levels = _slotted_walk(instance, schedule)
+    violations, welfare, breakdowns = _slotted_walk(instance, schedule)
     if violations:
         raise ValueError("infeasible slotted schedule: "
                          + "; ".join(f"{v.kind}: {v.detail}" for v in violations))
-    N, T, L = instance.n_users, instance.n_slots, instance.slot_len
-    slot_rates: list[list[list[float]]] = [[[] for _ in range(T)] for _ in range(N)]
-    value = [0.0] * N
-    cell = [0.0] * N
-    wifi = [0.0] * N
-    play = [0.0] * N
-    for (t, n, m, z), c in schedule.kappa.items():
-        if c <= 0:
-            continue
-        owner = instance.profiles[m]
-        rate = owner.ladder[z]
-        vol = c * rate * owner.beta
-        value[m] += c * model.quality_value(owner, rate) * owner.beta
-        cell[n] += instance.profiles[n].c_data * vol
-        if m != n:
-            wifi[n] += instance.profiles[n].w_data * vol
-        play[m] += c * (owner.eps_time * owner.beta + owner.eps_rate * rate * owner.beta)
-        slot_rates[m][t].extend([rate] * c)
-    for n in range(N):
-        c_time = instance.profiles[n].c_time
-        for t in range(T):
-            if mbit[n][t] > 0:
-                cell[n] += c_time * (mbit[n][t] / instance.capacity[n][t]) * L
-    breakdowns: dict[int, WelfareBreakdown] = {}
-    welfare = 0.0
-    for m, prof in enumerate(instance.profiles):
-        qdeg = 0.0
-        last_high: float | None = None
-        for t in range(T):
-            rates = slot_rates[m][t]
-            if rates:
-                if last_high is not None:
-                    qdeg += prof.phi_qdeg * max(0.0, last_high - min(rates))
-                last_high = max(rates)
-        rebuf = 0.0
-        stall = 0.0
-        if prof.is_video_user:
-            for q in levels[m][:-1]:  # the level each later slot starts from
-                stall += max(0.0, L - q)
-            rebuf = prof.phi_rebuf * stall
-        bd = WelfareBreakdown(
-            value=value[m], qdeg_loss=qdeg, rebuf_loss=rebuf,
-            cell_energy=cell[m], wifi_energy=wifi[m], play_energy=play[m],
-            rebuffer_s=stall,
-        )
-        breakdowns[m] = bd
-        welfare += bd.payoff
     return welfare, breakdowns
 
 
@@ -326,9 +327,13 @@ class _UnreceivedValue(dict):
         return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExactResult:
-    schedule: SlottedSchedule
+    """The exact search's optimum: its schedule, segment counts keyed by
+    (slot, downloader, owner, level) with every zero count left out, its
+    welfare, and the nodes and leaves the search made."""
+
+    schedule: dict[tuple[int, int, int, int], int]
     welfare: float
     nodes: int
     leaves: int
@@ -341,7 +346,8 @@ def solve_slotted_exact(
 
     Counts are enumerated in lexicographic (slot, downloader, owner, level)
     order with ascending values and strict incumbent improvement, so the
-    returned schedule is the lexicographically smallest optimum. A count is
+    returned schedule, a plain dict of its nonzero counts, is the
+    lexicographically smallest optimum. A count is
     bounded by the downloader's capacity left in the slot, the owner's
     segments not yet received and the owner's buffer room at the slot's end.
 
@@ -358,7 +364,7 @@ def solve_slotted_exact(
     N, T, L = instance.n_users, instance.n_slots, instance.slot_len
     profiles = instance.profiles
     if T == 0:
-        return ExactResult(SlottedSchedule({}), 0.0, 0, 1)
+        return ExactResult({}, 0.0, 0, 1)
 
     # Each variable's constants, once per solve: (n, m, z, rate, unit_vol,
     # unit_gain) in _slot_vars order. Alongside, the optimistic value per
@@ -499,7 +505,7 @@ def solve_slotted_exact(
         raise out_of_budget(f"recursion limit {sys.getrecursionlimit()} exhausted") from None
     finally:
         del search  # it refers to itself: a cycle that would keep the tables until a full GC
-    return ExactResult(SlottedSchedule(best_kappa), best_welfare, nodes, leaves)
+    return ExactResult(best_kappa, best_welfare, nodes, leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +906,7 @@ class BoundCertificate:
     upper: float
     middle: float | None
     chain_ok: bool
-    split_monotone_ok: bool
+    prop1_ok: bool  # halving the segment length did not lower the slotted optimum
     solver_stats: dict
 
     @property
@@ -908,15 +914,7 @@ class BoundCertificate:
         return "failed_solver" in self.solver_stats
 
     def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "middle": self.middle,
-            "upper": self.upper,
-            "chain_ok": self.chain_ok,
-            "prop1_ok": self.split_monotone_ok,
-            "partial": self.partial,
-            "solver_stats": self.solver_stats,
-        }
+        return {**vars(self), "partial": self.partial}
 
 
 def bound_certificate(
@@ -968,6 +966,6 @@ def bound_certificate(
         upper=upper,
         middle=middle,
         chain_ok=finished and all(a <= b + TOL for a, b in zip(chain, chain[1:])),
-        split_monotone_ok=finished and lower <= done["exact_half"] + TOL,
+        prop1_ok=finished and lower <= done["exact_half"] + TOL,
         solver_stats=stats,
     )

@@ -356,7 +356,7 @@ def make_replay_script(instance, schedule):
     (slot, owner, level) items in ascending-bitrate order within each slot,
     started back to back from each slot boundary."""
     plans = {n: [] for n in range(instance.n_users)}
-    for (t, n, m, z), c in sorted(schedule.kappa.items()):
+    for (t, n, m, z), c in sorted(schedule.items()):
         plans[n].extend([(t, m, z)] * c)
     for n in plans:
         plans[n].sort(key=lambda it: (it[0], instance.profiles[it[1]].ladder[it[2]]))

@@ -745,6 +745,16 @@ class TestGenTracesCommand:
             f"trace generation refused: need at least one user, got {users}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("horizon", ["0", "-5"])
+    def test_non_positive_horizon_exits_2(self, tmp_path, capsys, horizon):
+        """A horizon that is not positive is refused with one line naming
+        it, as a run spec's is, and no trace is written."""
+        out = tmp_path / "t.json"
+        assert cli.main(["gen-traces", f"--horizon={horizon}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"trace generation refused: horizon must be positive, got {float(horizon)}\n")
+        assert not out.exists()
+
 
 class TestOutputPaths:
     """An output path that cannot be written exits 2 with one stderr line,

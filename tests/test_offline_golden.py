@@ -7,9 +7,11 @@ the node and leaf counts of the exact and brute-force searches, the
 brute force's count of leaves valued, and a digest of each brute-force
 witness (the downloads) at beta and beta/2. A family of instances whose
 buffer caps bind pins the same for the brute force, and each exact
-solve's welfare, counts and schedule digest. One many-user instance pins
-the fluid LP's size and ``repr`` of its bound. A change here means a
-solver's arithmetic or search order changed, not just its speed.
+solve's welfare, counts and schedule digest, and a digest of the slotted
+oracle's welfare bits and violations on seeded schedules. One many-user
+instance pins the fluid LP's size and ``repr`` of its bound. A change
+here means a solver's arithmetic or search order changed, not just its
+speed.
 """
 import dataclasses
 import hashlib
@@ -23,7 +25,8 @@ from crowdstream.cli import ExperimentSpec, build_profiles
 from crowdstream.model import UserProfile
 from crowdstream.offline import (
     SlottedInstance, SolverBudgetError, _fluid_lp, _slot_vars, _solve_lp,
-    brute_force_segmented, solve_slotted_exact, solve_slotted_relaxed,
+    brute_force_segmented, check_slotted_feasibility, eval_slotted_welfare,
+    solve_slotted_exact, solve_slotted_relaxed,
 )
 from crowdstream.traces import CapacityTrace, EncounterTrace, PiecewiseConstant
 
@@ -260,10 +263,50 @@ def test_exact_golden_where_caps_bind():
         for i in (inst, inst.with_split(2)):
             r = solve_slotted_exact(i)
             rows.append((repr(r.welfare), r.nodes, r.leaves, hashlib.sha256(
-                repr(sorted(r.schedule.kappa.items())).encode()).hexdigest()))
+                repr(sorted(r.schedule.items())).encode()).hexdigest()))
     assert tuple(sum(r[i] for r in rows) for i in (1, 2)) == (119190, 35729)
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "8f25226919a1a39761666a0a0568a31827f867ddd1fc437a5f6ec680a3fbc4c3")
+
+
+def test_slotted_oracle_golden():
+    """Seeds 0-199 of the capped family, each user's loss factors, playback
+    energies and theta drawn from ``oracle/{seed}`` so that few products
+    are exact, at beta, beta/2 and beta/3: the exact optimum at beta with
+    its counts scaled to the split, the empty schedule and eight schedules
+    of one to four random counts in -1..3, each valued by
+    ``eval_slotted_welfare`` (``repr`` of the welfare and of every
+    breakdown field, or the error) and checked by
+    ``check_slotted_feasibility``, hashed together."""
+    rows = []
+    for seed in range(200):
+        profiles, capacity, enc, _ = capped_instance(seed)
+        rng = random.Random(f"oracle/{seed}")
+        profiles = tuple(dataclasses.replace(
+            p, phi_rebuf=rng.choice([0.0, 0.3]), phi_qdeg=rng.choice([0.0, 0.7]),
+            theta=rng.choice([1.0, 0.9]), eps_time=0.013, eps_rate=0.0031)
+            for p in profiles)
+        inst = SlottedInstance.from_traces(profiles, capacity, enc, SLOT)
+        optimum = solve_slotted_exact(inst).schedule
+        for split in (1, 2, 3):
+            i = inst.with_split(split)
+            keys = [(t, n, m, z) for t in range(i.n_slots) for n in range(i.n_users)
+                    for m in range(i.n_users) for z in range(len(i.profiles[m].ladder))]
+            schedules = [{key: split * c for key, c in optimum.items()}, {}] + [
+                {k: rng.choice([-1, 0, 1, 1, 2, 3])
+                 for k in rng.sample(keys, min(len(keys), rng.randint(1, 4)))}
+                for _ in range(8)
+            ]
+            for schedule in schedules:
+                try:
+                    welfare, bds = eval_slotted_welfare(i, schedule)
+                    valued = repr((welfare, [dataclasses.astuple(bds[m]) for m in sorted(bds)]))
+                except ValueError as exc:
+                    valued = str(exc)
+                rows.append((valued, repr(check_slotted_feasibility(i, schedule))))
+    assert (sum(row[1] == "[]" for row in rows), len(rows)) == (2478, 6000)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "84d7da8f08b5ce85ec459e3d8f42b653e886eb66404de7fa75644ee6e7f5b1d7")
 
 
 # node budget -> repr of the brute force's incumbent when tiny/2 at beta/2

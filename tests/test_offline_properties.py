@@ -48,7 +48,7 @@ def test_sandwich_and_partial_certificates(inst, include_middle, exact_budget,
                                            brute_budget):
     instance, capacity, enc = inst
     full = bound_certificate(instance, capacity, enc, include_middle=include_middle)
-    assert not full.partial and full.chain_ok and full.split_monotone_ok
+    assert not full.partial and full.chain_ok and full.prop1_ok
     middle = full.lower if full.middle is None else full.middle
     assert full.lower <= middle + 1e-9 and middle <= full.upper + 1e-9
 
@@ -60,7 +60,7 @@ def test_sandwich_and_partial_certificates(inst, include_middle, exact_budget,
     if not part.partial:
         assert part == full
         return
-    assert not part.chain_ok and not part.split_monotone_ok
+    assert not part.chain_ok and not part.prop1_ok
     for key, nodes in part.solver_stats.items():
         if key.endswith("_nodes"):
             assert nodes == full.solver_stats[key]
