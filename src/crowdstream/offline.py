@@ -8,6 +8,8 @@ buffer cap binds (see ``solve_slotted_relaxed``). That the exact slotted
 optimum lower-bounds it is not proven; ``chain_ok`` checks only the order
 of the three values. A grid-restricted brute force over asynchronous
 segmented schedules gives the middle value on tiny instances.
+``slotted_walk``, apart from the searches, checks and values any slotted
+schedule; the tests use it as their oracle.
 
 scipy (and with it numpy) loads on the first fluid LP, not with this
 module, so the simulator and the searches never pay for it.
@@ -33,10 +35,10 @@ LEAF_TABLE_ENTRIES = 1_024  # entries the brute-force leaf table holds before it
 
 def slot_count(profiles: Sequence[UserProfile], horizon: float, slot_len: float) -> int:
     """The whole slots of ``slot_len`` in ``horizon``; ``ValueError`` for a
-    slot length not positive, over ``MAX_SLOTS`` slots or over
+    slot length not positive and finite, over ``MAX_SLOTS`` slots or over
     ``MAX_LP_COLUMNS`` LP columns (slots × users² × levels)."""
-    if not slot_len > 0:
-        raise ValueError("slot length must be positive")
+    if not 0 < slot_len < math.inf:
+        raise ValueError("slot length must be positive and finite")
     count = horizon // slot_len
     if count > MAX_SLOTS:  # an inf count, too, which int() cannot take
         raise ValueError(f"{count!r} slots exceed the limit of {MAX_SLOTS} slots")
@@ -88,16 +90,16 @@ class SlottedInstance:
 
     def __post_init__(self) -> None:
         N, T = len(self.profiles), self.n_slots
-        if self.slot_len <= 0:
-            raise ValueError("slot length must be positive")
+        if not 0 < self.slot_len < math.inf:
+            raise ValueError("slot length must be positive and finite")
         if T < 0:
             raise ValueError("slot count must be nonnegative")
         if list(p.id for p in self.profiles) != list(range(N)):
             raise ValueError("slotted instances require contiguous user ids 0..N-1")
         if len(self.capacity) != N or any(len(row) != T for row in self.capacity):
             raise ValueError(f"capacity needs {N} rows of {T} slots, one per profile")
-        if any(h < 0 for row in self.capacity for h in row):
-            raise ValueError("slot capacities must be nonnegative")
+        if not all(0 <= h < math.inf for row in self.capacity for h in row):
+            raise ValueError("slot capacities must be nonnegative and finite")
         if not all(0 <= n < m < N and 0 <= t < T for n, m, t in self.encounter):
             raise ValueError(f"encounter triples (n, m, t) need 0 <= n < m < {N} "
                              f"and 0 <= t < {T}")
@@ -165,21 +167,30 @@ def _slot_vars(instance: SlottedInstance) -> list[list[tuple[int, int, int]]]:
     ]
 
 
-def _slotted_walk(
+def slotted_walk(
     instance: SlottedInstance, schedule: Mapping[tuple[int, int, int, int], int]
 ) -> tuple[list[Violation], float | None, dict[int, WelfareBreakdown]]:
-    """A slotted schedule's violations and, when it has none, its welfare
-    and per-user breakdowns (else None and {}).
+    """The slotted oracle: a schedule's violations and, when it has none,
+    its welfare and per-user breakdowns (else None and {}). The schedule
+    maps (slot, downloader, owner, level) to a segment count; an empty
+    violation list means feasible.
 
-    A first read checks each key and count alone, so that a malformed one
-    is reported before anything indexes the instance. One walk then sums
-    the Mbit per [downloader][slot], the segments per [owner][slot], the
-    value and energies per user and the rates received per [owner][slot].
-    Each owner's buffer drains one slot length per slot, then gains the
+    A first read checks each key and count alone: a key naming a slot,
+    user or level the instance lacks, or a count that is not a whole
+    number, is reported as a ``"segment"`` violation, with no other,
+    before anything indexes the instance. One walk then sums the Mbit per
+    [downloader][slot], the segments per [owner][slot], the value and
+    energies per user and the rates received per [owner][slot]. Each
+    owner's buffer drains one slot length per slot, then gains the
     playback seconds received in it; a later slot stalls for what its
-    starting level lacks of the slot length. Only a feasible schedule is
-    valued, and only its valuation divides: cellular time is each used
-    slot's share of its capacity.
+    starting level lacks of the slot length, only for video users.
+
+    Only a feasible schedule is valued. Cellular time is each used slot's
+    share of its capacity; a slot of capacity exactly 0 is skipped, as the
+    capacity check lets through only a volume within ``TOL`` of it. Within
+    a slot segments count as played in ascending bitrate order, so quality
+    degradation is charged only across successive nonempty slots; an
+    empty slot carries the previous high bitrate forward.
     """
     N, T, L = instance.n_users, instance.n_slots, instance.slot_len
     profiles = instance.profiles
@@ -252,7 +263,7 @@ def _slotted_walk(
     welfare = 0.0
     for m, prof in enumerate(profiles):
         for t in range(T):
-            if mbit[m][t] > 0:
+            if mbit[m][t] > 0 and instance.capacity[m][t]:
                 cell[m] += prof.c_time * (mbit[m][t] / instance.capacity[m][t]) * L
         qdeg = 0.0
         last_high: float | None = None
@@ -270,40 +281,6 @@ def _slotted_walk(
         breakdowns[m] = bd
         welfare += bd.payoff
     return violations, welfare, breakdowns
-
-
-def check_slotted_feasibility(
-    instance: SlottedInstance, schedule: Mapping[tuple[int, int, int, int], int]
-) -> list[Violation]:
-    """Violations of a slotted schedule, segment counts keyed by (slot,
-    downloader, owner, level); an empty list means feasible.
-
-    A key naming a slot, user or level the instance lacks, or a count that
-    is not a whole number, is reported alone, as a ``"segment"``
-    violation, before any other check reads the schedule.
-    """
-    try:
-        return _slotted_walk(instance, schedule)[0]
-    except ZeroDivisionError:  # valuing a feasible sub-TOL volume in a zero-capacity slot
-        return []
-
-
-def eval_slotted_welfare(
-    instance: SlottedInstance, schedule: Mapping[tuple[int, int, int, int], int]
-) -> tuple[float, dict[int, WelfareBreakdown]]:
-    """Welfare of a slotted schedule: value minus losses and energies;
-    ``ValueError`` naming its violations when it is infeasible.
-
-    Within a slot segments count as played in ascending bitrate order, so
-    quality degradation is charged only across successive nonempty slots;
-    an empty slot carries the previous high bitrate forward. Rebuffering is
-    charged per slot from the second slot on, only for video users.
-    """
-    violations, welfare, breakdowns = _slotted_walk(instance, schedule)
-    if violations:
-        raise ValueError("infeasible slotted schedule: "
-                         + "; ".join(f"{v.kind}: {v.detail}" for v in violations))
-    return welfare, breakdowns
 
 
 # ---------------------------------------------------------------------------

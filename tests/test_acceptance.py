@@ -14,7 +14,7 @@ import time
 
 from crowdstream import cli, model, offline, online, sim, traces
 from crowdstream.model import UserProfile
-from crowdstream.offline import SlottedInstance, eval_slotted_welfare
+from crowdstream.offline import SlottedInstance, slotted_walk
 from crowdstream.traces import CapacityTrace, EncounterTrace, PiecewiseConstant
 
 LADDER = (0.2, 0.4, 0.7, 1.3, 2.3)
@@ -383,7 +383,7 @@ def test_criterion_9_slotted_optimum_replay():
         profiles, capacity, enc, horizon = replay_instance(seed)
         instance = SlottedInstance.from_traces(profiles, capacity, enc, SLOT)
         exact = offline.solve_slotted_exact(instance)
-        expected, _ = eval_slotted_welfare(instance, exact.schedule)
+        infeasible, expected, _ = slotted_walk(instance, exact.schedule)
         config = sim.SimConfig(
             horizon=horizon, profiles=profiles, capacity=capacity,
             encounters=enc,
@@ -392,7 +392,7 @@ def test_criterion_9_slotted_optimum_replay():
         )
         report = sim.run_simulation(config)
         checked += 1
-        if report.violations or abs(report.welfare - expected) > 1e-6:
+        if infeasible or report.violations or abs(report.welfare - expected) > 1e-6:
             bad.append((seed, expected, report.welfare, report.violations))
     report_line(9, "slotted optimum replay", not bad,
                 f"{checked} instances, {len(bad)} mismatches")

@@ -4,6 +4,7 @@ import csv
 import enum
 import gc
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -186,6 +187,14 @@ class TestExperimentSpec:
             ExperimentSpec(horizon=100.0, slot_len=2**-7, compute_gap=True)
         ExperimentSpec(horizon=100.0, slot_len=2**-7)  # no gap, no slots
         ExperimentSpec(horizon=100.0, slot_len=2**-6, compute_gap=True)  # 6,400 slots
+
+    def test_gap_infinite_slot_length_rejected(self):
+        """An infinite slot length would give 0 slots and an upper bound of
+        0.0 in every cell; it is refused with the spec."""
+        with pytest.raises(ValueError, match="^slot length must be positive and finite$"):
+            offline.slot_count(build_profiles(ExperimentSpec()), 100.0, math.inf)
+        with pytest.raises(SpecError, match="^slot length must be positive and finite$"):
+            ExperimentSpec(slot_len=math.inf, compute_gap=True)
 
     def test_gap_lp_columns_above_limit_rejected(self):
         """``compute_gap`` solves a fluid LP per (seed, mode): one estimated

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -9,8 +10,8 @@ from crowdstream import cli, model, offline, traces
 from crowdstream.model import UserProfile
 from crowdstream.offline import (
     SlottedInstance, SolverBudgetError,
-    bound_certificate, brute_force_segmented, check_slotted_feasibility,
-    eval_slotted_welfare, solve_slotted_exact, solve_slotted_relaxed,
+    bound_certificate, brute_force_segmented, slotted_walk, solve_slotted_exact,
+    solve_slotted_relaxed,
 )
 
 
@@ -29,10 +30,18 @@ def one_user_instance(capacity_per_slot, *, n_slots=2, slot_len=4.0, **prof_kw):
     )
 
 
+def valued(inst, schedule):
+    """The welfare and breakdowns ``slotted_walk`` gives a schedule in
+    which it finds no violations."""
+    violations, welfare, bds = slotted_walk(inst, schedule)
+    assert violations == []
+    return welfare, bds
+
+
 class TestEvalSlottedWelfare:
     def test_all_zero_schedule_stall_only(self):
         inst = one_user_instance([8.0, 8.0, 8.0], n_slots=3, phi_rebuf=0.5)
-        welfare, bds = eval_slotted_welfare(inst, {})
+        welfare, bds = valued(inst, {})
         # empty buffer stalls the full slot length in slots 2 and 3
         assert welfare == pytest.approx(-0.5 * 4.0 * 2)
         assert bds[0].rebuffer_s == pytest.approx(8.0)
@@ -40,27 +49,27 @@ class TestEvalSlottedWelfare:
     def test_single_segment_value_minus_energy(self):
         inst = one_user_instance([8.0, 8.0], c_time=0.05, c_data=0.02)
         sched = {(0, 0, 0, 1): 1}  # one segment at 0.7 in slot 1
-        welfare, _ = eval_slotted_welfare(inst, sched)
+        welfare, _ = valued(inst, sched)
         cell = 0.05 * (1.4 / 8.0) * 4.0 + 0.02 * 1.4
         assert welfare == pytest.approx(2 * math.log(1.7) - cell)
 
     def test_within_slot_ascending_order_is_free(self):
         inst = one_user_instance([8.0], n_slots=1, phi_qdeg=5.0)
         sched = {(0, 0, 0, 0): 1, (0, 0, 0, 1): 1}
-        welfare, bds = eval_slotted_welfare(inst, sched)
+        welfare, bds = valued(inst, sched)
         assert bds[0].qdeg_loss == 0.0
 
     def test_downswitch_across_slots_charged(self):
         inst = one_user_instance([8.0, 8.0], phi_qdeg=1.0)
         sched = {(0, 0, 0, 1): 1, (1, 0, 0, 0): 1}
-        _, bds = eval_slotted_welfare(inst, sched)
+        _, bds = valued(inst, sched)
         assert bds[0].qdeg_loss == pytest.approx(0.5)
 
     def test_empty_slot_carries_high_rate_forward(self):
         inst = one_user_instance([8.0, 8.0, 8.0], n_slots=3, phi_qdeg=1.0,
                                  phi_rebuf=0.0)
         sched = {(0, 0, 0, 1): 1, (2, 0, 0, 0): 1}
-        _, bds = eval_slotted_welfare(inst, sched)
+        _, bds = valued(inst, sched)
         assert bds[0].qdeg_loss == pytest.approx(0.5)  # 0.7 -> (gap) -> 0.2
 
     def test_reads_the_schedule_twice(self):
@@ -75,25 +84,26 @@ class TestEvalSlottedWelfare:
 
         inst = one_user_instance([8.0, 8.0], c_time=0.05)
         kappa = Counted({(0, 0, 0, 1): 1, (1, 0, 0, 0): 1})
-        eval_slotted_welfare(inst, kappa)
+        slotted_walk(inst, kappa)
         assert kappa.reads == 2
 
     def test_infeasible_schedule_rejected(self):
         inst = one_user_instance([1.0, 1.0])
         sched = {(0, 0, 0, 1): 1}  # needs 1.4 Mbit in a 1 Mbit slot
-        with pytest.raises(ValueError, match="capacity"):
-            eval_slotted_welfare(inst, sched)
+        got, welfare, bds = slotted_walk(inst, sched)
+        assert [v.kind for v in got] == ["capacity"]
+        assert (welfare, bds) == (None, {})
 
 
 class TestFeasibility:
     def test_zero_schedule_feasible(self):
         inst = one_user_instance([4.0, 4.0])
-        assert check_slotted_feasibility(inst, {}) == []
+        assert slotted_walk(inst, {})[0] == []
 
     def test_capacity_violation(self):
         inst = one_user_instance([4.0, 4.0])
         sched = {(0, 0, 0, 1): 3}  # 4.2 Mbit > 4
-        got = check_slotted_feasibility(inst, sched)
+        got = slotted_walk(inst, sched)[0]
         assert any(v.kind == "capacity" for v in got)
 
     def test_encounter_violation(self):
@@ -101,26 +111,52 @@ class TestFeasibility:
         inst = SlottedInstance(profiles=profs, slot_len=4.0, n_slots=1,
                                capacity=((8.0,), (8.0,)), encounter=frozenset())
         sched = {(0, 1, 0, 0): 1}  # user 1 downloads for 0, no encounter
-        got = check_slotted_feasibility(inst, sched)
+        got = slotted_walk(inst, sched)[0]
         assert any(v.kind == "encounter" for v in got)
 
     def test_budget_violation(self):
         inst = one_user_instance([8.0], n_slots=1, segs=1)
         sched = {(0, 0, 0, 0): 2}
-        got = check_slotted_feasibility(inst, sched)
+        got = slotted_walk(inst, sched)[0]
         assert any(v.kind == "duplicate" for v in got)
 
     def test_buffer_violation(self):
         inst = one_user_instance([8.0], n_slots=1, segs=3, buffer_cap=2.0)
         sched = {(0, 0, 0, 0): 3}  # 6 s of content, cap 2 s
-        got = check_slotted_feasibility(inst, sched)
+        got = slotted_walk(inst, sched)[0]
         assert any(v.kind == "buffer" for v in got)
 
     def test_sub_tol_volume_in_zero_capacity_slot_is_feasible(self):
-        """Its volume passes the capacity check, so the check reports
-        nothing, although valuing it would divide by that capacity."""
-        inst = one_user_instance([0.0, 1.0], ladder=(1e-12,), c_time=0.1)
-        assert check_slotted_feasibility(inst, {(0, 0, 0, 0): 1}) == []
+        """Its volume passes the capacity check, so the walk reports
+        nothing, and values it with no cellular time in the empty slot."""
+        inst = one_user_instance([0.0, 1.0], ladder=(1e-12,), c_time=0.1, c_data=0.3)
+        welfare, bds = valued(inst, {(0, 0, 0, 0): 1})
+        assert bds[0].cell_energy == 0.3 * (1 * 1e-12 * 2.0)  # data only
+        assert welfare == bds[0].payoff and math.isfinite(welfare)
+
+    def test_every_feasible_schedule_is_valued_where_capacity_is_zero(self):
+        """Seeded two-user instances with zero-capacity slots and ladders
+        down to 1e-12: each schedule the walk finds no violations in gets
+        a finite welfare, the ordered sum of its users' payoffs, also when
+        it carries a volume within ``TOL`` in a slot of capacity 0."""
+        rng = random.Random("zero-capacity")
+        feasible = in_empty_slot = 0
+        for _ in range(400):
+            ladder = rng.choice([(1e-12,), (1e-12, 0.5), (1e-11, 1e-10, 0.7)])
+            caps = [[rng.choice([0.0, 0.0, 1.0, 3.0]) for _ in range(3)] for _ in range(2)]
+            inst = two_user_instance(caps, [rng.randint(0, 3), 3], [0, 2], ladder=ladder,
+                                     c_time=0.1, c_data=0.02, phi_rebuf=0.3, phi_qdeg=0.5)
+            keys = [(t, n, m, z) for t in range(3) for n in range(2) for m in range(2)
+                    for z in range(len(ladder))]
+            sched = {k: rng.choice([0, 1, 1, 2, 3]) for k in rng.sample(keys, rng.randint(1, 4))}
+            got, welfare, bds = slotted_walk(inst, sched)
+            if got:
+                continue
+            feasible += 1
+            in_empty_slot += any(c and not inst.capacity[n][t] for (t, n, _, _), c in sched.items())
+            assert math.isfinite(welfare)
+            assert welfare == model.ordered_sum(bd.payoff for bd in bds.values())
+        assert (feasible, in_empty_slot) == (104, 46)
 
     @pytest.mark.parametrize("key, count", [
         ((5, 0, 0, 0), 1),    # slot past the 3-slot horizon
@@ -135,17 +171,15 @@ class TestFeasibility:
             "owner", "level-past-top", "level-negative", "count-fraction"])
     def test_malformed_entry_is_a_violation(self, key, count):
         inst = one_user_instance([8.0, 8.0, 8.0], n_slots=3, segs=2)
-        sched = {key: count}
-        got = check_slotted_feasibility(inst, sched)
+        got, welfare, bds = slotted_walk(inst, {key: count})
         assert [v.kind for v in got] == ["segment"]
-        with pytest.raises(ValueError, match="infeasible slotted schedule: segment"):
-            eval_slotted_welfare(inst, sched)
+        assert (welfare, bds) == (None, {})
 
 
 def enumerate_slotted_optimum(inst):
     """Oracle: the best welfare over every slotted schedule in which no
-    owner receives more segments than its video has. Each is checked by
-    ``check_slotted_feasibility`` and valued by ``eval_slotted_welfare``."""
+    owner receives more segments than its video has. Each is checked and
+    valued by ``slotted_walk``."""
     per_owner = []
     for m, prof in enumerate(inst.profiles):
         keys = [(t, n, m, z) for t in range(inst.n_slots) for n in range(inst.n_users)
@@ -158,8 +192,9 @@ def enumerate_slotted_optimum(inst):
     best = -math.inf
     for parts in itertools.product(*per_owner):
         sched = {k: c for part in parts for k, c in part.items()}
-        if not check_slotted_feasibility(inst, sched):
-            best = max(best, eval_slotted_welfare(inst, sched)[0])
+        got, welfare, _ = slotted_walk(inst, sched)
+        if not got:
+            best = max(best, welfare)
     return best
 
 
@@ -178,7 +213,7 @@ class TestSolveSlottedExact:
                                  phi_rebuf=0.3)
         res = solve_slotted_exact(inst)
         assert res.welfare == pytest.approx(enumerate_slotted_optimum(inst))
-        assert check_slotted_feasibility(inst, res.schedule) == []
+        assert slotted_walk(inst, res.schedule)[0] == []
 
     @pytest.mark.parametrize("inst", [
         # a 2 s cap holds one segment of three the link could fetch at once
@@ -195,8 +230,8 @@ class TestSolveSlottedExact:
     ], ids=["one-user-cap-binds", "one-user", "two-owners-cap-binds", "helper-cap-binds"])
     def test_matches_exhaustive_enumeration_over_two_slots(self, inst):
         res = solve_slotted_exact(inst)
-        assert check_slotted_feasibility(inst, res.schedule) == []
-        assert eval_slotted_welfare(inst, res.schedule)[0] == pytest.approx(res.welfare)
+        assert slotted_walk(inst, res.schedule)[0] == []
+        assert valued(inst, res.schedule)[0] == pytest.approx(res.welfare)
         assert res.welfare == pytest.approx(enumerate_slotted_optimum(inst))
 
     def test_zero_capacity_stall_only(self):
@@ -366,7 +401,7 @@ class TestSlottedEmbedding:
         enc = traces.EncounterTrace.none(8.0)
         inst = SlottedInstance.from_traces((prof,), cap, enc, 4.0)
         sched = {(0, 0, 0, 1): 1, (1, 0, 0, 0): 1}
-        slotted_w, _ = eval_slotted_welfare(inst, sched)
+        slotted_w, _ = valued(inst, sched)
         records = []
         seg = 0
         for (t, n, m, z), c in sorted(sched.items()):
@@ -445,6 +480,19 @@ class TestSlottedInstance:
             SlottedInstance(profiles=tuple(make_profile(n) for n in range(n_users)),
                             slot_len=4.0, n_slots=3, capacity=capacity,
                             encounter=frozenset(encounter))
+
+    @pytest.mark.parametrize("slot_len, capacity", [
+        (4.0, ((math.nan, 1.0),)),
+        (4.0, ((math.inf, 1.0),)),
+        (math.inf, ((1.0, 1.0),)),
+        (math.nan, ((1.0, 1.0),)),
+    ], ids=["capacity-nan", "capacity-inf", "slot-len-inf", "slot-len-nan"])
+    def test_non_finite_number_is_refused(self, slot_len, capacity):
+        """A NaN or infinite capacity or slot length would reach the
+        oracle's and the searches' arithmetic; it is refused here."""
+        with pytest.raises(ValueError, match="finite"):
+            SlottedInstance(profiles=(make_profile(),), slot_len=slot_len, n_slots=2,
+                            capacity=capacity, encounter=frozenset())
 
     def test_with_split_scales_profiles(self):
         inst = one_user_instance([4.0, 4.0], segs=3)

@@ -25,8 +25,7 @@ from crowdstream.cli import ExperimentSpec, build_profiles
 from crowdstream.model import UserProfile
 from crowdstream.offline import (
     SlottedInstance, SolverBudgetError, _fluid_lp, _slot_vars, _solve_lp,
-    brute_force_segmented, check_slotted_feasibility, eval_slotted_welfare,
-    solve_slotted_exact, solve_slotted_relaxed,
+    brute_force_segmented, slotted_walk, solve_slotted_exact, solve_slotted_relaxed,
 )
 from crowdstream.traces import CapacityTrace, EncounterTrace, PiecewiseConstant
 
@@ -274,10 +273,10 @@ def test_slotted_oracle_golden():
     energies and theta drawn from ``oracle/{seed}`` so that few products
     are exact, at beta, beta/2 and beta/3: the exact optimum at beta with
     its counts scaled to the split, the empty schedule and eight schedules
-    of one to four random counts in -1..3, each valued by
-    ``eval_slotted_welfare`` (``repr`` of the welfare and of every
-    breakdown field, or the error) and checked by
-    ``check_slotted_feasibility``, hashed together."""
+    of one to four random counts in -1..3, each checked and valued by
+    ``slotted_walk``: ``repr`` of the welfare and of every breakdown
+    field, or the violations as ``kind: detail`` after ``infeasible
+    slotted schedule:``, and ``repr`` of the violations, hashed together."""
     rows = []
     for seed in range(200):
         profiles, capacity, enc, _ = capped_instance(seed)
@@ -298,12 +297,13 @@ def test_slotted_oracle_golden():
                 for _ in range(8)
             ]
             for schedule in schedules:
-                try:
-                    welfare, bds = eval_slotted_welfare(i, schedule)
+                found, welfare, bds = slotted_walk(i, schedule)
+                if found:
+                    valued = "infeasible slotted schedule: " + "; ".join(
+                        f"{v.kind}: {v.detail}" for v in found)
+                else:
                     valued = repr((welfare, [dataclasses.astuple(bds[m]) for m in sorted(bds)]))
-                except ValueError as exc:
-                    valued = str(exc)
-                rows.append((valued, repr(check_slotted_feasibility(i, schedule))))
+                rows.append((valued, repr(found)))
     assert (sum(row[1] == "[]" for row in rows), len(rows)) == (2478, 6000)
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "84d7da8f08b5ce85ec459e3d8f42b653e886eb66404de7fa75644ee6e7f5b1d7")

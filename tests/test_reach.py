@@ -20,8 +20,7 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "crowdstream"
 # each name no package code reaches, with the reason it stays
 ALLOWED = {
     "model.validate_sequences": "test oracle: the sequence validator of the simulator tests",
-    "offline.eval_slotted_welfare": "test oracle: values slotted schedules beside model",
-    "offline.check_slotted_feasibility": "test oracle: checks slotted schedules",
+    "offline.slotted_walk": "test oracle: checks and values slotted schedules beside model",
     "sim.gap_vs_upper_bound": "benchmark span in perfbench/spans.py",
     "traces.CapacityTrace.rate_at": "benchmark span in perfbench/spans.py",
     "online.lyapunov_drift": "benchmark span in perfbench/spans.py",

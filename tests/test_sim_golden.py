@@ -5,13 +5,18 @@ indent=2)``, is hashed with SHA-256. The configs together exercise aborts at
 encounter breaks, transfers truncated at the horizon, out-of-order arrivals
 parked until the gap closes, and the reservations those transfers release. A digest change means the simulator's
 behaviour changed, not just its speed.
+
+A seeded family of short runs whose times are all whole seconds is pinned by
+one digest of all its reports: there a completion can share its instant
+with an earlier decision, which the float-timed configs almost never do.
 """
 import hashlib
 import json
+import random
 
 import pytest
 
-from crowdstream import cli, model, traces
+from crowdstream import cli, model, online, traces
 from crowdstream.sim import SimConfig, run_simulation
 
 HORIZON = 200.0
@@ -94,6 +99,53 @@ def test_report_digest(name):
     report = run_simulation(build())
     text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def whole_second_config(seed: int) -> SimConfig:
+    """2-4 users over 20 s, user 0 a video user: capacities of 0, 1 or
+    2 Mbps between whole-second breakpoints, up to three encounter windows
+    per pair between whole seconds, ladder (0.5, 1.0), beta 1 and caps of
+    1-3 s. The seed cycles through the schedulers and abort policies."""
+    rng = random.Random(f"whole-second/{seed}")
+    horizon = 20.0
+    n_users = rng.randint(2, 4)
+    profiles = tuple(model.UserProfile(
+        id=n, beta=1.0, buffer_cap=float(rng.randint(1, 3)), ladder=(0.5, 1.0),
+        phi_qdeg=0.5, phi_rebuf=1.0, c_time=0.05, c_data=0.02, w_data=0.01,
+        video_segments=rng.choice([0, 10, 20]) if n else 20) for n in range(n_users))
+    rates = {}
+    for n in range(n_users):
+        times = (0, *sorted(rng.sample(range(1, 20), rng.randint(0, 6))))
+        rates[n] = traces.PiecewiseConstant(
+            tuple(map(float, times)), tuple(float(rng.choice([0, 1, 2])) for _ in times),
+            horizon)
+    windows = {}
+    for n in range(n_users):
+        for m in range(n + 1, n_users):
+            ends = sorted(rng.sample(range(21), 2 * rng.randint(0, 3)))
+            windows[(n, m)] = tuple((float(a), float(b)) for a, b in zip(ends[::2], ends[1::2]))
+    scheduler = sorted(online.SCHEDULERS)[seed % 3]
+    return SimConfig(
+        horizon=horizon, profiles=profiles,
+        capacity=traces.CapacityTrace(users=rates, horizon=horizon),
+        encounters=traces.EncounterTrace(intervals=windows, horizon=horizon),
+        scheduler=scheduler,
+        scheduler_params={"lam": 10.0} if scheduler == "lyapunov" else BASELINE_PARAMS,
+        seed=str(seed), abort_policy=("abort", "complete")[seed // 3 % 2],
+    )
+
+
+def test_whole_second_family_digest():
+    """Seeds 0-499 of ``whole_second_config``, each report's bytes hashed
+    in seed order. With ``broadcast = None`` deleted from
+    ``sim.finish_download``, a decision at a completion's instant reads a
+    stale owner broadcast, and 19 of the 500 reports change."""
+    digest = hashlib.sha256()
+    for seed in range(500):
+        report = run_simulation(whole_second_config(seed))
+        digest.update(json.dumps(report.to_dict(), sort_keys=True, indent=2).encode())
+    assert digest.hexdigest() == (
+        "7ce433ddaa1c3f66c86e0f493a0d328209519b032d83a656cc6943b1db0899f7")
 
 
 def test_coop_fixture_covers_released_reservations_and_parking():
