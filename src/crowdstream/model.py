@@ -3,6 +3,9 @@
 All welfare accounting lives here: per-user quality value, quality-degradation
 and rebuffering losses, cellular/WiFi/playback energy, and the social welfare
 aggregation used by both the offline bound machinery and the simulator.
+A user's payoff terms come from two walks: ``receiving_walk`` over the
+segments it received, along its one buffer trajectory, and
+``transfer_energy`` over its transfers.
 
 Units: seconds for time and buffer levels, Mbps for bitrates, Mbit for data
 volumes. Utility is dimensionless. All functions are pure and operate on
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 TOL = 1e-9  # absolute slack of every feasibility and ordering comparison
 
@@ -115,10 +118,6 @@ class SegmentRecord:
         if self.mbit is not None and self.mbit < 0:
             raise ValueError("transferred volume must be nonnegative")
 
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
-
 
 @dataclass(frozen=True)
 class WelfareBreakdown:
@@ -205,35 +204,9 @@ def segment_gain(
     )
 
 
-def _trajectory(
-    profile: UserProfile, received: Sequence[SegmentRecord]
-) -> Iterator[tuple[SegmentRecord, float, float]]:
-    """Each reception of a receiving sequence in playback order, with the
-    playback gap since the reception before (zero for the first) and the
-    buffer level right after it, starting from an empty buffer.
-
-    Playback is in order, so segment k becomes usable only once every
-    earlier segment has arrived: its effective reception time is the prefix
-    maximum of arrival times. Out-of-order arrivals (possible under
-    cooperation) therefore yield a zero gap.
-    """
-    q, avail = 0.0, received[0].t_end if received else 0.0
-    for rec in received:
-        t = max(avail, rec.t_end)
-        gap, avail = t - avail, t
-        q = max(0.0, q - gap) + profile.beta  # drain the gap, add the segment
-        yield rec, gap, q
-
-
 def exceeds_cap(level: float, profile: UserProfile) -> bool:
     """The buffer-cap rule: ``level`` seconds overfill ``profile``'s buffer."""
     return level > profile.buffer_cap + TOL
-
-
-def buffer_levels(profile: UserProfile, received: Sequence[SegmentRecord]) -> list[float]:
-    """Buffer level (seconds) right after each reception of a receiving
-    sequence in playback order, starting from an empty buffer."""
-    return [q for _, _, q in _trajectory(profile, received)]
 
 
 def receiving_sequences(
@@ -263,19 +236,31 @@ def payoff_of(value: float, qdeg_loss: float, rebuf_loss: float, play_energy: fl
 
 
 def receiving_walk(profile: UserProfile, received: Sequence[SegmentRecord]) -> tuple:
-    """One walk over delivered segments in playback order: value, downswitch
-    loss, rebuffering loss, playback energy, stalled seconds and peak level
-    (0.0 for none). Charges begin with the second reception (no startup)."""
+    """One walk over delivered segments in playback order, from an empty
+    buffer: value, downswitch loss, rebuffering loss, playback energy,
+    stalled seconds and peak buffer level (0.0 for none). Charges begin with
+    the second reception (no startup).
+
+    Playback is in order, so segment k becomes usable only once every
+    earlier segment has arrived: its effective reception time is the prefix
+    maximum of arrival times. Out-of-order arrivals (possible under
+    cooperation) therefore yield a zero gap. Each reception drains the gap
+    since the one before, down to at most empty, then adds one segment.
+    """
     beta = profile.beta
     value, qdeg, stall, play, peak = 0, 0.0, 0.0, 0.0, 0.0
-    for k, (rec, gap, q) in enumerate(_trajectory(profile, received)):
+    q, avail = 0.0, received[0].t_end if received else 0.0
+    for k, rec in enumerate(received):
+        t = max(avail, rec.t_end)
+        gap, avail = t - avail, t
         value += quality_value(profile, rec.rate) * beta
-        if k:  # the gap runs from the reception before, which left prev_q
+        if k:  # the gap runs from the reception before, which left q
             qdeg += profile.phi_qdeg * max(0.0, prev.rate - rec.rate)
-            stall += max(0.0, gap - prev_q)
+            stall += max(0.0, gap - q)
+        q = max(0.0, q - gap) + beta
         play += profile.eps_time * beta
         play += profile.eps_rate * rec.rate * beta
-        prev, prev_q, peak = rec, q, q if q > peak else peak
+        prev, peak = rec, q if q > peak else peak
     rebuf = profile.phi_rebuf * stall if received else 0.0  # even if phi is -0.0
     return value, qdeg, rebuf, play, stall, peak
 
@@ -288,24 +273,11 @@ def transfer_energy(profile: UserProfile, downloads: Sequence[SegmentRecord],
     cell = wifi = 0.0
     for rec in downloads:
         volume = segment_volume(rec, profiles)
-        cell += profile.c_time * rec.duration
+        cell += profile.c_time * (rec.t_end - rec.t_start)
         cell += profile.c_data * volume
         if rec.owner != rec.downloader and rec.completed:
             wifi += profile.w_data * volume
     return cell, wifi
-
-
-def user_breakdown(
-    profile: UserProfile,
-    downloads: Sequence[SegmentRecord],
-    received: Sequence[SegmentRecord],
-    profiles: Mapping[int, UserProfile],
-) -> WelfareBreakdown:
-    """One user's payoff terms: ``receiving_walk`` over ``received`` and
-    ``transfer_energy`` over ``downloads``."""
-    value, qdeg, rebuf, play, stall, _ = receiving_walk(profile, received)
-    return WelfareBreakdown(value, qdeg, rebuf, *transfer_energy(profile, downloads, profiles),
-                            play, stall)
 
 
 def eval_social_welfare(
@@ -314,10 +286,12 @@ def eval_social_welfare(
 ) -> tuple[float, dict[int, WelfareBreakdown]]:
     """Aggregate payoff of all users plus the per-user breakdowns."""
     received = receiving_sequences(profiles, all_downloads)
-    breakdowns = {
-        uid: user_breakdown(profiles[uid], all_downloads.get(uid, ()), received[uid], profiles)
-        for uid in sorted(profiles)
-    }
+    breakdowns = {}
+    for uid in sorted(profiles):
+        prof = profiles[uid]
+        value, qdeg, rebuf, play, stall, _ = receiving_walk(prof, received[uid])
+        cell, wifi = transfer_energy(prof, all_downloads.get(uid, ()), profiles)
+        breakdowns[uid] = WelfareBreakdown(value, qdeg, rebuf, cell, wifi, play, stall)
     welfare = ordered_sum(b.payoff for b in breakdowns.values())
     return welfare, breakdowns
 
@@ -333,9 +307,10 @@ def validate_sequences(
     Per downloader: non-overlapping ordered transfers, cellular capacity,
     encounter coverage for cross-user transfers, and every delivered
     segment inside its owner's video (an owner without video has none).
-    Per owner: the buffer trajectory stays within [0, cap] at every
-    reception. Violations are returned as data; an empty list means the
-    schedule is feasible.
+    Per owner: the peak of ``receiving_walk``'s buffer trajectory stays
+    within the cap; one ``buffer`` violation names an owner whose buffer
+    overfills at some reception. Violations are returned as data; an empty
+    list means the schedule is feasible.
     """
     violations: list[Violation] = []
     for uid, downloads in all_downloads.items():
@@ -373,8 +348,9 @@ def validate_sequences(
     except IntegrityError as exc:
         return violations + [Violation("duplicate", -1, str(exc))]
     for uid, recs in received.items():
-        cap = profiles[uid].buffer_cap
-        for q in buffer_levels(profiles[uid], recs):
-            if exceeds_cap(q, profiles[uid]):
-                violations.append(Violation("buffer", uid, f"buffer {q} exceeds cap {cap}"))
+        prof = profiles[uid]
+        peak = receiving_walk(prof, recs)[5]
+        if exceeds_cap(peak, prof):  # monotone: the peak overfills iff some level does
+            violations.append(Violation(
+                "buffer", uid, f"buffer {peak} exceeds cap {prof.buffer_cap}"))
     return violations

@@ -186,8 +186,9 @@ def slotted_walk(
     starting level lacks of the slot length, only for video users.
 
     Only a feasible schedule is valued. Cellular time is each used slot's
-    share of its capacity; a slot of capacity exactly 0 is skipped, as the
-    capacity check lets through only a volume within ``TOL`` of it. Within
+    share of its capacity; a slot of capacity at or below ``TOL`` is
+    skipped, as the capacity check lets through only a volume within
+    ``TOL`` there and the exact search plans none (``_slot_vars``). Within
     a slot segments count as played in ascending bitrate order, so quality
     degradation is charged only across successive nonempty slots; an
     empty slot carries the previous high bitrate forward.
@@ -263,7 +264,7 @@ def slotted_walk(
     welfare = 0.0
     for m, prof in enumerate(profiles):
         for t in range(T):
-            if mbit[m][t] > 0 and instance.capacity[m][t]:
+            if mbit[m][t] > 0 and instance.capacity[m][t] > TOL:
                 cell[m] += prof.c_time * (mbit[m][t] / instance.capacity[m][t]) * L
         qdeg = 0.0
         last_high: float | None = None

@@ -74,19 +74,6 @@ class SchedulerState(NamedTuple):
     throughput_samples: tuple[float, ...] = ()
 
 
-def estimate_download_time(
-    state: SchedulerState, profiles: Mapping[int, UserProfile], u: int, z: int
-) -> float:
-    """Estimated transfer time of owner u's next segment at level z.
-
-    Raises ValueError when the decider currently has no capacity.
-    """
-    if state.capacity <= 0:
-        raise ValueError("cannot evaluate a download with zero capacity")
-    prof = profiles[u]
-    return prof.ladder[z] * prof.beta / state.capacity
-
-
 def _potential(
     state: SchedulerState, profiles: Mapping[int, UserProfile]
 ) -> list[tuple[int, float, float, float]]:
@@ -105,9 +92,11 @@ def _score_ladder(
     levels: Iterable[int], potential: list[tuple[int, float, float, float]],
 ) -> list[tuple[float, float]]:
     """The drift and the payoff of owner u's next segment at each of
-    ``levels``, in one pass: one transfer time per level, each profile read
-    once. ``potential`` is ``_potential(state, profiles)``, or empty when
-    only the payoffs are wanted (each drift is then 0.0).
+    ``levels``, in one pass: one transfer time per level (the segment's
+    volume over the decider's current capacity), each profile read once.
+    ``potential`` is ``_potential(state, profiles)``, or empty when only the
+    payoffs are wanted (each drift is then 0.0). Raises ValueError when the
+    decider currently has no capacity.
 
     Drift: the change in the potential J = half the sum over the broadcast
     owners of (cap - level)^2 over the transfer. The receiver's buffer is
@@ -134,9 +123,12 @@ def _score_ladder(
     # playback not started: startup waiting is not a stall
     playing = [(profiles[m].phi_rebuf, state.buffers[m]) for m in state.neighbors
                if m != u and state.last_rates.get(m) is not None]
+    capacity = state.capacity
+    if capacity <= 0:
+        raise ValueError("cannot evaluate a download with zero capacity")
     scores = []
     for z in levels:
-        gamma = estimate_download_time(state, profiles, u, z)
+        gamma = ladder[z] * beta / capacity
         drift = 0.0
         for m, q, cap, before in potential:
             # max(0.0, q - gamma), then min(cap, . + beta) for the receiver,

@@ -69,7 +69,7 @@ class SimConfig:
     abort_policy: str = "abort"  # one of ABORT_POLICIES
 
     def __post_init__(self) -> None:
-        if self.horizon < 0:
+        if not self.horizon >= 0:  # NaN too
             raise ValueError("horizon must be nonnegative")
         if self.horizon > self.capacity.horizon + TOL:
             raise ValueError("horizon exceeds capacity trace horizon")

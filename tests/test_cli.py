@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -508,7 +509,7 @@ class TestBoundsCommand:
         inst = make_bounds_instance(tmp_path)
         out = str(tmp_path / "bounds.json")
         assert cli.main(["bounds", "--spec", inst, "--out", out]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(pathlib.Path(out).read_text())
         assert set(payload) == {"lower", "middle", "upper", "chain_ok",
                                 "prop1_ok", "solver_stats", "partial"}
         assert payload["partial"] is False
@@ -522,7 +523,7 @@ class TestBoundsCommand:
         )
         out = str(tmp_path / "bounds.json")
         assert cli.main(["bounds", "--spec", inst, "--out", out]) == 3
-        payload = json.loads(open(out).read())
+        payload = json.loads(pathlib.Path(out).read_text())
         assert payload["partial"] is True
         assert payload["upper"] is not None
         assert payload["solver_stats"]["failed_solver"] == "exact"
@@ -532,7 +533,7 @@ class TestBoundsCommand:
         inst = make_bounds_instance(tmp_path, brute_budget=1)
         out = str(tmp_path / "bounds.json")
         assert cli.main(["bounds", "--spec", inst, "--out", out]) == 3
-        payload = json.loads(open(out).read())
+        payload = json.loads(pathlib.Path(out).read_text())
         assert payload["partial"] is True
         assert payload["solver_stats"]["failed_solver"] == "brute"
         # the finished exact optimum is kept; the brute-force incumbent is a
@@ -546,7 +547,7 @@ class TestBoundsCommand:
         inst = make_bounds_instance(tmp_path, exact_budget=23)
         out = str(tmp_path / "bounds.json")
         assert cli.main(["bounds", "--spec", inst, "--out", out]) == 3
-        payload = json.loads(open(out).read())
+        payload = json.loads(pathlib.Path(out).read_text())
         assert payload["partial"] is True
         # the beta/2 incumbent bounds nothing at beta: lower is the finished
         # beta optimum
@@ -567,7 +568,7 @@ class TestBoundsCommand:
         inst = make_bounds_instance(tmp_path, ladder=(0.2,), horizon=4.0 * slots)
         out = str(tmp_path / "bounds.json")
         assert cli.main(["bounds", "--spec", inst, "--out", out]) == 3
-        cert = json.loads(open(out).read())
+        cert = json.loads(pathlib.Path(out).read_text())
         assert cert["partial"] is True
         assert cert["upper"] > 0
         assert cert["lower"] is cert["middle"] is None
@@ -596,7 +597,7 @@ class TestBoundsCommand:
         inst.write_text(json.dumps(payload))
         out = str(tmp_path / "bounds.json")
         assert cli.main(["bounds", "--spec", str(inst), "--out", out]) == 3
-        cert = json.loads(open(out).read())
+        cert = json.loads(pathlib.Path(out).read_text())
         assert cert["partial"] is True
         assert cert["upper"] > 0
         assert cert["lower"] == -185.61877794272522
@@ -609,7 +610,7 @@ class TestBoundsCommand:
         inst = make_bounds_instance(tmp_path, include_middle=False)
         out = str(tmp_path / "bounds.json")
         assert cli.main(["bounds", "--spec", inst, "--out", out]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(pathlib.Path(out).read_text())
         assert payload["middle"] is None
         assert "brute_nodes" not in payload["solver_stats"]
         assert payload["chain_ok"] is (payload["lower"] <= payload["upper"] + offline.TOL)
@@ -665,7 +666,7 @@ class TestBoundsCommand:
         """The encounter cases of ``MALFORMED_BOUNDS`` differ from this
         instance in their windows alone, so each is refused for its own."""
         payload = with_pairs({"users": [0, 1], "intervals": [[0, 4]]})(
-            json.loads(open(make_bounds_instance(tmp_path)).read()))
+            json.loads(pathlib.Path(make_bounds_instance(tmp_path)).read_text()))
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(payload))
         out = tmp_path / "bounds.json"
@@ -680,7 +681,7 @@ class TestBoundsCommand:
 
         for name in ("solve_slotted_relaxed", "solve_slotted_exact", "brute_force_segmented"):
             monkeypatch.setattr(offline, name, solved)
-        payload = json.loads(open(make_bounds_instance(tmp_path)).read())
+        payload = json.loads(pathlib.Path(make_bounds_instance(tmp_path)).read_text())
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(MALFORMED_BOUNDS[case](payload)))
         out = tmp_path / "bounds.json"
@@ -734,8 +735,8 @@ class TestGenTracesCommand:
                 "--seed", "5", "--encounters", "trace"]
         assert cli.main(argv + ["--out", a]) == 0
         assert cli.main(argv + ["--out", b]) == 0
-        assert open(a).read() == open(b).read()
-        cap, enc = traces.traces_from_dict(json.loads(open(a).read()))
+        assert pathlib.Path(a).read_text() == pathlib.Path(b).read_text()
+        cap, enc = traces.traces_from_dict(json.loads(pathlib.Path(a).read_text()))
         assert cap.horizon == 100.0
         assert sorted(cap.users) == [0, 1, 2]
 
@@ -930,7 +931,7 @@ class TestIngestCommand:
         out = str(tmp_path / "trace.json")
         assert cli.main(["ingest", "--sessions", str(sessions),
                          "--viewing", str(viewing), "--out", out]) == 0
-        cap, enc = traces.traces_from_dict(json.loads(open(out).read()))
+        cap, enc = traces.traces_from_dict(json.loads(pathlib.Path(out).read_text()))
         assert enc.encountered(0, 1, 7.0)
         assert cap.rate_at(0, 1.0) == pytest.approx(1.3)
 

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from crowdstream import model
+from crowdstream import model, traces
 from crowdstream.model import SegmentRecord, UserProfile
 
 LADDER = (0.2, 0.4, 0.7, 1.3, 2.3)
@@ -95,79 +95,90 @@ class TestQualityValue:
         assert model.quality_value(p, lo) <= model.quality_value(p, hi)
 
 
-def breakdown(profile, received=(), downloads=(), profiles=None):
-    """``model.user_breakdown`` of one user, alone unless ``profiles`` is given."""
-    return model.user_breakdown(profile, downloads, received, profiles or {profile.id: profile})
-
-
 class TestEvalValue:
     def test_empty(self):
-        got = breakdown(make_profile()).value
+        got = model.receiving_walk(make_profile(), ())[0]
         assert got == 0 and type(got) is int  # as an empty ordered_sum
 
     def test_single_segment(self):
-        got = breakdown(make_profile(), [rec(2.3, 1.0)]).value
+        got = model.receiving_walk(make_profile(), [rec(2.3, 1.0)])[0]
         assert got == pytest.approx(2 * math.log(3.3))
 
     def test_two_segments(self):
-        got = breakdown(make_profile(), [rec(0.7, 1.0), rec(0.7, 2.0, 1)]).value
+        got = model.receiving_walk(make_profile(), [rec(0.7, 1.0), rec(0.7, 2.0, 1)])[0]
         assert got == pytest.approx(4 * math.log(1.7))
 
 
 class TestQdegLoss:
     def test_upgrade_is_free(self):
         p = make_profile(phi_qdeg=3.0)
-        assert breakdown(p, [rec(1.3, 1.0), rec(2.3, 2.0, 1)]).qdeg_loss == 0.0
+        assert model.receiving_walk(p, [rec(1.3, 1.0), rec(2.3, 2.0, 1)])[1] == 0.0
 
     def test_single_downswitch(self):
         p = make_profile(phi_qdeg=1.0)
-        assert breakdown(p, [rec(2.3, 1.0), rec(1.3, 2.0, 1)]).qdeg_loss == pytest.approx(1.0)
+        assert model.receiving_walk(p, [rec(2.3, 1.0), rec(1.3, 2.0, 1)])[1] == pytest.approx(1.0)
 
     def test_down_then_up(self):
         p = make_profile(phi_qdeg=2.0)
         seq = [rec(2.3, 1.0), rec(0.7, 2.0, 1), rec(1.3, 3.0, 2)]
-        assert breakdown(p, seq).qdeg_loss == pytest.approx(3.2)
+        assert model.receiving_walk(p, seq)[1] == pytest.approx(3.2)
+
+
+def peak_and_stall(profile, received):
+    """Peak buffer level and stalled seconds of ``received``."""
+    walk = model.receiving_walk(profile, received)
+    return walk[5], walk[4]
 
 
 class TestBufferLevels:
+    """The buffer trajectory of ``receiving_walk``: each reception drains
+    the gap since the one before, down to at most empty, then adds one
+    segment of beta = 2 s; the walk reports its peak and the seconds it
+    sat empty."""
+
     def test_out_of_order_arrivals(self):
         # playback order 0..3; segment 2 arrives at t=3 before segment 1 at
         # t=5, so segment 2 adds to the buffer with no drain in between
         p = make_profile()
         seq = [rec(0.7, 1.0, 0), rec(0.7, 5.0, 1), rec(0.7, 3.0, 2), rec(0.7, 6.5, 3)]
-        # 2; drained 4 s to 0 then +2; +2 with a zero gap; 4 - 1.5 + 2
-        assert model.buffer_levels(p, seq) == [2.0, 2.0, 4.0, 4.5]
+        # levels 2; drained 4 s to 0 (2 s stalled) then +2; +2 with a zero
+        # gap; 4 - 1.5 + 2
+        assert peak_and_stall(p, seq) == (4.5, 2.0)
 
     def test_empty_sequence(self):
-        assert model.buffer_levels(make_profile(), []) == []
+        assert peak_and_stall(make_profile(), []) == (0.0, 0.0)
 
-    # each reception drains the gap since the one before, down to at most
-    # empty, then adds one segment of beta = 2 s
     def test_partial_drain(self):
+        # levels 2, 4, 6, 8, 10, then 10 - 4 + 2
         seq = [rec(0.7, 0.0, k) for k in range(5)] + [rec(0.7, 4.0, 5)]
-        assert model.buffer_levels(make_profile(), seq)[-2:] == [10.0, 8.0]
+        assert peak_and_stall(make_profile(), seq) == (10.0, 0.0)
 
     def test_drained_to_zero(self):
+        # levels 2, 2: the 3 s gap empties the buffer 1 s early
         seq = [rec(0.7, 0.0, 0), rec(0.7, 3.0, 1)]
-        assert model.buffer_levels(make_profile(), seq) == [2.0, 2.0]
+        assert peak_and_stall(make_profile(), seq) == (2.0, 1.0)
 
     def test_no_playback(self):
+        # levels 2, 4, 5.5, 7.5, 9.5
         seq = [rec(0.7, 0.0, 0), rec(0.7, 0.0, 1), rec(0.7, 0.5, 2), rec(0.7, 0.5, 3),
                rec(0.7, 0.5, 4)]
-        assert model.buffer_levels(make_profile(), seq)[-2:] == [7.5, 9.5]
+        assert peak_and_stall(make_profile(), seq) == (9.5, 0.0)
 
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=8), st.floats(0.1, 10))
     def test_result_bounds(self, arrivals, beta):
+        # the buffer plays for the span of arrivals less the stalled seconds,
+        # and ends with n * beta less that, which is at least beta
         seq = [rec(0.7, t, k) for k, t in enumerate(arrivals)]
-        levels = model.buffer_levels(make_profile(beta=beta), seq)
-        assert levels[0] == beta
-        assert all(beta <= q <= prev + beta for prev, q in zip(levels, levels[1:]))
+        peak, stall = peak_and_stall(make_profile(beta=beta), seq)
+        n, span = len(seq), max(arrivals) - arrivals[0]
+        assert beta <= peak <= n * beta + 1e-9
+        assert max(0.0, span - (n - 1) * beta) - 1e-9 <= stall <= span + 1e-9
 
 
 def rebuf(profile, received):
     """Rebuffering loss and stall seconds of ``received``."""
-    b = breakdown(profile, received)
-    return b.rebuf_loss, b.rebuffer_s
+    walk = model.receiving_walk(profile, received)
+    return walk[2], walk[4]
 
 
 class TestRebufLoss:
@@ -207,35 +218,35 @@ class TestEnergies:
         p = make_profile(c_time=0.1, c_data=0.05)
         profiles = {0: p}
         d = [rec(1.3, 2.0, t_start=0.0)]
-        assert breakdown(p, downloads=d, profiles=profiles).cell_energy == pytest.approx(0.33)
+        assert model.transfer_energy(p, d, profiles)[0] == pytest.approx(0.33)
 
     def test_cell_energy_zero_factors(self):
         p = make_profile()
-        assert breakdown(p, downloads=[rec(1.3, 2.0)]).cell_energy == 0.0
+        assert model.transfer_energy(p, [rec(1.3, 2.0)], {0: p})[0] == 0.0
 
     def test_wifi_only_for_others(self):
         p = make_profile(w_data=0.5)
         profiles = {0: p, 1: make_profile(id=1)}
         own = [rec(1.3, 1.0, owner=0, downloader=0)]
         cross = [rec(1.3, 1.0, owner=1, downloader=0)]
-        assert breakdown(p, downloads=own, profiles=profiles).wifi_energy == 0.0
-        assert breakdown(p, downloads=cross, profiles=profiles).wifi_energy == pytest.approx(0.5 * 2.6)
+        assert model.transfer_energy(p, own, profiles)[1] == 0.0
+        assert model.transfer_energy(p, cross, profiles)[1] == pytest.approx(0.5 * 2.6)
 
     def test_wifi_skips_aborted_transfers(self):
         p = make_profile(w_data=0.5)
         profiles = {0: p, 1: make_profile(id=1)}
         aborted = [rec(1.3, 1.0, owner=1, completed=False, delivered=False, mbit=1.0)]
-        assert breakdown(p, downloads=aborted, profiles=profiles).wifi_energy == 0.0
+        assert model.transfer_energy(p, aborted, profiles)[1] == 0.0
 
     def test_play_energy(self):
         p = make_profile(eps_time=0.1, eps_rate=0.2)
-        got = breakdown(p, [rec(1.3, 1.0)]).play_energy
+        got = model.receiving_walk(p, [rec(1.3, 1.0)])[3]
         assert got == pytest.approx(0.1 * 2 + 0.2 * 1.3 * 2)
 
     def test_truncated_transfer_charged_pro_rata(self):
         p = make_profile(c_data=1.0)
         r = rec(1.3, 2.0, completed=False, delivered=False, mbit=0.9)
-        assert breakdown(p, downloads=[r]).cell_energy == pytest.approx(0.9)
+        assert model.transfer_energy(p, [r], {0: p})[0] == pytest.approx(0.9)
 
 
 class TestReceivingSequences:
@@ -293,15 +304,12 @@ class TestSuppliedReceivingSequences:
     """Welfare summed as the brute-force leaf sums it, from each user's
     receiving sequence supplied to ``receiving_walk`` and its transfers to
     ``transfer_energy``, through ``payoff_of`` and ``ordered_sum``, is
-    ``eval_social_welfare``'s, ``repr`` for ``repr``; each walk's peak is the
-    highest of the user's ``buffer_levels``."""
+    ``eval_social_welfare``'s, ``repr`` for ``repr``."""
 
     @staticmethod
     def check(profiles, downloads):
         received = model.receiving_sequences(profiles, downloads)
         walks = {uid: model.receiving_walk(profiles[uid], seq) for uid, seq in received.items()}
-        for uid, walk in walks.items():
-            assert walk[5] == max(model.buffer_levels(profiles[uid], received[uid]), default=0.0)
         welfare, breakdowns = model.eval_social_welfare(profiles, downloads)
         payoffs = [
             model.payoff_of(*walks[uid][:4],
@@ -370,7 +378,6 @@ class TestOrderedSum:
 
 class TestValidateSequences:
     def setup_method(self):
-        from crowdstream import traces
         self.profiles = {0: make_profile(), 1: make_profile(id=1)}
         self.cap = traces.CapacityTrace.constant([0, 1], 2.0, 100.0)
         self.enc = traces.EncounterTrace.none(100.0)
@@ -410,6 +417,18 @@ class TestValidateSequences:
         ]}
         got = model.validate_sequences(profiles, self.cap, self.enc, downloads)
         assert got == [model.Violation("buffer", 0, "buffer 4.5 exceeds cap 4.2")]
+
+    def test_one_buffer_violation_per_owner_at_its_peak(self):
+        # levels 2, 3.5, 5.25: two receptions overfill a 2 s cap, and the
+        # owner is named once, with its peak
+        profiles = {0: make_profile(buffer_cap=2.0)}
+        downloads = {0: [
+            rec(0.7, 1.0, 0, t_start=0.0), rec(0.7, 1.5, 1, t_start=1.0),
+            rec(0.7, 1.75, 2, t_start=1.5),
+        ]}
+        fast = traces.CapacityTrace.constant([0], 10.0, 100.0)
+        got = model.validate_sequences(profiles, fast, self.enc, downloads)
+        assert got == [model.Violation("buffer", 0, "buffer 5.25 exceeds cap 2.0")]
 
     def test_duplicate_detected(self):
         downloads = {0: [rec(0.7, 1.0, 0, t_start=0.0), rec(0.7, 3.0, 0, t_start=2.0)]}

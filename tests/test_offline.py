@@ -134,6 +134,15 @@ class TestFeasibility:
         assert bds[0].cell_energy == 0.3 * (1 * 1e-12 * 2.0)  # data only
         assert welfare == bds[0].payoff and math.isfinite(welfare)
 
+    @pytest.mark.parametrize("capacity", [0.0, 1e-15, 1e-12])
+    def test_capacity_within_tol_charges_no_cellular_time(self, capacity):
+        """A slot of capacity at or below ``TOL`` is valued as one of
+        capacity 0, the rule by which ``_slot_vars`` gives it no download:
+        the sub-``TOL`` volume's share of it costs no cellular time."""
+        inst = one_user_instance([capacity], n_slots=1, ladder=(1e-12,), c_time=0.1)
+        welfare, bds = valued(inst, {(0, 0, 0, 0): 1})
+        assert bds[0].cell_energy == 0.0
+
     def test_every_feasible_schedule_is_valued_where_capacity_is_zero(self):
         """Seeded two-user instances with zero-capacity slots and ladders
         down to 1e-12: each schedule the walk finds no violations in gets

@@ -7,8 +7,8 @@ from crowdstream import online
 from crowdstream.model import UserProfile
 from crowdstream.online import (
     Download, SchedulerState, Wait, buffer_based_decide, decision_payoff,
-    estimate_download_time, lyapunov_decide, lyapunov_drift, make_scheduler,
-    predict_capacity, prediction_based_decide, select_owner,
+    lyapunov_decide, lyapunov_drift, make_scheduler, predict_capacity,
+    prediction_based_decide, select_owner,
 )
 
 LADDER = (0.2, 0.4, 0.7, 1.3, 2.3)
@@ -36,18 +36,25 @@ def make_state(profs, user=0, capacity=1.4, neighbors=(0,), buffers=None,
     )
 
 
-class TestEstimateDownloadTime:
+class TestTransferTime:
+    """The transfer time a decision prices: the segment's volume over the
+    decider's current capacity, read here through the cellular time cost
+    of a profile whose only weight is ``c_time`` = 1."""
+
     def test_volume_over_capacity(self):
-        profs = {0: make_profile()}
-        state = make_state(profs, capacity=1.4)
-        assert estimate_download_time(state, profs, 0, 1) == pytest.approx(1.0)
-        state = make_state(profs, capacity=4.0)
-        assert estimate_download_time(state, profs, 0, 0) == pytest.approx(0.1)
+        profs = {0: make_profile(phi_qdeg=0.0, phi_rebuf=0.0, c_time=1.0, c_data=0.0,
+                                 w_data=0.0)}
+        for capacity, z, seconds in ((1.4, 1, 1.0), (4.0, 0, 0.1)):
+            state = make_state(profs, capacity=capacity)
+            value = 2 * math.log1p(profs[0].ladder[z])
+            assert value - decision_payoff(state, profs, 0, z) == pytest.approx(seconds)
 
     def test_zero_capacity_rejected(self):
         profs = {0: make_profile()}
-        with pytest.raises(ValueError, match="zero capacity"):
-            estimate_download_time(make_state(profs, capacity=0.0), profs, 0, 1)
+        state = make_state(profs, capacity=0.0)
+        for score in (decision_payoff, lyapunov_drift):
+            with pytest.raises(ValueError, match="^cannot evaluate a download with zero capacity$"):
+                score(state, profs, 0, 1)
 
 
 class TestDecisionPayoff:

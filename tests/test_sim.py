@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import re
 import sys
 
@@ -62,6 +63,14 @@ class TestSimConfig:
         cap = CapacityTrace.constant([0], 1.0, 10.0)
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(horizon=20.0, profiles=(make_profile(),), capacity=cap,
+                      encounters=EncounterTrace.none(10.0))
+
+    def test_nan_horizon_rejected(self):
+        """``nan < 0`` is false, so a NaN horizon would pass a sign test
+        and run no event at all."""
+        cap = CapacityTrace.constant([0], 1.0, 10.0)
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            SimConfig(horizon=math.nan, profiles=(make_profile(),), capacity=cap,
                       encounters=EncounterTrace.none(10.0))
 
     def test_unknown_abort_policy_rejected(self):
@@ -182,6 +191,29 @@ class TestCooperation:
         assert aborted[0].t_end == pytest.approx(2.0)
         assert aborted[0].mbit == pytest.approx(0.2)  # 0.1 Mbps for 2 s
         assert not aborted[0].delivered
+
+    def test_break_within_tol_of_the_end_does_not_abort(self):
+        """A window that closes 5e-10 s, within ``TOL``, before the
+        transfer ends lets it complete and deliver."""
+        owner = make_profile(0, video_segments=1, ladder=(0.5,), beta=2.0, buffer_cap=4.0)
+        helper = make_profile(1, video_segments=0)
+
+        def script(state, profiles):
+            if state.user == 1 and state.now == 0.0:
+                return online.Download(owner=0, level=0, seg_index=0)
+            return online.Wait(30.0)
+
+        enc = EncounterTrace(intervals={(0, 1): ((0.0, 10.0 - 5e-10),)}, horizon=20.0)
+        report = run_simulation(SimConfig(
+            horizon=20.0, profiles=(owner, helper),
+            capacity=CapacityTrace.constant([0, 1], 0.1, 20.0),
+            encounters=enc, scheduler=script,
+        ))
+        assert report.aborts == 0 and report.violations == []
+        assert report.downloads[0] == []
+        (got,) = report.downloads[1]
+        assert (got.t_start, got.t_end, got.completed, got.delivered) == (0.0, 10.0, True, True)
+        assert report.deliveries == 1
 
     def test_complete_policy_finishes_past_break(self):
         enc = EncounterTrace(intervals={(0, 1): ((0.0, 2.0),)}, horizon=100.0)
