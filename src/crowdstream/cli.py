@@ -12,7 +12,8 @@ fails its checks, before anything runs, and a bounds instance that cannot
 be built), 3 partial result (a bound solver ran out of budget:
 the partial certificate names it in solver_stats.failed_solver and keeps
 the LP bound and every value that finished) or no result (the relaxation
-LP failed, which happens before any search: nothing is written).
+LP failed, which happens before any search in ``bounds`` and before any
+cell's report in ``run`` with compute_gap: nothing is written).
 """
 from __future__ import annotations
 
@@ -379,7 +380,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     rows, gain_rows = [], []
     try:
-        uppers = {key: next(results) for key in bound_keys}
+        try:
+            uppers = {key: next(results) for key in bound_keys}
+        except RuntimeError as exc:  # a fluid LP failed, before any report
+            print(f"no report written: {exc}", file=sys.stderr)
+            return EXIT_PARTIAL
         for scheduler, lam, seed, mode in cells:
             report = next(results)
             if spec.compute_gap:

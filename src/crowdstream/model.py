@@ -113,6 +113,8 @@ class SegmentRecord:
     mbit: float | None = None
 
     def __post_init__(self) -> None:
+        if not 0 < self.rate < math.inf:  # also refuses NaN
+            raise ValueError(f"segment rate must be positive and finite, got {self.rate}")
         if self.t_end < self.t_start:
             raise ValueError("segment must end no earlier than it starts")
         if self.mbit is not None and self.mbit < 0:
@@ -305,8 +307,9 @@ def validate_sequences(
     """Check a joint schedule against the feasibility constraints.
 
     Per downloader: non-overlapping ordered transfers, cellular capacity,
-    encounter coverage for cross-user transfers, and every delivered
-    segment inside its owner's video (an owner without video has none).
+    encounter coverage for cross-user transfers (up to ``TOL`` before each
+    transfer's end), and every delivered segment inside its owner's video
+    (an owner without video has none).
     Per owner: the peak of ``receiving_walk``'s buffer trajectory stays
     within the cap; one ``buffer`` violation names an owner whose buffer
     overfills at some reception. Violations are returned as data; an empty
@@ -330,7 +333,10 @@ def validate_sequences(
                     f"segment needs {volume} Mbit but only {available} Mbit available "
                     f"in [{rec.t_start}, {rec.t_end}]",
                 ))
-            if rec.owner != uid and not encounters.holds(uid, rec.owner, rec.t_start, rec.t_end):
+            # a transfer may outlast its window by TOL, as the simulator's
+            # abort rule lets it
+            if rec.owner != uid and not encounters.holds(
+                    uid, rec.owner, rec.t_start, max(rec.t_start, rec.t_end - TOL)):
                 violations.append(Violation(
                     "encounter", uid,
                     f"users {uid} and {rec.owner} not encountered throughout "

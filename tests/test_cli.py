@@ -106,7 +106,25 @@ MALFORMED_BOUNDS = {
     "infinite-slot-length": lambda d: {**d, "slot_len": float("inf")},
     "negative-exact-budget": lambda d: {**d, "exact_budget": -1},
     "zero-brute-budget": lambda d: {**d, "brute_budget": 0},
+    "n-slots-key": lambda d: {**d, "n_slots": 2},  # the horizon alone sets the count
+    # more slots than the limit allows: 8 / 1e-300 of them, or 8 // 5e-324,
+    # which overflows
+    "tiny-slot-length": lambda d: {**d, "slot_len": 1e-300},
+    "subnormal-slot-length": lambda d: {**d, "slot_len": 5e-324},
+    # 9,999 slots of one user with 1,001 ladder levels: 1.001e7 LP columns
+    "lp-columns-above-limit": lambda d: {
+        **with_profile(ladder=[0.001 * (k + 1) for k in range(1001)])(d),
+        "slot_len": 8.0 / 10_000},
 }
+
+
+def write_bounds_case(tmp_path, case):
+    """Writes the default bounds instance, as ``MALFORMED_BOUNDS[case]``
+    turns it, to ``tmp_path``; returns its path."""
+    path = pathlib.Path(make_bounds_instance(tmp_path))
+    path.write_text(json.dumps(MALFORMED_BOUNDS[case](json.loads(path.read_text()))))
+    return str(path)
+
 
 # each makes a run spec that must be rejected before anything runs
 BAD_RUN_SPECS = {
@@ -150,6 +168,19 @@ BAD_RUN_SPECS = {
     "overflowing-segment-count": {"video_length_s": 1e308, "beta": 1e-300},
     "lp-columns-above-limit-with-gap": {"scenario": "multi", "n_users": 100,
                                         "horizon": 1005.0, "compute_gap": True},
+    "infinite-horizon": {"horizon": float("inf")},
+    "huge-horizon": {"horizon": 1e9},  # work far above the limit
+}
+
+# gen-traces arguments each refused before any trace is made
+GEN_TRACES_NO_USERS = ("0", "-3")
+GEN_TRACES_NON_POSITIVE_HORIZONS = ("0", "-5")
+BAD_GEN_TRACES = {
+    **{f"users={n}": ["--users", n] for n in GEN_TRACES_NO_USERS},
+    **{f"horizon={h}": [f"--horizon={h}"] for h in GEN_TRACES_NON_POSITIVE_HORIZONS},
+    "infinite-horizon": ["--horizon", "inf"],
+    "huge-horizon": ["--users", "2", "--horizon", "1e9"],
+    "reversed-capacity-range": ["--cap-lo", "3", "--cap-hi", "1"],
 }
 
 # every scheduler, two lambdas, two seeds and both cooperation modes: 16
@@ -310,6 +341,16 @@ class TestRunCommand:
             )
             report = SimpleNamespace(sw_estimated=payload["sw_estimated"])
             assert payload["gap"] == sim.gap_vs_upper_bound(report, instance), name
+
+    def test_lp_failure_exits_3_before_any_report(self, tmp_path, capsys, monkeypatch):
+        import scipy.optimize
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **kw: SimpleNamespace(
+            status=2, message="The problem is infeasible.", fun=None))
+        spec_path = write_spec(tmp_path, compute_gap=True)
+        assert cli.main(["run", "--spec", spec_path]) == 3
+        assert capsys.readouterr().err == (
+            "no report written: relaxation LP failed: The problem is infeasible.\n")
+        assert os.listdir(tmp_path / "out") == []
 
     def test_process_pool_writes_identical_files(self, tmp_path):
         spec_path = write_spec(tmp_path, **GAP_MATRIX)
@@ -516,7 +557,7 @@ class TestBoundsCommand:
         assert payload["chain_ok"] is True
         assert payload["lower"] <= payload["upper"] + 1e-9
 
-    def test_budget_exhaustion_exits_3_with_partial(self, tmp_path):
+    def test_budget_exhaustion_exits_3_with_partial(self, tmp_path, capfd):
         inst = make_bounds_instance(
             tmp_path, segs=4, ladder=(0.2, 0.4, 0.7, 1.3), horizon=12.0,
             rate=4.0, exact_budget=10,
@@ -528,6 +569,7 @@ class TestBoundsCommand:
         assert payload["upper"] is not None
         assert payload["solver_stats"]["failed_solver"] == "exact"
         assert payload["middle"] is None
+        assert capfd.readouterr().out == ""  # the partial notice goes to stderr
 
     def test_brute_budget_exhaustion_reports_middle(self, tmp_path, capsys):
         inst = make_bounds_instance(tmp_path, brute_budget=1)
@@ -681,23 +723,21 @@ class TestBoundsCommand:
 
         for name in ("solve_slotted_relaxed", "solve_slotted_exact", "brute_force_segmented"):
             monkeypatch.setattr(offline, name, solved)
-        payload = json.loads(pathlib.Path(make_bounds_instance(tmp_path)).read_text())
-        path = tmp_path / "instance.json"
-        path.write_text(json.dumps(MALFORMED_BOUNDS[case](payload)))
         out = tmp_path / "bounds.json"
-        assert cli.main(["bounds", "--spec", str(path), "--out", str(out)]) == 2
+        assert cli.main(["bounds", "--spec", write_bounds_case(tmp_path, case),
+                         "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("bad bounds instance: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("fields, count", [
-        ({"slot_len": 1e-300}, "7.999999999999999e+300"),
-        ({"slot_len": 5e-324}, "inf"),  # 8 // 5e-324 overflows
+    @pytest.mark.parametrize("case, count", [
+        ("tiny-slot-length", "7.999999999999999e+300"),
+        ("subnormal-slot-length", "inf"),
     ], ids=["tiny-slot-length", "subnormal-slot-length"])
-    def test_slot_count_above_limit_exits_2_at_once(self, tmp_path, capsys, fields, count):
-        """Each input would build more slots than the limit allows (the
-        first two without end); it is refused within a second."""
-        inst = make_bounds_instance(tmp_path, **fields)
+    def test_slot_count_above_limit_exits_2_at_once(self, tmp_path, capsys, case, count):
+        """Each input would build more slots than the limit allows, both
+        without end; it is refused within a second."""
+        inst = write_bounds_case(tmp_path, case)
         out = tmp_path / "bounds.json"
         t0 = time.perf_counter()
         assert cli.main(["bounds", "--spec", inst, "--out", str(out)]) == 2
@@ -710,8 +750,8 @@ class TestBoundsCommand:
         """9,999 slots of one user with 1,001 ladder levels: an LP estimated
         at 1.001e7 columns is refused within a second, before a slot is
         built. The check passes at the limit and refuses one level above."""
-        ladder = [0.001 * (k + 1) for k in range(1001)]
-        inst = make_bounds_instance(tmp_path, ladder=ladder, slot_len=8.0 / 10_000)
+        inst = write_bounds_case(tmp_path, "lp-columns-above-limit")
+        ladder = json.loads(pathlib.Path(inst).read_text())["profiles"][0]["ladder"]
         out = tmp_path / "bounds.json"
         t0 = time.perf_counter()
         assert cli.main(["bounds", "--spec", inst, "--out", str(out)]) == 2
@@ -742,25 +782,27 @@ class TestGenTracesCommand:
 
     def test_bad_range_exits_2(self, tmp_path):
         out = str(tmp_path / "t.json")
-        assert cli.main(["gen-traces", "--cap-lo", "3", "--cap-hi", "1",
+        assert cli.main(["gen-traces", *BAD_GEN_TRACES["reversed-capacity-range"],
                          "--out", out]) == 2
 
-    @pytest.mark.parametrize("users", ["0", "-3"])
+    @pytest.mark.parametrize("users", GEN_TRACES_NO_USERS)
     def test_no_users_exits_2(self, tmp_path, capsys, users):
         """A user count below one is refused with one line, as a run spec's
         is, and no trace is written."""
         out = tmp_path / "t.json"
-        assert cli.main(["gen-traces", "--users", users, "--out", str(out)]) == 2
+        assert cli.main(["gen-traces", *BAD_GEN_TRACES[f"users={users}"],
+                         "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"trace generation refused: need at least one user, got {users}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("horizon", ["0", "-5"])
+    @pytest.mark.parametrize("horizon", GEN_TRACES_NON_POSITIVE_HORIZONS)
     def test_non_positive_horizon_exits_2(self, tmp_path, capsys, horizon):
         """A horizon that is not positive is refused with one line naming
         it, as a run spec's is, and no trace is written."""
         out = tmp_path / "t.json"
-        assert cli.main(["gen-traces", f"--horizon={horizon}", "--out", str(out)]) == 2
+        assert cli.main(["gen-traces", *BAD_GEN_TRACES[f"horizon={horizon}"],
+                         "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"trace generation refused: horizon must be positive, got {float(horizon)}\n")
         assert not out.exists()
@@ -829,15 +871,43 @@ VIEWING_CSV = """user_id,video_id,seg_index,seg_len_s,bitrate_mbps,download_s
 1,v2,0,2.0,0.7,4.0
 """
 
+SESSIONS_HEADER = "user_id,hotspot_id,login_s,logout_s\n"
 
-def run_module(argv, timeout=60):
-    """``python -m crowdstream.cli`` with ``argv`` in a subprocess that
-    turns a RuntimeWarning into an error."""
+# each (sessions CSV, viewing CSV, more ingest arguments) refused before
+# anything is written
+INGEST_NON_POSITIVE_HORIZONS = ("0", "-1")
+MALFORMED_INGEST = {
+    "non-numeric-login": (SESSIONS_HEADER + "0,ap1,x,10\n", VIEWING_CSV, ()),
+    "nan-session": (SESSIONS_CSV + "2,ap1,nan,10\n", VIEWING_CSV + "2,v3,0,2.0,0.7,4.0\n", ()),
+    "nan-viewing": (SESSIONS_CSV + "2,ap1,0,10\n", VIEWING_CSV + "2,v3,0,2.0,nan,4.0\n", ()),
+    **{f"horizon={h}": (SESSIONS_CSV, VIEWING_CSV, ("--horizon", h))
+       for h in INGEST_NON_POSITIVE_HORIZONS},
+    "session-log-without-horizon": (SESSIONS_HEADER, VIEWING_CSV, ()),
+    "session-users-without-viewing-samples": (
+        SESSIONS_HEADER + "0,ap1,0,10\n1,ap1,6,20\n",
+        "user_id,video_id,seg_index,seg_len_s,bitrate_mbps,download_s\n0,v1,0,2.0,1.3,2.0\n",
+        ()),
+}
+
+
+def ingest_argv(tmp_path, sessions=SESSIONS_CSV, viewing=VIEWING_CSV, more=()):
+    """``ingest`` of the two CSV logs, written to ``tmp_path`` as
+    ``sessions.csv`` and ``viewing.csv``, into ``tmp_path / "t.json"``."""
+    (tmp_path / "sessions.csv").write_text(sessions)
+    (tmp_path / "viewing.csv").write_text(viewing)
+    return ["ingest", "--sessions", str(tmp_path / "sessions.csv"),
+            "--viewing", str(tmp_path / "viewing.csv"), *more,
+            "--out", str(tmp_path / "t.json")]
+
+
+def run_python(args, timeout=60):
+    """``python`` with ``args`` in a fresh interpreter that imports this
+    package's source and turns a RuntimeWarning into an error."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "crowdstream.cli", *argv],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
 
@@ -845,7 +915,8 @@ def run_module(argv, timeout=60):
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_without_runtime_warning(self, tmp_path):
         out = tmp_path / "t.json"
-        proc = run_module(["gen-traces", "--users", "2", "--horizon", "10", "--out", str(out)])
+        proc = run_python(["-m", "crowdstream.cli", "gen-traces", "--users", "2",
+                           "--horizon", "10", "--out", str(out)])
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert out.exists()
@@ -853,11 +924,12 @@ class TestModuleEntryPoint:
     @pytest.mark.parametrize("verb", ["gen-traces", "run"])
     def test_infinite_horizon_exits_2(self, tmp_path, verb):
         out = tmp_path / "out"
-        argv = (["gen-traces", "--horizon", "inf", "--out", str(out)] if verb == "gen-traces"
-                else ["run", "--spec", write_spec(tmp_path, horizon=float("inf"))])
+        argv = (["gen-traces", *BAD_GEN_TRACES["infinite-horizon"], "--out", str(out)]
+                if verb == "gen-traces" else
+                ["run", "--spec", write_spec(tmp_path, **BAD_RUN_SPECS["infinite-horizon"])])
         # a synthesizer that loops toward an infinite horizon grows its
         # lists without bound, so the timeout is kept short
-        proc = run_module(argv, timeout=10)
+        proc = run_python(["-m", "crowdstream.cli", *argv], timeout=10)
         assert proc.returncode == 2, proc.stderr
         assert len(proc.stderr.splitlines()) == 1
         assert not out.exists()
@@ -902,9 +974,10 @@ class TestWorkLimit:
         the estimate and the limit, writes nothing and loads neither numpy
         nor scipy."""
         out = tmp_path / "out"
-        argv = (["gen-traces", "--users", "2", "--horizon", "1e9", "--out", str(out)]
+        argv = (["gen-traces", *BAD_GEN_TRACES["huge-horizon"], "--out", str(out)]
                 if verb == "gen-traces" else
-                ["run", "--spec", write_spec(tmp_path, horizon=1e9), "--out", str(out)])
+                ["run", "--spec", write_spec(tmp_path, **BAD_RUN_SPECS["huge-horizon"]),
+                 "--out", str(out)])
         script = """
 import sys, time
 from crowdstream import cli
@@ -912,11 +985,7 @@ t0 = time.perf_counter()
 rc = cli.main(sys.argv[1:])
 print(rc, time.perf_counter() - t0 < 1.0, [m for m in ("numpy", "scipy") if m in sys.modules])
 """
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
-                              text=True, env=env, timeout=30)
+        proc = run_python(["-c", script, *argv], timeout=30)
         assert proc.stdout.splitlines() == ["2 True []"]
         assert proc.stderr.splitlines() == [line]
         assert not out.exists()
@@ -936,28 +1005,13 @@ class TestIngestCommand:
         assert cap.rate_at(0, 1.0) == pytest.approx(1.3)
 
     def test_malformed_csv_exits_2(self, tmp_path):
-        sessions = tmp_path / "sessions.csv"
-        viewing = tmp_path / "viewing.csv"
-        sessions.write_text("user_id,hotspot_id,login_s,logout_s\n0,ap1,x,10\n")
-        viewing.write_text(VIEWING_CSV)
-        assert cli.main(["ingest", "--sessions", str(sessions),
-                         "--viewing", str(viewing),
-                         "--out", str(tmp_path / "t.json")]) == 2
+        assert cli.main(ingest_argv(tmp_path, *MALFORMED_INGEST["non-numeric-login"])) == 2
 
-    @pytest.mark.parametrize("sessions_row, viewing_row", [
-        ("2,ap1,nan,10", "2,v3,0,2.0,0.7,4.0"),
-        ("2,ap1,0,10", "2,v3,0,2.0,nan,4.0"),
-    ], ids=["nan-session", "nan-viewing"])
-    def test_non_finite_value_exits_2(self, tmp_path, capsys, sessions_row, viewing_row):
-        sessions = tmp_path / "sessions.csv"
-        viewing = tmp_path / "viewing.csv"
-        sessions.write_text(SESSIONS_CSV + sessions_row + "\n")
-        viewing.write_text(VIEWING_CSV + viewing_row + "\n")
-        out = tmp_path / "t.json"
-        assert cli.main(["ingest", "--sessions", str(sessions),
-                         "--viewing", str(viewing), "--out", str(out)]) == 2
+    @pytest.mark.parametrize("case", ["nan-session", "nan-viewing"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, case):
+        assert cli.main(ingest_argv(tmp_path, *MALFORMED_INGEST[case])) == 2
         assert "must be finite" in capsys.readouterr().err
-        assert not out.exists()
+        assert not (tmp_path / "t.json").exists()
 
     @pytest.mark.parametrize("horizon, pairs", [
         ("5", []),  # the overlap starts after the horizon
@@ -974,45 +1028,84 @@ class TestIngestCommand:
         encounters = json.loads(out.read_text())["encounters"]
         assert encounters == {"horizon": float(horizon), "pairs": pairs}
 
-    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    @pytest.mark.parametrize("horizon", INGEST_NON_POSITIVE_HORIZONS)
     def test_non_positive_horizon_exits_2(self, tmp_path, capsys, horizon):
-        sessions = tmp_path / "sessions.csv"
-        viewing = tmp_path / "viewing.csv"
-        sessions.write_text(SESSIONS_CSV)
-        viewing.write_text(VIEWING_CSV)
-        out = tmp_path / "t.json"
-        assert cli.main(["ingest", "--sessions", str(sessions), "--viewing", str(viewing),
-                         "--horizon", horizon, "--out", str(out)]) == 2
+        assert cli.main(ingest_argv(tmp_path, *MALFORMED_INGEST[f"horizon={horizon}"])) == 2
         err = capsys.readouterr().err
         assert err == f"ingestion failed: horizon must be positive, got {float(horizon)}\n"
-        assert not out.exists()
+        assert not (tmp_path / "t.json").exists()
 
     def test_session_log_without_horizon_exits_2(self, tmp_path, capsys):
-        sessions = tmp_path / "sessions.csv"
-        viewing = tmp_path / "viewing.csv"
-        sessions.write_text("user_id,hotspot_id,login_s,logout_s\n")
-        viewing.write_text(VIEWING_CSV)
-        out = tmp_path / "t.json"
-        assert cli.main(["ingest", "--sessions", str(sessions), "--viewing", str(viewing),
-                         "--out", str(out)]) == 2
+        assert cli.main(ingest_argv(
+            tmp_path, *MALFORMED_INGEST["session-log-without-horizon"])) == 2
         err = capsys.readouterr().err
         assert "session log" in err and "--horizon" in err
-        assert not out.exists()
+        assert not (tmp_path / "t.json").exists()
 
     def test_session_users_without_viewing_samples_exit_2(self, tmp_path, capsys):
-        sessions = tmp_path / "sessions.csv"
-        viewing = tmp_path / "viewing.csv"
-        sessions.write_text("user_id,hotspot_id,login_s,logout_s\n0,ap1,0,10\n1,ap1,6,20\n")
-        viewing.write_text("user_id,video_id,seg_index,seg_len_s,bitrate_mbps,download_s\n"
-                           "0,v1,0,2.0,1.3,2.0\n")
-        out = tmp_path / "t.json"
-        assert cli.main(["ingest", "--sessions", str(sessions), "--viewing", str(viewing),
-                         "--out", str(out)]) == 2
+        assert cli.main(ingest_argv(
+            tmp_path, *MALFORMED_INGEST["session-users-without-viewing-samples"])) == 2
         err = capsys.readouterr().err
+        sessions = tmp_path / "sessions.csv"
         assert f"{sessions}: users [1] have sessions but no viewing samples" in err
-        assert not out.exists()
+        assert not (tmp_path / "t.json").exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["ingest", "--sessions", str(tmp_path / "a.csv"),
                          "--viewing", str(tmp_path / "b.csv"),
                          "--out", str(tmp_path / "t.json")]) == 2
+
+
+def refused_cases(verb, tmp_path):
+    """(name, argv, output path) of each input of ``verb`` that a table
+    above refuses, each written to a directory of its own in ``tmp_path``."""
+    table = {"bounds": MALFORMED_BOUNDS, "run": BAD_RUN_SPECS,
+             "gen-traces": BAD_GEN_TRACES, "ingest": MALFORMED_INGEST}[verb]
+    for case, entry in table.items():
+        (path := tmp_path / case).mkdir()
+        if verb == "bounds":
+            out = path / "bounds.json"
+            argv = ["bounds", "--spec", write_bounds_case(path, case), "--out", str(out)]
+        elif verb == "run":
+            out, argv = path / "out", ["run", "--spec", write_spec(path, **entry)]
+        elif verb == "gen-traces":
+            out = path / "t.json"
+            argv = ["gen-traces", *entry, "--out", str(out)]
+        else:
+            out, argv = path / "t.json", ingest_argv(path, *entry)
+        yield case, argv, str(out)
+
+
+# runs cli.main on each (name, argv, output path) of the JSON list in
+# argv[1]; prints, per name, the exit code, whether the output exists, and
+# which of numpy and scipy are loaded by then
+MAIN_PER_CASE = """
+import json, os, sys
+from crowdstream import cli
+seen = {}
+for name, argv, out in json.loads(sys.argv[1]):
+    seen[name] = [cli.main(argv), os.path.exists(out),
+                  [m for m in ("numpy", "scipy") if m in sys.modules]]
+print(json.dumps(seen))
+"""
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("verb", ["bounds", "run", "gen-traces", "ingest"])
+    def test_exit_2_write_nothing_and_load_neither_numpy_nor_scipy(self, tmp_path, verb):
+        """Every refused input of ``verb``, in one fresh interpreter that
+        imports only ``crowdstream.cli`` and turns a RuntimeWarning into
+        an error: each exits 2, writes nothing and loads neither numpy nor
+        scipy. Last, a ``gen-traces`` or ``ingest`` call that is accepted
+        exits 0 and loads neither either."""
+        cases = list(refused_cases(verb, tmp_path))
+        want = {name: [2, False, []] for name, _, _ in cases}
+        if verb in ("gen-traces", "ingest"):
+            (path := tmp_path / "accepted").mkdir()
+            cases.append(("accepted", ingest_argv(path) if verb == "ingest" else [
+                "gen-traces", "--users", "2", "--horizon", "10", "--out", str(path / "t.json")],
+                str(path / "t.json")))
+            want["accepted"] = [0, True, []]
+        proc = run_python(["-c", MAIN_PER_CASE, json.dumps(cases)], timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == want

@@ -74,6 +74,13 @@ class TestUserProfile:
         assert UserProfile.from_dict(p.to_dict()) == p
 
 
+class TestSegmentRecord:
+    @pytest.mark.parametrize("rate", [-0.5, math.nan, 0.0, math.inf])
+    def test_rejects_rate_not_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="^segment rate must be positive and finite"):
+            rec(rate, 1.0)
+
+
 class TestQualityValue:
     def test_zero_rate(self):
         assert model.quality_value(make_profile(), 0.0) == 0.0

@@ -25,7 +25,6 @@ ALLOWED = {
     "traces.CapacityTrace.rate_at": "benchmark span in perfbench/spans.py",
     "online.lyapunov_drift": "benchmark span in perfbench/spans.py",
     "traces.EncounterTrace.encountered": "benchmark span in perfbench/spans.py",
-    "__init__.__getattr__": "module hook: Python calls it for a missing attribute",
     "offline.__getattr__": "module hook: Python calls it for a missing attribute",
     "traces.CapacityTrace.constant": "test constructor of constant-rate traces",
 }

@@ -204,9 +204,9 @@ class TestCooperation:
             return online.Wait(30.0)
 
         enc = EncounterTrace(intervals={(0, 1): ((0.0, 10.0 - 5e-10),)}, horizon=20.0)
+        capacity = CapacityTrace.constant([0, 1], 0.1, 20.0)
         report = run_simulation(SimConfig(
-            horizon=20.0, profiles=(owner, helper),
-            capacity=CapacityTrace.constant([0, 1], 0.1, 20.0),
+            horizon=20.0, profiles=(owner, helper), capacity=capacity,
             encounters=enc, scheduler=script,
         ))
         assert report.aborts == 0 and report.violations == []
@@ -214,6 +214,9 @@ class TestCooperation:
         (got,) = report.downloads[1]
         assert (got.t_start, got.t_end, got.completed, got.delivered) == (0.0, 10.0, True, True)
         assert report.deliveries == 1
+        # the validator allows the transfer the same TOL past its window
+        assert model.validate_sequences({0: owner, 1: helper}, capacity, enc,
+                                        report.downloads) == []
 
     def test_complete_policy_finishes_past_break(self):
         enc = EncounterTrace(intervals={(0, 1): ((0.0, 2.0),)}, horizon=100.0)
