@@ -308,8 +308,9 @@ def validate_sequences(
 
     Per downloader: non-overlapping ordered transfers, cellular capacity,
     encounter coverage for cross-user transfers (up to ``TOL`` before each
-    transfer's end), and every delivered segment inside its owner's video
-    (an owner without video has none).
+    transfer's end), each record's level on its owner's ladder and its rate
+    that level's, and every delivered segment inside its owner's video (an
+    owner without video has none).
     Per owner: the peak of ``receiving_walk``'s buffer trajectory stays
     within the cap; one ``buffer`` violation names an owner whose buffer
     overfills at some reception. Violations are returned as data; an empty
@@ -341,6 +342,13 @@ def validate_sequences(
                     "encounter", uid,
                     f"users {uid} and {rec.owner} not encountered throughout "
                     f"[{rec.t_start}, {rec.t_end}]",
+                ))
+            ladder, z = profiles[rec.owner].ladder, rec.level
+            if not (isinstance(z, int) and 0 <= z < len(ladder) and rec.rate == ladder[z]):
+                violations.append(Violation(
+                    "segment", uid,
+                    f"level {rec.level} at rate {rec.rate} is off the ladder "
+                    f"{ladder} of user {rec.owner}",
                 ))
             segs = profiles[rec.owner].video_segments
             if rec.delivered and not 0 <= rec.seg_index < segs:

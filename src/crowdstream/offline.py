@@ -35,11 +35,14 @@ LEAF_TABLE_ENTRIES = 1_024  # entries the brute-force leaf table holds before it
 
 def slot_count(profiles: Sequence[UserProfile], horizon: float, slot_len: float) -> int:
     """The whole slots of ``slot_len`` in ``horizon``; ``ValueError`` for a
-    slot length not positive and finite, over ``MAX_SLOTS`` slots or over
-    ``MAX_LP_COLUMNS`` LP columns (slots × users² × levels)."""
+    slot length not positive and finite, no whole slot, over ``MAX_SLOTS``
+    slots or over ``MAX_LP_COLUMNS`` LP columns (slots × users² × levels)."""
     if not 0 < slot_len < math.inf:
         raise ValueError("slot length must be positive and finite")
     count = horizon // slot_len
+    if count < 1:  # 0 slots would bound the welfare by 0.0
+        raise ValueError(f"slot length {slot_len!r} fits no whole slot "
+                         f"in the horizon {horizon!r}")
     if count > MAX_SLOTS:  # an inf count, too, which int() cannot take
         raise ValueError(f"{count!r} slots exceed the limit of {MAX_SLOTS} slots")
     levels = max((len(p.ladder) for p in profiles), default=0)
@@ -384,14 +387,20 @@ def solve_slotted_exact(
     def open_slot(t: int, q: list[float]) -> tuple[list[float], list[int]]:
         """Slot t's capacities and, per owner, the most segments the slot
         may bring: those it lacks, and no more than its room, the largest k
-        whose end-of-slot level ``drained + k * beta`` does not overfill (-1
-        if none), found by a scan as the cap rule is monotone in the level."""
+        whose end-of-slot level ``drained + k * beta`` does not overfill,
+        found by a scan from k = 1 as the cap rule is monotone in the level.
+
+        The room is never negative, so k = 0 needs no test: a slot admits
+        at most its room, so it ends at most at cap + ``TOL``, and the next
+        slot first drains ``L > 0`` from that level. Hence no count
+        overfills before its first segment, and ``search`` needs no exit
+        for one."""
         limit = [0] * N
         for m in slot_owners[t]:
             owner, drained = profiles[m], max(0.0, q[m] - L)
             if (room := rooms.get((m, drained))) is None:
                 room = rooms[m, drained] = next(
-                    (k - 1 for k in range(owner.video_segments + 1)
+                    (k - 1 for k in range(1, owner.video_segments + 1)
                      if model.exceeds_cap(drained + k * owner.beta, owner)),
                     owner.video_segments)
             limit[m] = min(owner.video_segments - received[m], room)
@@ -415,8 +424,6 @@ def solve_slotted_exact(
                     cmax = left
                 if cmax > 0:
                     break
-                if cmax < 0:
-                    return  # count 0 already overfills the owner's buffer
                 i += 1
             else:  # the slot's end: charge slot-level losses
                 total = acc
@@ -551,7 +558,7 @@ def _fluid_lp(instance: SlottedInstance) -> tuple | None:
             budget = []
     # flows >= 0; p in [0, L], 0 in the first slot since nothing has
     # arrived yet; q in [0, cap]
-    bounds = ([(0.0, None)] * P + [(0.0, 0.0 if t == 0 else L) for m, t in pairs]
+    bounds = ([(0.0, math.inf)] * P + [(0.0, 0.0 if t == 0 else L) for m, t in pairs]
               + [(0.0, profiles[m].buffer_cap) for m, t in pairs])
     return cost + [0.0] * (2 * len(pairs)), ub, eq, bounds
 
@@ -589,7 +596,7 @@ def _solve_lp(lp: tuple) -> float:
     row_lo = np.array([-math.inf] * n_ub + eq[3], dtype=float)
     row_hi = np.array(ub[3] + eq[3], dtype=float)
     col_lo = np.array([lo for lo, _ in bounds], dtype=float)
-    col_hi = np.array([math.inf if hi is None else hi for _, hi in bounds], dtype=float)
+    col_hi = np.array([hi for _, hi in bounds], dtype=float)
     res = milp(-np.array(cost), bounds=(col_lo, col_hi),
                constraints=LinearConstraint(A, row_lo, row_hi))
     if res.status != 0:
@@ -647,8 +654,9 @@ def brute_force_segmented(
     Start times are restricted to the trace breakpoints plus each
     downloader's previous completion time, every transfer runs at full link
     capacity, and it ends by ``horizon`` (within ``TOL``), as the slotted
-    solvers' transfers do. The result is a welfare lower bound certificate
-    for the asynchronous optimum.
+    solvers' transfers do; one whose volume never arrives ends at
+    ``math.inf``, so the same test drops it. The result is a welfare lower
+    bound certificate for the asynchronous optimum.
 
     A node is counted, checked against the budget and tested for a leaf
     before the search state changes. The root and each retire child do
@@ -755,7 +763,7 @@ def brute_force_segmented(
             prof_m = pmap[m]
             for z, rate in enumerate(prof_m.ladder):
                 end = capacity.invert(d, start, rate * prof_m.beta)
-                if end is None or end > horizon + TOL:
+                if end > horizon + TOL:
                     continue
                 if m != d and not encounters.holds(d, m, start, end):
                     continue

@@ -12,6 +12,7 @@ then scores each ready owner's whole ladder in one pass (``_score_ladder``);
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -193,7 +194,7 @@ def _ready_or_wait(
     if state.capacity <= 0:
         return _EPOCH_WAIT
     ready: list[int] = []
-    least = None  # the least overflow, kept as ``min`` would keep it
+    least = math.inf  # the least overflow, kept as ``min`` would keep it
     next_seg_of, buffers = state.next_seg.get, state.buffers
     for u in state.neighbors:
         if next_seg_of(u) is None:
@@ -205,11 +206,11 @@ def _ready_or_wait(
         over = buffers[u] + prof.beta - prof.buffer_cap
         if over <= 0:
             ready.append(u)
-        elif least is None or over < least:
+        elif over < least:
             least = over
     if ready:
         return ready
-    if least is not None:
+    if least < math.inf:
         return Wait(least)
     return _EPOCH_WAIT
 

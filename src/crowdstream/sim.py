@@ -29,14 +29,17 @@ read-only, by every decision until the next change; most decisions are
 same-instant wake-ups that see an unchanged state. A user's neighbour set
 is tested again only for the owner partners with an encounter window
 starting or ending since the user's previous test, by
-``EncounterTrace.next_break``, the rule the abort policy also asks. A
-user's capacity rate is held with the time its trace piece ends and asked
-of ``CapacityTrace.piece_at`` again only once a decision reaches that time,
-and its throughput samples are a tuple replaced when one of its transfers
-completes, so a snapshot copies neither. One snapshot serves both the
-decision and its welfare estimate; ``online`` scores a Lyapunov decision
-with the potential read once and one pass per ladder. Buffers drain only
-when an event's time differs from the one before it.
+``EncounterTrace.next_break``, the rule the abort policy also asks. A time
+that never comes is ``math.inf``: the break of a window that lasts to the
+horizon, the end of a transfer whose volume never arrives, and a user's
+next mark once none is left. A user's capacity rate is held with the time
+its trace piece ends and asked of ``CapacityTrace.piece_at`` again only
+once a decision reaches that time, and its throughput samples are a tuple
+replaced when one of its transfers completes, so a snapshot copies
+neither. One snapshot serves both the decision and its welfare estimate;
+``online`` scores a Lyapunov decision with the potential read once and one
+pass per ladder. Buffers drain only when an event's time differs from the
+one before it.
 """
 from __future__ import annotations
 
@@ -194,15 +197,16 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
 
     # A user is always its own neighbour. Another user m is a usable
     # neighbour of n at ``now`` when m is an owner and
-    # ``encounters.next_break(n, m, now)`` is None or more than TOL after
-    # ``now``: right at a break the pair is still "encountered" but no
-    # positive-duration transfer fits, so it is excluded to keep every
-    # started transfer strictly progressing. A helper partner owns nothing
-    # to download, so its windows are never marked. The answer for m can
-    # differ from the one at n's last test only if a start or end of one of
-    # the pair's windows lies in [last test, now + TOL], so only those
-    # partners are tested again, and with no mark left no one is. SimConfig
-    # has checked that the encounter trace spans the run.
+    # ``encounters.next_break(n, m, now)`` is more than TOL after ``now``
+    # (``math.inf`` for a window that lasts to the horizon): right at a
+    # break the pair is still "encountered" but no positive-duration
+    # transfer fits, so it is excluded to keep every started transfer
+    # strictly progressing. A helper partner owns nothing to download, so
+    # its windows are never marked. The answer for m can differ from the
+    # one at n's last test only if a start or end of one of the pair's
+    # windows lies in [last test, now + TOL], so only those partners are
+    # tested again, and with no mark left no one is. SimConfig has checked
+    # that the encounter trace spans the run.
     encounters = config.encounters
     marks: dict[int, list[tuple[float, int]]] = {n: [] for n in ids}
     for (a, b), ivs in encounters.intervals.items():
@@ -226,8 +230,7 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         if since < until:
             use = usable[n]
             for m in {m for _, m in pts[since:until]}:
-                brk = encounters.next_break(n, m, now)
-                if brk is None or brk > now + TOL:
+                if encounters.next_break(n, m, now) > now + TOL:
                     use.add(m)
                 else:
                     use.discard(m)
@@ -298,12 +301,12 @@ def run_simulation(config: SimConfig) -> ExperimentReport:
         vol = rate * prof_u.beta
         end = capacity.invert(n, now, vol)
         completed = True
-        if end is None or end > horizon:
+        if end > horizon:
             end = horizon
             completed = False
         if completed and u != n and config.abort_policy == "abort":
             brk = config.encounters.next_break(n, u, now)
-            if brk is not None and brk < end - TOL:
+            if brk < end - TOL:
                 end = brk
                 completed = False
                 counters["aborts"] += 1

@@ -9,6 +9,9 @@ Also provides CSV ingestion for hotspot session logs and video viewing logs,
 plus seeded synthetic generators standing in for real datasets.
 
 Times, rates and log values must be finite: NaN or infinity raises TraceError.
+The two time queries answer "never" with ``math.inf``: ``invert`` for a
+volume that cannot arrive before the horizon, and ``next_break`` for a
+user's own link or a window that lasts to the horizon.
 """
 from __future__ import annotations
 
@@ -83,12 +86,9 @@ class PiecewiseConstant:
             i += 1
         return total
 
-    def invert(self, start: float, volume: float) -> float | None:
-        """Earliest t with integral over [start, t] equal to ``volume``.
-
-        Returns None when the remaining capacity before the horizon is
-        insufficient.
-        """
+    def invert(self, start: float, volume: float) -> float:
+        """Earliest t with integral over [start, t] equal to ``volume``;
+        ``math.inf`` when the capacity left before the horizon is short."""
         _check_time(start, self.horizon)
         if volume < 0:
             raise TraceError("volume must be nonnegative")
@@ -105,7 +105,7 @@ class PiecewiseConstant:
             remaining -= chunk
             t = self._ends[i]
             i += 1
-        return None
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class CapacityTrace:
     def integrate(self, n: int, t1: float, t2: float) -> float:
         return self.users[n].integrate(t1, t2)
 
-    def invert(self, n: int, start: float, volume: float) -> float | None:
+    def invert(self, n: int, start: float, volume: float) -> float:
         return self.users[n].invert(start, volume)
 
     def breakpoints(self) -> list[float]:
@@ -217,25 +217,26 @@ class EncounterTrace:
         i = bisect.bisect_right(ivs, t1, key=_START) - 1
         return i >= 0 and t2 <= ivs[i][1]
 
-    def next_break(self, n: int, m: int, t: float) -> float | None:
-        """End of the first encounter window containing ``t``; None if
-        unbounded or self, ``t`` itself if the pair is not encountered.
+    def next_break(self, n: int, m: int, t: float) -> float:
+        """End of the first encounter window containing ``t``; ``math.inf``
+        for the user itself or a window that reaches the horizon, ``t``
+        itself if the pair is not encountered.
 
         Where two windows touch at ``t``, this is the one ending there, so
         ``t`` itself: the simulator's neighbour rule (usable iff the break
-        is None or more than TOL after ``t``) relies on this to exclude a
+        is more than TOL after ``t``) relies on this to exclude a
         partner at a touch point, where no positive-duration transfer fits
         in the window that ends. Ends are nondecreasing, so the first
         window ending at or after ``t``, found by bisecting the pair's
         windows by end, is that window if it starts by ``t``."""
         if n == m:
-            return None
+            return math.inf
         ivs = self.intervals.get((n, m) if n < m else (m, n), ())
         i = bisect.bisect_left(ivs, t, key=_END)
         if i == len(ivs) or ivs[i][0] > t:
             return t
         end = ivs[i][1]
-        return None if end >= self.horizon else end
+        return math.inf if end >= self.horizon else end
 
     def breakpoints(self) -> list[float]:
         pts = {0.0, self.horizon}

@@ -101,9 +101,14 @@ MALFORMED_BOUNDS = {
     "bool-video-segments": with_profile(video_segments=True),
     "nan-capacity-rate": lambda d: {**d, "capacity": {
         **d["capacity"], "users": {"0": {"times": [0.0], "rates": [float("nan")]}}}},
+    "capacity-times-and-rates-of-unequal-length": lambda d: {**d, "capacity": {
+        **d["capacity"], "users": {"0": {"times": [0.0, 4.0], "rates": [1.0]}}}},
+    "capacity-breakpoint-past-horizon": lambda d: {**d, "capacity": {
+        **d["capacity"], "users": {"0": {"times": [0.0, 9.0], "rates": [1.0, 2.0]}}}},
     "nan-encounter-end": with_pairs({"users": [0, 1], "intervals": [[0, float("nan")]]}),
     "unknown-key": lambda d: {**d, "exact_budgte": 10},
     "infinite-slot-length": lambda d: {**d, "slot_len": float("inf")},
+    "slot-length-above-horizon": lambda d: {**d, "slot_len": 10.0},  # no whole slot in 8 s
     "negative-exact-budget": lambda d: {**d, "exact_budget": -1},
     "zero-brute-budget": lambda d: {**d, "brute_budget": 0},
     "n-slots-key": lambda d: {**d, "n_slots": 2},  # the horizon alone sets the count
@@ -128,6 +133,11 @@ def write_bounds_case(tmp_path, case):
 
 # each makes a run spec that must be rejected before anything runs
 BAD_RUN_SPECS = {
+    "unknown-scenario": {"scenario": "x"},
+    "video-fraction-above-one": {"scenario": "multi", "video_fraction": 1.5},
+    "no-schedulers": {"schedulers": []},
+    "unknown-cooperation": {"cooperation": "x"},
+    "zero-users": {"scenario": "multi", "n_users": 0},
     "zero-beta": {"beta": 0},
     "unknown-abort-policy": {"abort_policy": "x"},
     "zero-horizon": {"horizon": 0},
@@ -151,6 +161,8 @@ BAD_RUN_SPECS = {
     "infinite-capacity-range": {"capacity_range": [0, float("inf")]},
     "nan-capacity-range": {"capacity_range": [float("nan"), 1]},
     "infinite-slot-length-with-gap": {"slot_len": float("inf"), "compute_gap": True},
+    # no whole 60 s slot in the 50 s horizon: the upper bound would read 0.0
+    "slot-length-above-horizon-with-gap": {"slot_len": 60.0, "compute_gap": True},
     "float-seed": {"seeds": [1.5]},
     "bool-seed": {"seeds": [True]},
     "nan-delta-th": {"delta_th": float("nan")},
@@ -180,6 +192,7 @@ BAD_GEN_TRACES = {
     **{f"horizon={h}": [f"--horizon={h}"] for h in GEN_TRACES_NON_POSITIVE_HORIZONS},
     "infinite-horizon": ["--horizon", "inf"],
     "huge-horizon": ["--users", "2", "--horizon", "1e9"],
+    "users-beyond-a-float": ["--users", str(10**400)],  # work overflows to inf
     "reversed-capacity-range": ["--cap-lo", "3", "--cap-hi", "1"],
 }
 
@@ -295,6 +308,13 @@ class TestRunCommand:
         path = tmp_path / "spec.json"
         path.write_text("{not json")
         assert cli.main(["run", "--spec", str(path)]) == 2
+
+    def test_spec_json_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text("[1, 2]")
+        assert cli.main(["run", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "bad experiment spec: expected a JSON object, got [1, 2]\n")
 
     def test_unknown_scheduler_exits_2(self, tmp_path):
         spec_path = write_spec(tmp_path, schedulers=["greedy"])
@@ -880,6 +900,10 @@ MALFORMED_INGEST = {
     "non-numeric-login": (SESSIONS_HEADER + "0,ap1,x,10\n", VIEWING_CSV, ()),
     "nan-session": (SESSIONS_CSV + "2,ap1,nan,10\n", VIEWING_CSV + "2,v3,0,2.0,0.7,4.0\n", ()),
     "nan-viewing": (SESSIONS_CSV + "2,ap1,0,10\n", VIEWING_CSV + "2,v3,0,2.0,nan,4.0\n", ()),
+    "logout-before-login": (SESSIONS_CSV + "2,ap1,10,5\n", VIEWING_CSV + "2,v3,0,2.0,0.7,4.0\n",
+                            ()),
+    "zero-bitrate": (SESSIONS_CSV, VIEWING_CSV + "1,v2,1,2.0,0,4.0\n", ()),
+    "zero-download-time": (SESSIONS_CSV, VIEWING_CSV + "1,v2,1,2.0,0.7,0\n", ()),
     **{f"horizon={h}": (SESSIONS_CSV, VIEWING_CSV, ("--horizon", h))
        for h in INGEST_NON_POSITIVE_HORIZONS},
     "session-log-without-horizon": (SESSIONS_HEADER, VIEWING_CSV, ()),

@@ -455,3 +455,23 @@ class TestValidateSequences:
             model.Violation("segment", 0, "delivered segment -1 of user 0, whose video has 3 segments"),
             model.Violation("segment", 1, "delivered segment 0 of user 1, whose video has 0 segments"),
         ]
+
+    def test_level_or_rate_off_the_ladder_detected(self):
+        """A record's level must be an index of its owner's ladder, not a
+        negative or float one, and its rate must be that level's; delivered
+        or not."""
+        profiles = {0: make_profile(ladder=(0.2, 0.7))}
+        downloads = {0: [
+            SegmentRecord(0, 0, level=1, rate=0.5, seg_index=0, t_start=0.0, t_end=1.0),
+            SegmentRecord(0, 0, level=5, rate=0.7, seg_index=1, t_start=1.0, t_end=2.0),
+            SegmentRecord(0, 0, level=-1, rate=0.7, seg_index=2, t_start=2.0, t_end=3.0,
+                          delivered=False),
+            SegmentRecord(0, 0, level=1.0, rate=0.7, seg_index=3, t_start=3.0, t_end=4.0),
+            SegmentRecord(0, 0, level=1, rate=0.7, seg_index=4, t_start=4.0, t_end=5.0),
+        ]}
+        got = model.validate_sequences(profiles, self.cap, self.enc, downloads)
+        assert got == [
+            model.Violation("segment", 0, f"level {z} at rate {r} is off the ladder "
+                                          f"(0.2, 0.7) of user 0")
+            for z, r in ((1, 0.5), (5, 0.7), (-1, 0.7), (1.0, 0.7))
+        ]

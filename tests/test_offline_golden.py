@@ -507,7 +507,7 @@ def test_milp_gets_scipys_canonical_csc_arrays(monkeypatch):
         assert all(isinstance(v, np.ndarray) for v in (c, lo, hi))
         assert floats(c) == floats([-v for v in cost])
         assert floats(lo) == floats([v for v, _ in bounds])
-        assert floats(hi) == floats([math.inf if v is None else v for _, v in bounds])
+        assert floats(hi) == floats([v for _, v in bounds])
         assert floats(rows.lb) == floats([-math.inf] * n_ub + eq[3])
         assert floats(rows.ub) == floats(ub[3] + eq[3])
     assert not calls

@@ -48,9 +48,9 @@ class TestComputeDownloadEnd:
         }, horizon=10.0)
         assert cap.invert(0, 4.0, 4.0) == pytest.approx(6.0)
 
-    def test_exhausted_trace_is_none(self):
+    def test_exhausted_trace_never_ends(self):
         cap = CapacityTrace.constant([0], 1.0, 10.0)
-        assert cap.invert(0, 8.0, 5.0) is None
+        assert cap.invert(0, 8.0, 5.0) == math.inf
 
     def test_negative_volume_rejected(self):
         cap = CapacityTrace.constant([0], 1.0, 10.0)
